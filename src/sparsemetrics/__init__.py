@@ -13,19 +13,14 @@ from .errors import (
 )
 from .measures import (
     MEASURE_ORDER,
+    MEASURES,
     CoefficientVector,
     LorenzCurve,
     Measure,
     MeasureSpec,
-    count_measures,
     evaluate,
     gini,
     lorenz_curve,
-    measure_max,
-    norm_measures,
-    ratio_measures,
-    separable_measures,
-    u_theta,
 )
 from .transforms import (
     CRITERION_ORDER,

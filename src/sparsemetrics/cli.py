@@ -39,6 +39,8 @@ from .measures import (
 )
 from .transforms import Criterion
 from .experiments import (
+    DEFAULT_BERNOULLI_GRID,
+    DEFAULT_SIZES,
     DistributionSpec,
     bernoulli_sweep,
     contribution_curves,
@@ -326,21 +328,22 @@ def _parse_grid(text: str) -> list[float]:
 
 def _cmd_experiment(args) -> int:
     name = args.name
+    repeats = {} if args.repeats is None else {"repeats": args.repeats}
     if name == "poisson-convergence":
         sizes = [int(s) for s in args.sizes.split(",")] if args.sizes else None
         result = poisson_convergence(
             lam=args.lam,
-            sizes=sizes or (10, 30, 100, 300, 1000, 3000),
-            repeats=args.repeats if args.repeats is not None else 50,
+            sizes=sizes or DEFAULT_SIZES,
             seed=args.seed,
+            **repeats,
         )
     elif name == "bernoulli-sweep":
         grid = _parse_grid(args.grid) if args.grid else None
         result = bernoulli_sweep(
-            grid=grid or tuple(k / 20 for k in range(1, 20)),
+            grid=grid or DEFAULT_BERNOULLI_GRID,
             n=args.n,
-            repeats=args.repeats if args.repeats is not None else 20,
             seed=args.seed,
+            **repeats,
         )
     elif name == "contribution-curves":
         xs = _parse_grid(args.amplitudes) if args.amplitudes else None

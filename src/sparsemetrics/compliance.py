@@ -21,17 +21,18 @@ from typing import AbstractSet, Mapping
 
 import numpy as np
 
-from .errors import CatalogMiss, DegenerateInput, GenerationFailure
+from .errors import CatalogMiss, DegenerateInput
 from .measures import (
     MEASURE_ORDER,
+    MEASURES,
     CoefficientVector,
     Measure,
     MeasureSpec,
     evaluate,
-    measure_max,
 )
 from .transforms import (
     CRITERION_ORDER,
+    P1_ALPHA_MULTIPLIERS,
     Criterion,
     CriterionTrial,
     Relation,
@@ -298,41 +299,19 @@ class CellVerdict:
         return d
 
 
-def _ticks(values: np.ndarray) -> np.ndarray:
-    return np.round(values / TICK).astype(np.int64)
-
-
-def generator_config(spec: MeasureSpec) -> TrialConfig:
-    """Trial distribution for a measure.
-
-    Gaussian entropy and the negative-exponent power sum blow up near zero,
-    so their trials are strictly positive.  The tanh measure is numerically
-    flat once (a*c)^b saturates, so its trials stay inside the responsive
-    amplitude range.
-    """
-    if spec.id in (Measure.HG, Measure.NEG_LP_NEG):
-        return TrialConfig(strictly_positive=True)
-    if spec.id is Measure.NEG_TANH:
-        cap = min(10.0, (4.0 ** (1.0 / spec.b)) / spec.a)
-        return TrialConfig(value_cap=cap)
-    return TrialConfig()
-
-
 #: Strict-increase trials whose starting value is already this close to the
-#: measure's attainable maximum are recorded as skipped: no transformation
-#: can produce a measurable increase there, so such draws say nothing about
-#: the criterion (the increase axioms presume headroom).
+#: measure's attainable maximum (at the after vector's length, which P2
+#: raises for gini) are recorded as skipped: no transformation can produce a
+#: measurable increase there, so such draws say nothing about the criterion
+#: (the increase axioms presume headroom).
 SATURATION_MARGIN = 1e-6
 
-P1_ALPHA_MULTIPLIERS = (1e-3, 1.0, 1e3)
 P1_BETA_SWEEP = (0.1, 1.0, 10.0, 100.0)
 
 
-def _saturated(measure: Measure, value_before: float, n: int, criterion: Criterion) -> bool:
-    if criterion is Criterion.P2 and measure is Measure.GINI:
-        return False  # appending zeros raises the attainable maximum itself
-    mx = measure_max(measure, n)
-    return mx is not None and mx - value_before <= SATURATION_MARGIN
+def _saturated(measure: Measure, value_before: float, trial: CriterionTrial) -> bool:
+    maximum = MEASURES[measure].maximum
+    return maximum is not None and maximum(len(trial.after)) - value_before <= SATURATION_MARGIN
 
 
 def _p1_beta_verdict(
@@ -354,7 +333,7 @@ def _p1_beta_verdict(
         try:
             if value_before is None:
                 value_before = evaluate(spec, trial.before)
-                if _saturated(spec.id, value_before, len(trial.before), Criterion.P1):
+                if _saturated(spec.id, value_before, trial):
                     return None, None
             value_after = evaluate(spec, trial.after)
         except DegenerateInput:
@@ -372,15 +351,7 @@ def _p1_trial_outcome(spec: MeasureSpec, config: TrialConfig, rng: np.random.Gen
     witness requires every swept beta to fail at some alpha.  Returns
     "skip", None (no witness), or the failing (trial, before, after).
     """
-    drawn = None
-    for _ in range(config.max_retries):
-        drawn = _draw_p1_vector(config, rng)
-        if drawn is not None:
-            break
-    if drawn is None:
-        raise GenerationFailure("could not draw a P1-eligible vector")
-    c, i, beta_policy = drawn
-    l1_ticks = int(_ticks(c.values).sum())
+    c, i, beta_policy, l1_ticks = _draw_p1_vector(config, rng)
     alpha_ticks = [max(1, int(round(m * l1_ticks))) for m in P1_ALPHA_MULTIPLIERS]
 
     ok, fail = _p1_beta_verdict(spec, c, i, beta_policy, alpha_ticks)
@@ -402,7 +373,8 @@ def check_cell(
     """Randomized search for a counter-witness over ``trials`` seeded draws."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    config = generator_config(spec)
+    d = MEASURES[spec.id]
+    config = TrialConfig(d.strictly_positive, d.value_cap(spec) if d.value_cap else None)
     m_idx = MEASURE_ORDER.index(spec.id)
     c_idx = CRITERION_ORDER.index(criterion)
     skipped = 0
@@ -423,7 +395,7 @@ def check_cell(
             except DegenerateInput:
                 skipped += 1
                 continue
-            if criterion is Criterion.P2 and _saturated(spec.id, vb, len(trial.before), criterion):
+            if criterion is Criterion.P2 and _saturated(spec.id, vb, trial):
                 skipped += 1
                 continue
             outcome = None if relation_holds(criterion, vb, va) else (trial, vb, va)

@@ -17,6 +17,7 @@ from scipy import integrate
 from .errors import DegenerateInput, InvalidParams, NonSeparableMeasure
 from .measures import (
     MEASURE_ORDER,
+    MEASURES,
     CoefficientVector,
     Measure,
     MeasureSpec,
@@ -35,7 +36,6 @@ __all__ = [
     "distributional_gini",
     "sample_gini",
     "minmax_normalize",
-    "SEPARABLE_MEASURES",
     "default_specs",
 ]
 
@@ -300,45 +300,6 @@ def bernoulli_sweep(
     )
 
 
-#: Measures with an additive per-component term.
-SEPARABLE_MEASURES = (
-    Measure.L0,
-    Measure.L0_EPS,
-    Measure.NEG_L1,
-    Measure.NEG_LP,
-    Measure.NEG_TANH,
-    Measure.NEG_LOG,
-    Measure.HG,
-    Measure.HS_PRIME,
-    Measure.NEG_LP_NEG,
-)
-
-
-def _component_term(spec: MeasureSpec, x: float) -> float:
-    m = spec.id
-    if m is Measure.L0:
-        return 1.0 if x == 0 else 0.0
-    if m is Measure.L0_EPS:
-        return 1.0 if x <= spec.epsilon else 0.0
-    if m is Measure.NEG_L1:
-        return -x
-    if m is Measure.NEG_LP:
-        return -(x**spec.p_frac)  # the power term inside the norm
-    if m is Measure.NEG_TANH:
-        return -math.tanh((spec.a * x) ** spec.b)
-    if m is Measure.NEG_LOG:
-        return -math.log1p(x * x)
-    if m is Measure.HG:
-        return -2.0 * math.log(x) if x > 0 else 0.0
-    if m is Measure.HS_PRIME:
-        return -2.0 * x * math.log(x) if x > 0 else 0.0
-    if m is Measure.NEG_LP_NEG:
-        return -(x**spec.p_neg) if x > 0 else 0.0
-    raise NonSeparableMeasure(
-        f"{m.value} has no additive per-component term (ratio or order-statistic measure)"
-    )
-
-
 @dataclass
 class ContributionTable:
     """Per-component contribution of separable measures over an amplitude grid."""
@@ -358,14 +319,15 @@ def contribution_curves(amplitudes, specs=None) -> ContributionTable:
     if xs.size == 0 or np.any(xs < 0):
         raise InvalidParams("amplitude grid must be non-empty and non-negative")
     if specs is None:
-        specs = [MeasureSpec(m) for m in SEPARABLE_MEASURES]
+        specs = [MeasureSpec(m) for m, d in MEASURES.items() if d.term is not None]
     terms = {}
     for spec in specs:
-        if spec.id not in SEPARABLE_MEASURES:
+        term = MEASURES[spec.id].term
+        if term is None:
             raise NonSeparableMeasure(
                 f"{spec.id.value} has no additive per-component term"
             )
-        terms[spec.id] = np.array([_component_term(spec, float(x)) for x in xs])
+        terms[spec.id] = term(spec, xs)
     return ContributionTable(xs, terms)
 
 

@@ -5,6 +5,8 @@ single real number that grows with sparsity (count and norm measures are
 negated accordingly).  All evaluations sort the coefficients ascending
 first, which makes permutation invariance bit-exact.
 
+Each measure is defined once, as a ``MeasureDef`` entry in ``MEASURES``.
+
 Conventions that the formulas leave open:
 
 * natural logarithm everywhere;
@@ -19,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import Callable
 
 import numpy as np
 
@@ -27,18 +30,14 @@ from .errors import DegenerateInput, InvalidParams
 __all__ = [
     "Measure",
     "MeasureSpec",
+    "MeasureDef",
+    "MEASURES",
     "CoefficientVector",
     "LorenzCurve",
     "MEASURE_ORDER",
     "evaluate",
-    "count_measures",
-    "norm_measures",
-    "ratio_measures",
-    "separable_measures",
-    "u_theta",
     "gini",
     "lorenz_curve",
-    "measure_max",
 ]
 
 
@@ -86,16 +85,7 @@ class MeasureSpec:
     theta: float = 0.5
 
     def __post_init__(self) -> None:
-        if self.id is Measure.L0_EPS and not self.epsilon > 0:
-            raise InvalidParams(f"l0-eps requires epsilon > 0, got {self.epsilon}")
-        if self.id is Measure.NEG_LP and not 0 < self.p_frac < 1:
-            raise InvalidParams(f"neg-lp requires 0 < p < 1, got {self.p_frac}")
-        if self.id is Measure.NEG_LP_NEG and not self.p_neg < 0:
-            raise InvalidParams(f"neg-lp-neg requires p < 0, got {self.p_neg}")
-        if self.id is Measure.NEG_TANH and not (self.a > 0 and self.b > 0):
-            raise InvalidParams(f"neg-tanh requires a, b > 0, got a={self.a} b={self.b}")
-        if self.id is Measure.U_THETA and not 0 < self.theta < 1:
-            raise InvalidParams(f"u-theta requires 0 < theta < 1, got {self.theta}")
+        MEASURES[self.id].validate(self)
 
 
 class CoefficientVector:
@@ -151,83 +141,119 @@ def _as_sorted(c: CoefficientVector) -> np.ndarray:
     return c.sorted_values
 
 
-def count_measures(spec: MeasureSpec, c: CoefficientVector) -> float:
-    """Zero count (l0) or below-threshold count (l0-eps), as a real."""
-    s = _as_sorted(c)
-    if spec.id is Measure.L0:
-        return float(np.count_nonzero(s == 0.0))
-    if spec.id is Measure.L0_EPS:
-        return float(np.count_nonzero(s <= spec.epsilon))
-    raise InvalidParams(f"not a count measure: {spec.id}")
+#: Maps (spec, magnitudes) to the additive per-component terms, elementwise.
+Term = Callable[[MeasureSpec, np.ndarray], np.ndarray]
 
 
-def norm_measures(spec: MeasureSpec, c: CoefficientVector) -> float:
-    """Negated l1 norm, negated fractional-p norm, or negated negative-p power sum."""
-    s = _as_sorted(c)
-    if spec.id is Measure.NEG_L1:
-        return -float(np.sum(s))
-    if spec.id is Measure.NEG_LP:
-        return -float(np.sum(s**spec.p_frac) ** (1.0 / spec.p_frac))
-    if spec.id is Measure.NEG_LP_NEG:
-        nz = s[s > 0]
-        if nz.size == 0:
-            raise DegenerateInput("neg-lp-neg needs at least one nonzero coefficient")
-        return -float(np.sum(nz**spec.p_neg))
-    raise InvalidParams(f"not a norm measure: {spec.id}")
+@dataclass(frozen=True)
+class MeasureDef:
+    """Everything the package knows about one measure.
+
+    * ``kernel`` evaluates it on the ascending magnitudes.
+    * ``validate`` raises ``InvalidParams`` for out-of-range parameters.
+    * ``maximum(n)`` is the attainable maximum over length-``n`` vectors, or
+      None without a finite scale-free maximum; the compliance engine skips
+      strict-increase trials that start saturated.
+    * ``strictly_positive`` and ``value_cap(spec)`` set the domain of the
+      compliance engine's random trials (see ``transforms.TrialConfig``).
+    * ``term`` is the additive per-component term, or None for the ratio and
+      order-statistic measures.
+    """
+
+    kernel: Callable[[MeasureSpec, np.ndarray], float]
+    validate: Callable[[MeasureSpec], None] = lambda spec: None
+    maximum: Callable[[int], float] | None = None
+    strictly_positive: bool = False
+    value_cap: Callable[[MeasureSpec], float] | None = None
+    term: Term | None = None
 
 
-def ratio_measures(spec: MeasureSpec, c: CoefficientVector) -> float:
-    """l2/l1 ratio, kurtosis, or the Hoyer-normalized l1/l2 ratio."""
-    s = _as_sorted(c)
-    l1 = float(np.sum(s))
-    if l1 == 0.0:
-        raise DegenerateInput(f"{spec.id.value} is undefined for the all-zero vector")
-    sq = float(np.sum(s * s))
-    if spec.id is Measure.L2_OVER_L1:
-        return math.sqrt(sq) / l1
-    if spec.id is Measure.KAPPA4:
-        return float(np.sum(s**4)) / (sq * sq)
-    if spec.id is Measure.HOYER:
-        n = s.size
-        if n < 2:
-            raise DegenerateInput("hoyer needs at least two coefficients")
-        rn = math.sqrt(n)
-        return (rn - l1 / math.sqrt(sq)) / (rn - 1.0)
-    raise InvalidParams(f"not a ratio measure: {spec.id}")
+def _require(spec: MeasureSpec, ok: bool, condition: str, got) -> None:
+    if not ok:
+        raise InvalidParams(f"{spec.id.value} requires {condition}, got {got}")
 
 
-def separable_measures(spec: MeasureSpec, c: CoefficientVector) -> float:
-    """The coordinate-wise sums: neg-tanh, neg-log and the three entropies."""
-    s = _as_sorted(c)
-    if spec.id is Measure.NEG_TANH:
-        return -float(np.sum(np.tanh((spec.a * s) ** spec.b)))
-    if spec.id is Measure.NEG_LOG:
-        return -float(np.sum(np.log1p(s * s)))
-    if spec.id is Measure.HG:
-        nz = s[s > 0]
-        if nz.size == 0:
-            raise DegenerateInput("hg is undefined for the all-zero vector")
-        return -2.0 * float(np.sum(np.log(nz)))
-    if spec.id is Measure.HS:
-        sq = s * s
-        total = float(np.sum(sq))
-        if total == 0.0:
-            raise DegenerateInput("hs is undefined for the all-zero vector")
-        ct = sq / total
-        nz = ct[ct > 0]
-        return -2.0 * float(np.sum(nz * np.log(nz))) + 0.0
-    if spec.id is Measure.HS_PRIME:
-        nz = s[s > 0]
-        if nz.size == 0:
-            return 0.0
-        return -2.0 * float(np.sum(nz * np.log(nz))) + 0.0
-    raise InvalidParams(f"not a separable measure: {spec.id}")
+def _sum(terms: np.ndarray) -> float:
+    """``sum(terms)`` as ``-sum(-terms)`` from -0.0: numpy's pairwise grouping
+    is unchanged and negation commutes with rounding, so every bit, down to
+    a zero total's sign (+0.0 for a count, -0.0 for a ``-sum(...)``), is the
+    closed form's."""
+    return -float(np.sum(-terms, initial=-0.0))
 
 
-def u_theta(spec: MeasureSpec, c: CoefficientVector) -> float:
+def _zero_at_zero(term: Term) -> Term:
+    def extended(spec: MeasureSpec, x: np.ndarray) -> np.ndarray:
+        out = np.zeros_like(x)
+        out[x > 0] = term(spec, x[x > 0])
+        return out
+
+    return extended
+
+
+def _separable(term: Term, nonzero_only: bool = False, **fields) -> MeasureDef:
+    """A measure whose kernel sums ``term`` over the sorted magnitudes.
+
+    A term singular at zero sums over the nonzero magnitudes only, as the
+    formula does (summing extra zeros would regroup numpy's pairwise sum),
+    and the vector without any is degenerate.
+    """
+
+    def kernel(spec: MeasureSpec, s: np.ndarray) -> float:
+        if nonzero_only:
+            s = s[s > 0]
+            if s.size == 0:
+                raise DegenerateInput(f"{spec.id.value} is undefined for the all-zero vector")
+        return _sum(term(spec, s))
+
+    return MeasureDef(kernel, term=_zero_at_zero(term) if nonzero_only else term, **fields)
+
+
+def _neg_tanh_term(spec: MeasureSpec, x: np.ndarray) -> np.ndarray:
+    with np.errstate(over="ignore"):  # tanh saturates: an overflowed power is exact
+        return -np.tanh((spec.a * x) ** spec.b)
+
+
+def _hs_prime_term(spec: MeasureSpec, nz: np.ndarray) -> np.ndarray:
+    return -2.0 * (nz * np.log(nz))
+
+
+def _hs_prime(spec: MeasureSpec, s: np.ndarray) -> float:
+    # an all-zero vector has entropy 0, and +0.0 turns a -0.0 total into 0
+    return _sum(_hs_prime_term(spec, s[s > 0])) + 0.0
+
+
+def _ratio(form: Callable[[np.ndarray, float, float], float]):
+    """Kernel for ``form(s, l1, sum of squares)``; the all-zero vector is degenerate."""
+
+    def kernel(spec: MeasureSpec, s: np.ndarray) -> float:
+        l1 = float(np.sum(s))
+        if l1 == 0.0:
+            raise DegenerateInput(f"{spec.id.value} is undefined for the all-zero vector")
+        return form(s, l1, float(np.sum(s * s)))
+
+    return kernel
+
+
+def _hoyer(s: np.ndarray, l1: float, sq: float) -> float:
+    n = s.size
+    if n < 2:
+        raise DegenerateInput("hoyer needs at least two coefficients")
+    rn = math.sqrt(n)
+    return (rn - l1 / math.sqrt(sq)) / (rn - 1.0)
+
+
+def _hs(spec: MeasureSpec, s: np.ndarray) -> float:
+    """hs-prime of the normalized energies c^2 / ||c||_2^2."""
+    sq = s * s
+    total = float(np.sum(sq))
+    if total == 0.0:
+        raise DegenerateInput("hs is undefined for the all-zero vector")
+    return _hs_prime(spec, sq / total)
+
+
+def _u_theta(spec: MeasureSpec, s: np.ndarray) -> float:
     """One minus the narrowest sorted window holding ceil(theta*N) points,
     as a fraction of the total range."""
-    s = _as_sorted(c)
     n = s.size
     w = math.ceil(spec.theta * n)
     if w == n:
@@ -239,6 +265,15 @@ def u_theta(spec: MeasureSpec, c: CoefficientVector) -> float:
     return 1.0 - float(widths.min()) / rng
 
 
+def _gini(s: np.ndarray) -> float:
+    n = s.size
+    total = math.fsum(s)
+    if total == 0.0:
+        raise DegenerateInput("gini is undefined for the all-zero vector")
+    weights = 2.0 * np.arange(1, n + 1) - (n + 1)
+    return math.fsum(s * weights) / (n * total)
+
+
 def gini(c: CoefficientVector) -> float:
     """Gini index of the sorted coefficients, in [0, 1 - 1/N].
 
@@ -247,13 +282,59 @@ def gini(c: CoefficientVector) -> float:
     integer weights make constant vectors come out exactly zero under
     ``math.fsum``.
     """
-    s = _as_sorted(c)
-    n = s.size
-    total = math.fsum(s)
-    if total == 0.0:
-        raise DegenerateInput("gini is undefined for the all-zero vector")
-    weights = 2.0 * np.arange(1, n + 1) - (n + 1)
-    return math.fsum(s * weights) / (n * total)
+    return _gini(_as_sorted(c))
+
+
+# The separable measures come first, in the order contribution_curves()
+# reports them; table order is MEASURE_ORDER.
+MEASURES: dict[Measure, MeasureDef] = {
+    Measure.L0: _separable(lambda spec, x: (x == 0.0).astype(np.float64)),
+    Measure.L0_EPS: _separable(
+        lambda spec, x: (x <= spec.epsilon).astype(np.float64),
+        validate=lambda spec: _require(spec, spec.epsilon > 0, "epsilon > 0", spec.epsilon),
+    ),
+    Measure.NEG_L1: _separable(lambda spec, x: -x),
+    Measure.NEG_LP: MeasureDef(
+        kernel=lambda spec, s: -float(np.sum(s**spec.p_frac) ** (1.0 / spec.p_frac)),
+        validate=lambda spec: _require(spec, 0 < spec.p_frac < 1, "0 < p < 1", spec.p_frac),
+        term=lambda spec, x: -(x**spec.p_frac),  # the power term inside the norm
+    ),
+    Measure.NEG_TANH: _separable(
+        _neg_tanh_term,
+        validate=lambda spec: _require(
+            spec, spec.a > 0 and spec.b > 0, "a, b > 0", f"a={spec.a} b={spec.b}"
+        ),
+        # tanh is numerically flat once (a*c)^b saturates; tanh(4) = 0.9993
+        value_cap=lambda spec: (4.0 ** (1.0 / spec.b)) / spec.a,
+    ),
+    Measure.NEG_LOG: _separable(lambda spec, x: -np.log1p(x * x)),
+    Measure.HG: _separable(
+        lambda spec, nz: -2.0 * np.log(nz),
+        nonzero_only=True,
+        strictly_positive=True,  # log blows up near zero
+    ),
+    Measure.HS_PRIME: MeasureDef(kernel=_hs_prime, term=_zero_at_zero(_hs_prime_term)),
+    Measure.NEG_LP_NEG: _separable(
+        lambda spec, nz: -(nz**spec.p_neg),
+        nonzero_only=True,
+        validate=lambda spec: _require(spec, spec.p_neg < 0, "p < 0", spec.p_neg),
+        strictly_positive=True,  # c^p blows up near zero
+    ),
+    Measure.L2_OVER_L1: MeasureDef(
+        kernel=_ratio(lambda s, l1, sq: math.sqrt(sq) / l1), maximum=lambda n: 1.0
+    ),
+    Measure.KAPPA4: MeasureDef(
+        kernel=_ratio(lambda s, l1, sq: float(np.sum(s**4)) / (sq * sq)), maximum=lambda n: 1.0
+    ),
+    Measure.U_THETA: MeasureDef(
+        kernel=_u_theta,
+        validate=lambda spec: _require(spec, 0 < spec.theta < 1, "0 < theta < 1", spec.theta),
+        maximum=lambda n: 1.0,
+    ),
+    Measure.HS: MeasureDef(kernel=_hs),
+    Measure.HOYER: MeasureDef(kernel=_ratio(_hoyer), maximum=lambda n: 1.0),
+    Measure.GINI: MeasureDef(kernel=lambda spec, s: _gini(s), maximum=lambda n: 1.0 - 1.0 / n),
+}
 
 
 @dataclass(frozen=True)
@@ -285,10 +366,13 @@ class LorenzCurve:
 
 def lorenz_curve(c: CoefficientVector) -> LorenzCurve:
     s = _as_sorted(c)
-    cum = np.cumsum(s)
+    with np.errstate(over="ignore"):
+        cum = np.cumsum(s)
     total = float(cum[-1])
     if total == 0.0:
         raise DegenerateInput("lorenz curve is undefined for the all-zero vector")
+    if not math.isfinite(total):
+        raise DegenerateInput("lorenz curve total exceeds the float64 range on this input")
     n = s.size
     x = np.arange(n + 1) / n
     # dividing by the accumulated total pins the endpoint at exactly (1, 1)
@@ -298,46 +382,23 @@ def lorenz_curve(c: CoefficientVector) -> LorenzCurve:
     return LorenzCurve(pts)
 
 
-_DISPATCH = {
-    Measure.L0: count_measures,
-    Measure.L0_EPS: count_measures,
-    Measure.NEG_L1: norm_measures,
-    Measure.NEG_LP: norm_measures,
-    Measure.NEG_LP_NEG: norm_measures,
-    Measure.L2_OVER_L1: ratio_measures,
-    Measure.KAPPA4: ratio_measures,
-    Measure.HOYER: ratio_measures,
-    Measure.NEG_TANH: separable_measures,
-    Measure.NEG_LOG: separable_measures,
-    Measure.HG: separable_measures,
-    Measure.HS: separable_measures,
-    Measure.HS_PRIME: separable_measures,
-    Measure.U_THETA: u_theta,
-}
-
-
 def evaluate(spec: MeasureSpec, c: CoefficientVector) -> float:
-    """Evaluate the measure named by ``spec`` on ``c``."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        if spec.id is Measure.GINI:
-            value = gini(c)
-        else:
-            value = _DISPATCH[spec.id](spec, c)
+    """Evaluate the measure named by ``spec`` on ``c``.
+
+    Raises ``DegenerateInput`` where the measure is undefined, and where an
+    intermediate leaves the float64 range (overflow, or an underflow to a
+    zero divisor).
+    """
+    s = _as_sorted(c)
+    try:
+        with np.errstate(over="raise", invalid="ignore"):
+            value = MEASURES[spec.id].kernel(spec, s)
+    except ArithmeticError as exc:
+        raise DegenerateInput(
+            f"{spec.id.value} exceeds the float64 range on this input ({exc})"
+        ) from exc
     if not math.isfinite(value):
         raise DegenerateInput(
-            f"{spec.id.value} overflowed in float64 on this input (got {value})"
+            f"{spec.id.value} exceeds the float64 range on this input (got {value})"
         )
     return value
-
-
-def measure_max(measure: Measure, n: int) -> float | None:
-    """Attainable maximum of a measure over vectors of length ``n``.
-
-    ``None`` for measures without a finite scale-free maximum.  Used by the
-    compliance engine to recognize saturated strict-increase trials.
-    """
-    if measure in (Measure.L2_OVER_L1, Measure.KAPPA4, Measure.HOYER, Measure.U_THETA):
-        return 1.0
-    if measure is Measure.GINI:
-        return 1.0 - 1.0 / n
-    return None

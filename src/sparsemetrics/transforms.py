@@ -46,6 +46,19 @@ __all__ = [
 TICK = 2.0**-20
 _TICKS_PER_UNIT = 2**20
 
+N_MIN, N_MAX = 2, 64
+VALUE_MAX = 10.0
+ZERO_PROB = 0.2
+POSITIVE_FLOOR = 0.01
+#: Smallest Robin Hood pair gap, and smallest rising-tide spread, as a
+#: fraction of the largest coefficient; draws below it are not informative
+#: at the compliance tolerance and are redrawn.
+MIN_GAP_FRAC = 0.01
+#: Attempts at an eligible draw before GenerationFailure.
+MAX_RETRIES = 200
+#: Bill Gates alphas, as multiples of the vector's l1 mass.
+P1_ALPHA_MULTIPLIERS = (1e-3, 1.0, 1e3)
+
 
 class Criterion(str, Enum):
     """The six criteria: four Dalton laws plus Bill Gates and Babies."""
@@ -199,57 +212,43 @@ def reapply(trial: CriterionTrial) -> CoefficientVector:
 
 @dataclass(frozen=True)
 class TrialConfig:
-    """Coefficient distribution and sampling policy for random trials.
+    """The domain a measure's random trials are drawn from.
 
-    Defaults: lengths 2..64, values uniform on a dyadic grid over (0, 10],
-    each entry zeroed with probability 0.2.  ``strictly_positive`` disables
-    zeroing and keeps values at or above ``positive_floor`` (for measures
-    with zero singularities).  ``value_cap`` shrinks the amplitude range
-    (used for the tanh measure, which is numerically flat far from zero).
-
-    ``min_gap_frac`` sets the smallest Robin Hood pair gap, and the
-    smallest rising-tide spread, as a fraction of the largest coefficient;
-    draws below it are not informative at the compliance tolerance and are
-    redrawn.
+    By default lengths run N_MIN..N_MAX and values are uniform on a dyadic
+    grid over (0, VALUE_MAX], each entry zeroed with probability ZERO_PROB.
+    ``strictly_positive`` disables zeroing and keeps values at or above
+    POSITIVE_FLOOR (for measures with zero singularities).  ``value_cap``
+    lowers the amplitude range (for the tanh measure, which is numerically
+    flat far from zero).
     """
 
-    n_min: int = 2
-    n_max: int = 64
-    value_max: float = 10.0
-    zero_prob: float = 0.2
     strictly_positive: bool = False
-    positive_floor: float = 0.01
     value_cap: float | None = None
-    min_gap_frac: float = 0.01
-    max_retries: int = 200
-
-    @property
-    def effective_max(self) -> float:
-        return self.value_cap if self.value_cap is not None else self.value_max
 
 
 def draw_vector(config: TrialConfig, rng: np.random.Generator) -> CoefficientVector:
     """Draw one coefficient vector on the dyadic grid."""
-    n = int(rng.integers(config.n_min, config.n_max + 1))
-    hi = int(round(config.effective_max * _TICKS_PER_UNIT))
+    n = int(rng.integers(N_MIN, N_MAX + 1))
+    top = VALUE_MAX if config.value_cap is None else min(VALUE_MAX, config.value_cap)
+    hi = int(round(top * _TICKS_PER_UNIT))
     if config.strictly_positive:
-        lo = max(1, int(math.ceil(config.positive_floor * _TICKS_PER_UNIT)))
+        lo = max(1, int(math.ceil(POSITIVE_FLOOR * _TICKS_PER_UNIT)))
         ticks = rng.integers(lo, hi + 1, size=n)
     else:
         ticks = rng.integers(0, hi + 1, size=n)
-        ticks[rng.random(n) < config.zero_prob] = 0
+        ticks[rng.random(n) < ZERO_PROB] = 0
     return CoefficientVector(ticks.astype(np.float64) * TICK)
 
 
-def _min_gap_ticks(config: TrialConfig, values: np.ndarray) -> int:
+def _min_gap_ticks(values: np.ndarray) -> int:
     max_ticks = int(round(float(values.max()) * _TICKS_PER_UNIT))
-    return max(3, int(math.ceil(config.min_gap_frac * max_ticks)))
+    return max(3, int(math.ceil(MIN_GAP_FRAC * max_ticks)))
 
 
 def _draw_robin_hood(config: TrialConfig, rng: np.random.Generator) -> CriterionTrial | None:
     c = draw_vector(config, rng)
     v = c.values
-    gap = _min_gap_ticks(config, v) * TICK if v.max() > 0 else None
+    gap = _min_gap_ticks(v) * TICK if v.max() > 0 else None
     if gap is None:
         return None
     receivers = np.flatnonzero(v <= v.max() - gap)
@@ -270,7 +269,7 @@ def _draw_robin_hood(config: TrialConfig, rng: np.random.Generator) -> Criterion
 def _draw_rising_tide(config: TrialConfig, rng: np.random.Generator) -> CriterionTrial | None:
     c = draw_vector(config, rng)
     v = c.values
-    if v.max() == 0 or (v.max() - v.min()) < _min_gap_ticks(config, v) * TICK:
+    if v.max() == 0 or (v.max() - v.min()) < _min_gap_ticks(v) * TICK:
         return None
     alpha_ticks = max(
         1, int(round((rng.uniform(0.05, 0.5) * float(v.max()) + 0.01) * _TICKS_PER_UNIT))
@@ -286,56 +285,62 @@ def _draw_scale(config: TrialConfig, rng: np.random.Generator) -> CriterionTrial
             return scale(c, alpha)
 
 
+def _retry(draw, what: str):
+    """First non-None result of ``draw`` within MAX_RETRIES attempts."""
+    for _ in range(MAX_RETRIES):
+        drawn = draw()
+        if drawn is not None:
+            return drawn
+    raise GenerationFailure(f"could not draw an eligible {what} in {MAX_RETRIES} attempts")
+
+
 def _draw_p1_vector(
     config: TrialConfig, rng: np.random.Generator
-) -> tuple[CoefficientVector, int, int] | None:
-    """Vector, target index, and the policy beta (in ticks) for a P1 probe.
+) -> tuple[CoefficientVector, int, int, int]:
+    """Vector, target index, policy beta and l1 mass (both in ticks) for a
+    P1 probe, redrawing all-zero vectors.
 
     The policy beta is 10 * (l1 + max - c_i), large enough that the grown
     coefficient dominates the rest of the vector.
     """
-    c = draw_vector(config, rng)
-    ticks = np.round(c.values * _TICKS_PER_UNIT).astype(np.int64)
-    if ticks.sum() == 0:
-        return None
-    i = int(rng.integers(ticks.size))
-    beta_ticks = 10 * int(ticks.sum() + ticks.max() - ticks[i])
-    return c, i, beta_ticks
+
+    def attempt():
+        c = draw_vector(config, rng)
+        ticks = np.round(c.values * _TICKS_PER_UNIT).astype(np.int64)
+        l1_ticks = int(ticks.sum())
+        if l1_ticks == 0:
+            return None
+        i = int(rng.integers(ticks.size))
+        return c, i, 10 * (l1_ticks + int(ticks.max()) - int(ticks[i])), l1_ticks
+
+    return _retry(attempt, "P1 vector")
 
 
 def draw_trial(
     criterion: Criterion, config: TrialConfig, rng: np.random.Generator
 ) -> CriterionTrial:
     """Draw one valid trial for ``criterion``, redrawing ineligible vectors."""
-    for _ in range(config.max_retries):
+    if criterion is Criterion.P1:
+        c, i, beta_ticks, l1_ticks = _draw_p1_vector(config, rng)
+        mult = float(rng.choice(P1_ALPHA_MULTIPLIERS))
+        alpha_ticks = max(1, int(round(mult * l1_ticks)))
+        return bill_gates(c, i, beta_ticks * TICK, alpha_ticks * TICK)
+
+    def attempt() -> CriterionTrial | None:
         if criterion is Criterion.D1:
-            trial = _draw_robin_hood(config, rng)
-        elif criterion is Criterion.D2:
-            trial = _draw_scale(config, rng)
-        elif criterion is Criterion.D3:
-            trial = _draw_rising_tide(config, rng)
-        elif criterion is Criterion.D4:
-            trial = clone(draw_vector(config, rng), int(rng.integers(2, 5)))
-        elif criterion is Criterion.P1:
-            drawn = _draw_p1_vector(config, rng)
-            if drawn is None:
-                trial = None
-            else:
-                c, i, beta_ticks = drawn
-                l1_ticks = int(np.round(c.values * _TICKS_PER_UNIT).astype(np.int64).sum())
-                mult = float(rng.choice([1e-3, 1.0, 1e3]))
-                alpha_ticks = max(1, int(round(mult * l1_ticks)))
-                trial = bill_gates(c, i, beta_ticks * TICK, alpha_ticks * TICK)
-        elif criterion is Criterion.P2:
+            return _draw_robin_hood(config, rng)
+        if criterion is Criterion.D2:
+            return _draw_scale(config, rng)
+        if criterion is Criterion.D3:
+            return _draw_rising_tide(config, rng)
+        if criterion is Criterion.D4:
+            return clone(draw_vector(config, rng), int(rng.integers(2, 5)))
+        if criterion is Criterion.P2:
             c = draw_vector(config, rng)
-            trial = babies(c, int(rng.integers(1, 4))) if c.values.any() else None
-        else:  # pragma: no cover - exhaustive enum
-            raise InvalidTransform(f"unknown criterion {criterion}")
-        if trial is not None:
-            return trial
-    raise GenerationFailure(
-        f"could not draw an eligible {criterion.value} trial in {config.max_retries} attempts"
-    )
+            return babies(c, int(rng.integers(1, 4))) if c.values.any() else None
+        raise InvalidTransform(f"unknown criterion {criterion}")
+
+    return _retry(attempt, f"{criterion} trial")
 
 
 def sample_trial(

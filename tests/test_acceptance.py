@@ -8,7 +8,9 @@ reference matrix marks as failing the scaling axiom, and the only mapped
 catalog pairs that cannot discriminate are the four that evaluate equal,
 or in the required direction, under the pinned parameter defaults.  Each
 erratum is checked together with the arithmetic behind it, and any other
-mismatch or non-discriminating pair fails the test.
+mismatch or non-discriminating pair fails the test.  Criterion 1 also pins
+each cell's verdict, source, trial and skip counts at seed 0, so a change
+to the random streams cannot pass unnoticed.
 """
 
 import time
@@ -69,6 +71,43 @@ def bernoulli_result():
     return bernoulli_sweep(n=1000, repeats=20, seed=0)
 
 
+# Every cell of full_table(trials=1000, seed=0), pinning the random streams:
+# "c" is a catalog witness, "s<t>" a search witness found at trial t, "n"
+# NoViolationFound(1000), and "/<k>" a nonzero skip count.  A change that
+# alters the streams on purpose must update this literal and say so.
+PINNED_TABLE = """
+l0         c    n    c    c    c    n
+l0-eps     s1   c    s56  c    c    n
+neg-l1     c    c    n    c    c    c
+neg-lp     n    c    n    c    c    c
+l2-over-l1 n    n/2  n    c    n/5  c
+neg-tanh   n    c    n    c    c    c
+neg-log    c    c    n    c    c    c
+kappa4     c    n    n    c    n/4  c
+u-theta    c    n    s1   n/3  n/26 c
+neg-lp-neg c    c    c    c    n    c
+hg         n    c    n    s1   c    c
+hs         c    n    c    c    c    c
+hs-prime   c    c    c    s1   c    c
+hoyer      n    n    n    c    n/3  n/3
+gini       n    n/2  n    n    n/5  n
+"""
+# the (l0-eps, D3) search witness before the rising tide, in grid ticks of 2**-20
+PINNED_L0_EPS_D3_TICKS = (
+    3842003, 9926873, 4118672, 4929606, 8977842, 5647432, 2945080, 10253813, 4313209
+)
+
+
+def pinned_cell(code: str) -> tuple:
+    """(verdict, source, trials, skipped) of one PINNED_TABLE entry."""
+    code, _, skipped = code.partition("/")
+    if code == "c":
+        return ("violated", "catalog", 0, int(skipped or 0))
+    if code == "n":
+        return ("no-violation-found", None, 1000, int(skipped or 0))
+    return ("violated", "search", int(code[1:]), int(skipped or 0))
+
+
 def test_criterion_1_table_reproduction(table_1000):
     result, elapsed = table_1000
     failures = []
@@ -111,7 +150,28 @@ def test_criterion_1_table_reproduction(table_1000):
         if abs(scaled - base) > 1e-12 * abs(base):
             failures.append(f"hs not scale invariant at alpha={alpha}: {base} -> {scaled}")
 
-    ok = "only mismatch is the (hs, D2) erratum, NoViolationFound(1000), hs scale invariant"
+    # the random streams: every cell as pinned, and the l0-eps/D3 witness
+    pinned = {}
+    for line in PINNED_TABLE.strip().splitlines():
+        measure, *codes = line.split()
+        for criterion, code in zip(Criterion, codes):
+            pinned[(measure, criterion.value)] = pinned_cell(code)
+    produced = {
+        (c["measure"], c["criterion"]): (c["verdict"], c["source"], c["trials"], c["skipped"])
+        for c in doc["cells"]
+    }
+    for cell in sorted(set(pinned) | set(produced)):
+        if pinned.get(cell) != produced.get(cell):
+            failures.append(f"{cell} is {produced.get(cell)}, pinned {pinned.get(cell)}")
+    witness = result.verdict(Measure.L0_EPS, Criterion.D3).witness
+    ticks = [t * 2.0**-20 for t in PINNED_L0_EPS_D3_TICKS]
+    if witness is None or witness.before.values.tolist() != ticks:
+        failures.append("(l0-eps, D3) witness before vector differs from the pinned one")
+
+    ok = (
+        "only mismatch is the (hs, D2) erratum, NoViolationFound(1000), hs scale invariant, "
+        "all 90 cells as pinned"
+    )
     detail = f"table reproduction, {elapsed:.1f}s: " + ("; ".join(failures) or ok)
     report(1, not failures, detail)
     assert not failures, detail

@@ -109,6 +109,56 @@ class TestMeasureAllAndLorenz:
         assert lines[-1] == "1.0,1.0"
 
 
+TINY = "1e-200,2e-200,3e-200\n"
+HUGE = "1e308,1e308\n"
+
+
+class TestFloat64Range:
+    """Inputs whose intermediates leave the float64 range exit 2 with an
+    error line, never a traceback or an out-of-range value."""
+
+    @pytest.mark.parametrize(
+        "values, command",
+        [
+            (TINY, ("measure", "--measure", "kappa4")),
+            (TINY, ("measure", "--measure", "hoyer")),
+            (HUGE, ("measure", "--measure", "gini")),
+            (HUGE, ("measure", "--measure", "hs")),
+            ("1e160,1e159,1\n", ("measure", "--measure", "hoyer")),
+            (HUGE, ("lorenz",)),
+        ],
+        ids=["kappa4-tiny", "hoyer-tiny", "gini-huge", "hs-huge", "hoyer-wide", "lorenz-huge"],
+    )
+    def test_exit_2(self, tmp_path, capsys, values, command):
+        p = tmp_path / "v.txt"
+        p.write_text(values)
+        assert run_cli(*command, "--input", str(p)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "float64 range" in captured.err
+
+    @pytest.mark.parametrize(
+        "values, degenerate",
+        [
+            # hs's squares underflow to zero: degenerate before this change too
+            (TINY, {"kappa4", "hoyer", "hs"}),
+            (
+                HUGE,
+                {"neg-l1", "neg-lp", "l2-over-l1", "neg-log", "kappa4", "u-theta", "hs",
+                 "hs-prime", "hoyer", "gini"},
+            ),
+        ],
+        ids=["tiny", "huge"],
+    )
+    def test_measure_all_marks_the_out_of_range(self, tmp_path, capsys, values, degenerate):
+        p = tmp_path / "v.txt"
+        p.write_text(values)
+        assert run_cli("measure-all", "--input", str(p)) == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+        assert len(rows) == 15
+        assert {r[0] for r in rows if r[2] == "degenerate"} == degenerate
+
+
 class TestCheckCommand:
     def test_check_outputs_verdict(self, capsys):
         code = run_cli(

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sparsemetrics import (
+    MEASURES,
     DistributionSpec,
     InvalidParams,
     Measure,
@@ -158,6 +159,15 @@ class TestContributionCurves:
                   Measure.U_THETA, Measure.HS):
             with pytest.raises(NonSeparableMeasure):
                 contribution_curves([0.0, 1.0], [MeasureSpec(m)])
+
+    def test_default_covers_the_measures_with_a_term(self):
+        table = contribution_curves([0.0, 0.5, 2.0])
+        assert set(table.terms) == {m for m, d in MEASURES.items() if d.term is not None}
+        # the report's row order
+        assert list(table.terms) == [
+            Measure.L0, Measure.L0_EPS, Measure.NEG_L1, Measure.NEG_LP, Measure.NEG_TANH,
+            Measure.NEG_LOG, Measure.HG, Measure.HS_PRIME, Measure.NEG_LP_NEG,
+        ]
 
     def test_negative_amplitude_rejected(self):
         with pytest.raises(InvalidParams):

@@ -8,11 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sparsemetrics import (
+    MEASURE_ORDER,
+    MEASURES,
     CoefficientVector,
     DegenerateInput,
     InvalidParams,
     Measure,
     MeasureSpec,
+    SparsemetricsError,
     evaluate,
     gini,
     lorenz_curve,
@@ -287,3 +290,70 @@ class TestOverflow:
     def test_huge_but_finite_values_fine(self):
         assert ev(Measure.NEG_L1, [1e200, 1e200]) == -2e200
         assert gini(CoefficientVector([1e300, 1e300])) == 0.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(st.just(0.0), st.floats(min_value=1e-300, max_value=1e300)),
+            min_size=1,
+            max_size=64,
+        )
+    )
+    def test_finite_value_or_package_error(self, values):
+        c = CoefficientVector(values)
+        for m in MEASURE_ORDER:
+            try:
+                value = evaluate(MeasureSpec(m), c)
+            except SparsemetricsError:
+                continue
+            assert isinstance(value, float) and math.isfinite(value), (m, value)
+
+
+class TestRegistry:
+    def test_maximum_attained_by_one_hot_and_never_exceeded(self):
+        rng = np.random.default_rng(29)
+        bounded = {m: d.maximum for m, d in MEASURES.items() if d.maximum is not None}
+        assert set(bounded) == {
+            Measure.L2_OVER_L1, Measure.KAPPA4, Measure.U_THETA, Measure.HOYER, Measure.GINI
+        }
+        for m, maximum in bounded.items():
+            spec = MeasureSpec(m)
+            for n in range(2, 11):
+                hot = np.zeros(n)
+                hot[n // 2] = 3.0
+                assert abs(evaluate(spec, CoefficientVector(hot)) - maximum(n)) <= 1e-12, (m, n)
+                for _ in range(200):
+                    v = rng.integers(0, 10 * 2**20 + 1, size=n) * 2.0**-20
+                    v[rng.random(n) < 0.2] = 0.0
+                    try:
+                        value = evaluate(spec, CoefficientVector(v))
+                    except DegenerateInput:
+                        continue
+                    assert value <= maximum(n), (m, v.tolist(), value)
+
+    def test_summing_kernels_sum_their_term(self):
+        rng = np.random.default_rng(31)
+        for m, d in MEASURES.items():
+            if d.term is None or m is Measure.NEG_LP:  # neg-lp takes a root of its sum
+                continue
+            spec = MeasureSpec(m)
+            for _ in range(50):
+                v = rng.random(int(rng.integers(1, 65))) * 10
+                v[rng.random(v.size) < 0.2] = 0.0
+                if not v.any():
+                    continue
+                c = CoefficientVector(v)
+                total = math.fsum(d.term(spec, c.values))
+                assert evaluate(spec, c) == pytest.approx(total, rel=1e-12, abs=1e-12), m
+
+    def test_zero_totals_keep_their_sign(self):
+        # as the closed forms give them: a count is +0.0, a -sum(...) is -0.0
+        def sign(m, values):
+            return math.copysign(1.0, ev(m, values))
+
+        assert sign(Measure.L0, [1.0, 2.0]) == 1.0
+        assert sign(Measure.NEG_L1, [0.0, 0.0]) == -1.0
+        assert sign(Measure.NEG_LOG, [0.0]) == -1.0
+        assert sign(Measure.HG, [0.5, 2.0]) == -1.0  # log 0.5 + log 2 == 0
+        assert sign(Measure.HS_PRIME, [1.0, 1.0]) == 1.0
+

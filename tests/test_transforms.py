@@ -21,7 +21,7 @@ from sparsemetrics import (
     sample_trial,
     scale,
 )
-from sparsemetrics.transforms import draw_trial
+from sparsemetrics.transforms import POSITIVE_FLOOR, draw_trial
 
 
 def vec(*xs):
@@ -182,7 +182,7 @@ class TestSampler:
         rng = np.random.default_rng(0)
         for _ in range(200):
             t = draw_trial(Criterion.D1, config, rng)
-            assert np.all(t.before.values >= config.positive_floor)
+            assert np.all(t.before.values >= POSITIVE_FLOOR)
 
     def test_value_cap_mode(self):
         config = TrialConfig(value_cap=4.0)
