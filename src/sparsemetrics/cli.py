@@ -365,12 +365,7 @@ def _cmd_experiment(args) -> int:
         _emit(text, args.output)
         return 0
     elif name == "distributional-gini":
-        if args.dist == "uniform":
-            dist = DistributionSpec.uniform(args.lo, args.hi)
-        elif args.dist == "exponential":
-            dist = DistributionSpec.exponential(args.rate)
-        else:
-            raise InputError(f"unsupported distribution for quadrature: {args.dist!r}")
+        dist = DistributionSpec(args.dist, lo=args.lo, hi=args.hi, rate=args.rate)
         quad_value = distributional_gini(dist, tol=args.tol)
         sample_value = sample_gini(dist, args.sample_n, seed=args.seed)
         rows = [

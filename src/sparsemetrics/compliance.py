@@ -42,6 +42,7 @@ from .transforms import (
     _draw_p1_vector,
     bill_gates,
     draw_trial,
+    stream,
 )
 
 __all__ = [
@@ -379,9 +380,7 @@ def check_cell(
     c_idx = CRITERION_ORDER.index(criterion)
     skipped = 0
     for t in range(trials):
-        rng = np.random.Generator(
-            np.random.PCG64(np.random.SeedSequence((seed, m_idx, c_idx, t)))
-        )
+        rng = stream((seed, m_idx, c_idx, t))
         if criterion is Criterion.P1:
             outcome = _p1_trial_outcome(spec, config, rng)
             if outcome == "skip":
@@ -467,6 +466,7 @@ class TableResult:
         return {cell: self.cells[cell] for cell in DISPUTED_CELLS}
 
     def to_dict(self) -> dict:
+        mismatches = self.mismatches
         cells = []
         for m in MEASURE_ORDER:
             for c in CRITERION_ORDER:
@@ -476,7 +476,7 @@ class TableResult:
                     "no-violation-found" if c in EXPECTED_TRUE[m] else "violated"
                 )
                 d["disputed"] = (m, c) in DISPUTED_CELLS
-                d["mismatch"] = (m, c) in self.mismatches
+                d["mismatch"] = (m, c) in mismatches
                 note = ERRATUM_NOTES.get((m, c)) or KNOWN_DEAD_MAPPINGS.get((m, c))
                 if note:
                     d["note"] = note
@@ -486,7 +486,7 @@ class TableResult:
             "seed": self.seed,
             "cells": cells,
             "mismatches": [
-                {"measure": m.value, "criterion": c.value} for m, c in self.mismatches
+                {"measure": m.value, "criterion": c.value} for m, c in mismatches
             ],
             "disputed": [
                 {

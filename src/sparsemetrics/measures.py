@@ -247,7 +247,9 @@ def _hs(spec: MeasureSpec, s: np.ndarray) -> float:
     sq = s * s
     total = float(np.sum(sq))
     if total == 0.0:
-        raise DegenerateInput("hs is undefined for the all-zero vector")
+        if s[-1] == 0.0:
+            raise DegenerateInput("hs is undefined for the all-zero vector")
+        raise DegenerateInput("hs exceeds the float64 range on this input (its squares sum to 0)")
     return _hs_prime(spec, sq / total)
 
 
@@ -280,9 +282,9 @@ def gini(c: CoefficientVector) -> float:
     Evaluates ``sum(c_(k) * (2k - N - 1)) / (N * ||c||_1)``, an exact
     rearrangement of the usual ``1 - 2 sum(...)`` form.  The antisymmetric
     integer weights make constant vectors come out exactly zero under
-    ``math.fsum``.
+    ``math.fsum``.  Raises ``DegenerateInput`` as ``evaluate`` does.
     """
-    return _gini(_as_sorted(c))
+    return evaluate(MeasureSpec(Measure.GINI), c)
 
 
 # The separable measures come first, in the order contribution_curves()

@@ -40,6 +40,7 @@ __all__ = [
     "sample_trial",
     "draw_trial",
     "draw_vector",
+    "stream",
 ]
 
 #: Grid resolution for generated coefficients and transfer amounts.
@@ -226,6 +227,12 @@ class TrialConfig:
     value_cap: float | None = None
 
 
+def stream(key) -> np.random.Generator:
+    """The random stream for ``key``, an int or a tuple of ints; every
+    seeded draw in the package starts from one."""
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(key)))
+
+
 def draw_vector(config: TrialConfig, rng: np.random.Generator) -> CoefficientVector:
     """Draw one coefficient vector on the dyadic grid."""
     n = int(rng.integers(N_MIN, N_MAX + 1))
@@ -347,5 +354,4 @@ def sample_trial(
     criterion: Criterion, config: TrialConfig | None = None, seed: int = 0
 ) -> CriterionTrial:
     """Seeded convenience wrapper around :func:`draw_trial`."""
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    return draw_trial(criterion, config or TrialConfig(), rng)
+    return draw_trial(criterion, config or TrialConfig(), stream(seed))

@@ -126,8 +126,12 @@ class TestFloat64Range:
             (HUGE, ("measure", "--measure", "hs")),
             ("1e160,1e159,1\n", ("measure", "--measure", "hoyer")),
             (HUGE, ("lorenz",)),
+            (TINY, ("measure", "--measure", "hs")),
         ],
-        ids=["kappa4-tiny", "hoyer-tiny", "gini-huge", "hs-huge", "hoyer-wide", "lorenz-huge"],
+        ids=[
+            "kappa4-tiny", "hoyer-tiny", "gini-huge", "hs-huge", "hoyer-wide", "lorenz-huge",
+            "hs-tiny",
+        ],
     )
     def test_exit_2(self, tmp_path, capsys, values, command):
         p = tmp_path / "v.txt"
@@ -274,6 +278,17 @@ class TestExperimentCommand:
         assert code == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["quadrature_gini"] == pytest.approx(1 / 3, abs=1e-6)
+
+    @pytest.mark.parametrize("tol", ["0", "-1", "nan"])
+    def test_distributional_gini_unmeetable_tol(self, capsys, tol):
+        # the step-halving cap ends the quadrature when tol can never be met
+        code = run_cli(
+            "experiment", "--name", "distributional-gini", "--dist", "exponential",
+            "--sample-n", "1000", "--tol", tol, "--format", "structured",
+        )
+        assert code == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert abs(doc["quadrature_gini"] - 0.5) <= 1e-12
 
 
 class TestSeedEnvVar:

@@ -1,6 +1,8 @@
 """Unit tests for the experiment harness and the distributional Gini."""
 
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 
 from sparsemetrics import (
     MEASURES,
+    DegenerateInput,
     DistributionSpec,
     InvalidParams,
     Measure,
@@ -189,15 +192,72 @@ class TestDistributionalGini:
         g = distributional_gini(DistributionSpec.uniform(1.0, 2.0))
         assert g == pytest.approx(1 / 9, abs=1e-6)
 
+    @pytest.mark.parametrize(
+        "dist, exact",
+        [
+            (DistributionSpec.uniform(0.0, 1.0), 1 / 3),
+            (DistributionSpec.uniform(1.0, 2.0), 1 / 9),
+            # uniform on [lo, hi]: G = (hi - lo) / (3 (hi + lo))
+            (DistributionSpec.uniform(0.5, 3.0), 2.5 / (3 * 3.5)),
+            (DistributionSpec.exponential(1.0), 0.5),
+            (DistributionSpec.exponential(0.25), 0.5),
+            (DistributionSpec.exponential(3.7), 0.5),
+        ],
+        ids=["uniform-0-1", "uniform-1-2", "uniform-0.5-3", "exp-1", "exp-0.25", "exp-3.7"],
+    )
+    def test_exact_at_default_tol(self, dist, exact):
+        assert abs(distributional_gini(dist) - exact) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "dist",
+        [
+            DistributionSpec.uniform(0.0, math.inf),
+            DistributionSpec.exponential(5e-324),  # the quantile overflows
+            DistributionSpec.exponential(math.inf),  # the quantile is all zero
+        ],
+        ids=["uniform-inf-hi", "exp-tiny-rate", "exp-inf-rate"],
+    )
+    def test_float64_range_is_degenerate(self, dist):
+        with pytest.raises(DegenerateInput, match="float64 range"):
+            distributional_gini(dist)
+
+    def test_sample_out_of_float64_range_is_degenerate(self):
+        # the integral is finite here, but the sample's l1 mass overflows
+        dist = DistributionSpec.uniform(1e308, 1.7e308)
+        assert abs(distributional_gini(dist) - 0.7 / 8.1) <= 1e-12
+        with pytest.raises(DegenerateInput, match="float64 range"):
+            sample_gini(dist, 1000)
+
     def test_discrete_rejected(self):
         with pytest.raises(InvalidParams):
             distributional_gini(DistributionSpec.poisson(5.0))
+        with pytest.raises(InvalidParams):
+            distributional_gini(DistributionSpec.bernoulli01(0.5))
 
     def test_sample_converges_at_sqrt_rate(self):
         g_inf = distributional_gini(DistributionSpec.exponential(1.0))
         for n in (1_000, 10_000, 100_000):
             err = abs(sample_gini(DistributionSpec.exponential(1.0), n, seed=4) - g_inf)
             assert err <= 2.0 / math.sqrt(n)
+
+
+def test_runtime_needs_no_scipy():
+    """The package imports no scipy, and the quadrature Gini runs with scipy
+    made unimportable."""
+    script = (
+        "import sys\n"
+        "import sparsemetrics\n"
+        "from sparsemetrics.cli import parse_and_dispatch\n"
+        "loaded = [m for m in sys.modules if m.startswith('scipy')]\n"
+        "if loaded:\n"
+        "    sys.exit(f'scipy loaded: {loaded}')\n"
+        "sys.modules['scipy'] = None\n"
+        "sys.exit(parse_and_dispatch(['experiment', '--name', 'distributional-gini',\n"
+        "                             '--dist', 'exponential', '--sample-n', '1000']))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert "quadrature_gini" in proc.stdout
 
 
 class TestConvergenceOrdering:
