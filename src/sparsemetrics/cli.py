@@ -169,6 +169,14 @@ def _spec_params(spec: MeasureSpec) -> dict:
     return d
 
 
+def _fixed(value: float, precision: int) -> str:
+    """Fixed point, or exponent notation where fixed point would hide the
+    value: a nonzero value that reads back as 0, or one of 1e16 or more."""
+    text = f"{value:.{precision}f}"
+    hidden = abs(value) >= 1e16 or (value != 0 and float(text) == 0)
+    return f"{value:.{precision}e}" if hidden else text
+
+
 def _cmd_measure(args) -> int:
     vec = read_vector(args.input, args.complex)
     spec = _spec_from_args(Measure(args.measure), args)
@@ -181,7 +189,7 @@ def _cmd_measure(args) -> int:
         )
         _emit(json.dumps(doc, indent=2) + "\n", args.output)
     else:
-        _emit(f"{value:.{args.precision}f}\n", args.output)
+        _emit(_fixed(value, args.precision) + "\n", args.output)
     return 0
 
 
@@ -193,7 +201,7 @@ def _cmd_measure_all(args) -> int:
         spec = _spec_from_args(m, args)
         try:
             value = evaluate(spec, vec)
-            rows.append((m.value, f"{value:.{args.precision}f}", "ok"))
+            rows.append((m.value, _fixed(value, args.precision), "ok"))
             cells.append({"measure": m.value, "value": value, "status": "ok"})
         except SparsemetricsError as exc:
             rows.append((m.value, "", "degenerate"))
@@ -312,25 +320,32 @@ def _cmd_table(args) -> int:
     return 1 if mismatches else 0
 
 
+def _number(token: str, kind=float):
+    try:
+        return kind(token)
+    except ValueError as exc:
+        raise InputError(f"not a valid {kind.__name__}: {token!r}") from exc
+
+
 def _parse_grid(text: str) -> list[float]:
     """Parse '0.05:0.95:0.05' ranges or comma-separated lists."""
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
             raise InputError(f"grid ranges need start:stop:step, got {text!r}")
-        start, stop, step = (float(p) for p in parts)
+        start, stop, step = (_number(p) for p in parts)
         if step <= 0:
             raise InputError("grid step must be positive")
         count = int(round((stop - start) / step))
         return [start + k * step for k in range(count + 1) if start + k * step <= stop + 1e-12]
-    return [float(p) for p in text.split(",") if p.strip()]
+    return [_number(p) for p in text.split(",") if p.strip()]
 
 
 def _cmd_experiment(args) -> int:
     name = args.name
     repeats = {} if args.repeats is None else {"repeats": args.repeats}
     if name == "poisson-convergence":
-        sizes = [int(s) for s in args.sizes.split(",")] if args.sizes else None
+        sizes = [_number(s, int) for s in args.sizes.split(",")] if args.sizes else None
         result = poisson_convergence(
             lam=args.lam,
             sizes=sizes or DEFAULT_SIZES,

@@ -19,9 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import AbstractSet, Mapping
 
-import numpy as np
-
-from .errors import CatalogMiss, DegenerateInput
+from .errors import CatalogMiss, DegenerateInput, InvalidParams
 from .measures import (
     MEASURE_ORDER,
     MEASURES,
@@ -31,17 +29,13 @@ from .measures import (
     evaluate,
 )
 from .transforms import (
+    CRITERIA,
     CRITERION_ORDER,
-    P1_ALPHA_MULTIPLIERS,
     Criterion,
     CriterionTrial,
     Relation,
-    REQUIRED_RELATION,
-    TICK,
     TrialConfig,
-    _draw_p1_vector,
-    bill_gates,
-    draw_trial,
+    probes,
     stream,
 )
 
@@ -65,25 +59,16 @@ __all__ = [
 ]
 
 
-def relation_holds(
-    criterion: Criterion,
-    value_before: float,
-    value_after: float,
-    tolerance: float | None = None,
-) -> bool:
+def relation_holds(criterion: Criterion, value_before: float, value_after: float) -> bool:
     """Whether the criterion's required relation holds for this value pair.
 
     Equality criteria (D2, D4) hold within the tolerance; strict criteria
     need the required side to exceed the other by more than the tolerance,
     so an approximately-equal outcome counts as a violation of a strict
-    criterion.  Default tolerance: ``1e-9 * max(1, |before|, |after|)``.
+    criterion.  The tolerance is ``1e-9 * max(1, |before|, |after|)``.
     """
-    tol = (
-        tolerance
-        if tolerance is not None
-        else 1e-9 * max(1.0, abs(value_before), abs(value_after))
-    )
-    rel = REQUIRED_RELATION[criterion]
+    tol = 1e-9 * max(1.0, abs(value_before), abs(value_after))
+    rel = CRITERIA[criterion].relation
     if rel is Relation.EQUAL:
         return abs(value_after - value_before) <= tol
     if rel is Relation.AFTER_STRICTLY_LESS:
@@ -307,98 +292,62 @@ class CellVerdict:
 #: (the increase axioms presume headroom).
 SATURATION_MARGIN = 1e-6
 
-P1_BETA_SWEEP = (0.1, 1.0, 10.0, 100.0)
-
 
 def _saturated(measure: Measure, value_before: float, trial: CriterionTrial) -> bool:
     maximum = MEASURES[measure].maximum
     return maximum is not None and maximum(len(trial.after)) - value_before <= SATURATION_MARGIN
 
 
-def _p1_beta_verdict(
-    spec: MeasureSpec,
-    c: CoefficientVector,
-    i: int,
-    beta_ticks: int,
-    alpha_ticks: list[int],
-) -> tuple[bool | None, tuple[CriterionTrial, float, float] | None]:
-    """Probe one beta: does the measure strictly increase at every alpha?
+def _group_outcome(spec: MeasureSpec, criterion: Criterion, group):
+    """Test one group of trials that share a before vector.
 
-    Returns (None, None) when the probe is uninformative (degenerate or
-    saturated start), else (all_increased, first_failing_instance).
+    Returns "skip" when the group says nothing about the criterion (a
+    degenerate value, or a strict-increase start already at the measure's
+    maximum), None when every trial holds, else the first failing
+    (trial, value_before, value_after).
     """
     first_fail = None
-    value_before = None
-    for at in alpha_ticks:
-        trial = bill_gates(c, i, beta_ticks * TICK, at * TICK)
-        try:
-            if value_before is None:
-                value_before = evaluate(spec, trial.before)
-                if _saturated(spec.id, value_before, trial):
-                    return None, None
-            value_after = evaluate(spec, trial.after)
-        except DegenerateInput:
-            return None, None
-        if not relation_holds(Criterion.P1, value_before, value_after):
-            if first_fail is None:
-                first_fail = (trial, value_before, value_after)
-    return first_fail is None, first_fail
-
-
-def _p1_trial_outcome(spec: MeasureSpec, config: TrialConfig, rng: np.random.Generator):
-    """One P1 trial: policy beta first, then the beta sweep on failure.
-
-    The criterion quantifies "exists beta, for all alpha", so a counter
-    witness requires every swept beta to fail at some alpha.  Returns
-    "skip", None (no witness), or the failing (trial, before, after).
-    """
-    c, i, beta_policy, l1_ticks = _draw_p1_vector(config, rng)
-    alpha_ticks = [max(1, int(round(m * l1_ticks))) for m in P1_ALPHA_MULTIPLIERS]
-
-    ok, fail = _p1_beta_verdict(spec, c, i, beta_policy, alpha_ticks)
-    if ok is None:
+    vb = None
+    try:
+        for trial in group:
+            if vb is None:
+                vb = evaluate(spec, trial.before)
+                increase = trial.expected_relation is Relation.AFTER_STRICTLY_GREATER
+                if increase and _saturated(spec.id, vb, trial):
+                    return "skip"
+            va = evaluate(spec, trial.after)
+            if not relation_holds(criterion, vb, va) and first_fail is None:
+                first_fail = (trial, vb, va)
+    except DegenerateInput:
         return "skip"
-    if ok:
-        return None
-    for mult in P1_BETA_SWEEP:
-        bt = max(1, int(round(mult * l1_ticks)))
-        swept_ok, _ = _p1_beta_verdict(spec, c, i, bt, alpha_ticks)
-        if swept_ok:
-            return None
-    return fail
+    return first_fail
 
 
 def check_cell(
     spec: MeasureSpec, criterion: Criterion, trials: int = 1000, seed: int = 0
 ) -> CellVerdict:
-    """Randomized search for a counter-witness over ``trials`` seeded draws."""
+    """Randomized search for a counter-witness over ``trials`` seeded draws.
+
+    Each draw's trials come in groups (``transforms.probes``).  The first
+    group decides whether the draw is skipped; the draw holds when that
+    group or any later one holds, where a later group that skips counts as
+    failing.  Otherwise the witness is the first group's first failure.
+    """
     if trials < 1:
-        raise ValueError("trials must be >= 1")
+        raise InvalidParams(f"trials must be >= 1, got {trials}")
     d = MEASURES[spec.id]
     config = TrialConfig(d.strictly_positive, d.value_cap(spec) if d.value_cap else None)
     m_idx = MEASURE_ORDER.index(spec.id)
     c_idx = CRITERION_ORDER.index(criterion)
     skipped = 0
     for t in range(trials):
-        rng = stream((seed, m_idx, c_idx, t))
-        if criterion is Criterion.P1:
-            outcome = _p1_trial_outcome(spec, config, rng)
-            if outcome == "skip":
-                skipped += 1
-                continue
-        else:
-            trial = draw_trial(criterion, config, rng)
-            try:
-                vb = evaluate(spec, trial.before)
-                va = evaluate(spec, trial.after)
-            except DegenerateInput:
-                skipped += 1
-                continue
-            if criterion is Criterion.P2 and _saturated(spec.id, vb, trial):
-                skipped += 1
-                continue
-            outcome = None if relation_holds(criterion, vb, va) else (trial, vb, va)
-        if outcome is not None:
+        groups = probes(criterion, config, stream((seed, m_idx, c_idx, t)))
+        outcome = _group_outcome(spec, criterion, next(groups))
+        if outcome == "skip":
+            skipped += 1
+        elif outcome is not None and all(
+            _group_outcome(spec, criterion, g) is not None for g in groups
+        ):
             witness, vb, va = outcome
             return CellVerdict(
                 spec.id, criterion, True, t + 1, skipped, witness, vb, va, "search"

@@ -9,6 +9,7 @@ not depend on evaluation order.  No plotting here; results are data tables.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -58,6 +59,8 @@ class DistributionSpec:
             raise InvalidParams(f"unknown distribution kind {self.kind!r}")
         if self.kind == "poisson" and not self.lam > 0:
             raise InvalidParams("poisson requires lam > 0")
+        if self.kind == "poisson" and math.exp(-self.lam) < sys.float_info.min:
+            raise InvalidParams(f"poisson lam={self.lam} is too large: exp(-lam) is not normal")
         if self.kind == "bernoulli01" and not 0 <= self.p <= 1:
             raise InvalidParams("bernoulli01 requires 0 <= p <= 1")
         if self.kind == "uniform" and not 0 <= self.lo < self.hi:

@@ -2,8 +2,9 @@
 
 Each constructor validates its preconditions, records the parameters used,
 and states the relation a compliant measure must exhibit between the two
-vectors.  ``sample_trial`` draws random valid trials for the compliance
-engine.
+vectors.  ``CRITERIA`` defines each criterion once: its relation, its
+constructor and its random draw.  ``probes`` yields the trials the
+compliance engine tests on one seeded draw.
 
 The generator draws coefficients on a dyadic grid (multiples of 2**-20)
 and snaps transfer amounts to the same grid.  Sums of such values up to
@@ -19,6 +20,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import partial
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -28,6 +31,8 @@ from .measures import CoefficientVector
 __all__ = [
     "Criterion",
     "Relation",
+    "CriterionDef",
+    "CRITERIA",
     "CriterionTrial",
     "TrialConfig",
     "robin_hood",
@@ -40,6 +45,7 @@ __all__ = [
     "sample_trial",
     "draw_trial",
     "draw_vector",
+    "probes",
     "stream",
 ]
 
@@ -59,6 +65,9 @@ MIN_GAP_FRAC = 0.01
 MAX_RETRIES = 200
 #: Bill Gates alphas, as multiples of the vector's l1 mass.
 P1_ALPHA_MULTIPLIERS = (1e-3, 1.0, 1e3)
+#: Bill Gates betas probed, as multiples of the l1 mass, when the policy
+#: beta fails at some alpha.
+P1_BETA_SWEEP = (0.1, 1.0, 10.0, 100.0)
 
 
 class Criterion(str, Enum):
@@ -84,16 +93,6 @@ class Relation(str, Enum):
     AFTER_STRICTLY_GREATER = "after>before"
 
 
-REQUIRED_RELATION: dict[Criterion, Relation] = {
-    Criterion.D1: Relation.AFTER_STRICTLY_LESS,
-    Criterion.D2: Relation.EQUAL,
-    Criterion.D3: Relation.AFTER_STRICTLY_LESS,
-    Criterion.D4: Relation.EQUAL,
-    Criterion.P1: Relation.AFTER_STRICTLY_GREATER,
-    Criterion.P2: Relation.AFTER_STRICTLY_GREATER,
-}
-
-
 @dataclass(frozen=True)
 class CriterionTrial:
     """One (before, after) comparison produced by a criterion transformation.
@@ -109,7 +108,7 @@ class CriterionTrial:
 
     @property
     def expected_relation(self) -> Relation:
-        return REQUIRED_RELATION[self.criterion]
+        return CRITERIA[self.criterion].relation
 
 
 def robin_hood(c: CoefficientVector, i: int, j: int, alpha: float) -> CriterionTrial:
@@ -191,24 +190,12 @@ def babies(c: CoefficientVector, k: int = 1) -> CriterionTrial:
 
 def reapply(trial: CriterionTrial) -> CoefficientVector:
     """Rebuild the after vector from the before vector and recorded params."""
-    p = trial.params
-    crit = trial.criterion
-    if crit is Criterion.D1:
-        return robin_hood(trial.before, p["i"], p["j"], p["alpha"]).after
-    if crit is Criterion.D2:
-        return scale(trial.before, p["alpha"]).after
-    if crit is Criterion.D3:
-        return rising_tide(trial.before, p["alpha"]).after
-    if crit is Criterion.D4:
-        return clone(trial.before, p["m"]).after
-    if crit is Criterion.P1:
+    if trial.criterion is Criterion.P1:
         # before already carries +beta; re-adding alpha reproduces after
         av = trial.before.values.copy()
-        av[p["i"]] += p["alpha"]
+        av[trial.params["i"]] += trial.params["alpha"]
         return CoefficientVector(av)
-    if crit is Criterion.P2:
-        return babies(trial.before, p["k"]).after
-    raise InvalidTransform(f"unknown criterion {crit}")
+    return CRITERIA[trial.criterion].transform(trial.before, **trial.params).after
 
 
 @dataclass(frozen=True)
@@ -323,31 +310,72 @@ def _draw_p1_vector(
     return _retry(attempt, "P1 vector")
 
 
+def _draw_bill_gates(config: TrialConfig, rng: np.random.Generator) -> CriterionTrial:
+    c, i, beta_ticks, l1_ticks = _draw_p1_vector(config, rng)
+    alpha_ticks = max(1, int(round(float(rng.choice(P1_ALPHA_MULTIPLIERS)) * l1_ticks)))
+    return bill_gates(c, i, beta_ticks * TICK, alpha_ticks * TICK)
+
+
+def _draw_clone(config: TrialConfig, rng: np.random.Generator) -> CriterionTrial:
+    return clone(draw_vector(config, rng), int(rng.integers(2, 5)))
+
+
+def _draw_babies(config: TrialConfig, rng: np.random.Generator) -> CriterionTrial | None:
+    c = draw_vector(config, rng)
+    return babies(c, int(rng.integers(1, 4))) if c.values.any() else None
+
+
+@dataclass(frozen=True)
+class CriterionDef:
+    """Everything specific to one criterion.
+
+    ``transform(before, **params)`` builds the trial that ``params`` record;
+    ``draw(config, rng)`` draws one random trial, or None when the drawn
+    vector is ineligible and must be redrawn.
+    """
+
+    relation: Relation
+    transform: Callable[..., CriterionTrial]
+    draw: Callable[[TrialConfig, np.random.Generator], CriterionTrial | None]
+
+
+CRITERIA: dict[Criterion, CriterionDef] = {
+    Criterion.D1: CriterionDef(Relation.AFTER_STRICTLY_LESS, robin_hood, _draw_robin_hood),
+    Criterion.D2: CriterionDef(Relation.EQUAL, scale, _draw_scale),
+    Criterion.D3: CriterionDef(Relation.AFTER_STRICTLY_LESS, rising_tide, _draw_rising_tide),
+    Criterion.D4: CriterionDef(Relation.EQUAL, clone, _draw_clone),
+    Criterion.P1: CriterionDef(Relation.AFTER_STRICTLY_GREATER, bill_gates, _draw_bill_gates),
+    Criterion.P2: CriterionDef(Relation.AFTER_STRICTLY_GREATER, babies, _draw_babies),
+}
+
+
 def draw_trial(
     criterion: Criterion, config: TrialConfig, rng: np.random.Generator
 ) -> CriterionTrial:
     """Draw one valid trial for ``criterion``, redrawing ineligible vectors."""
-    if criterion is Criterion.P1:
-        c, i, beta_ticks, l1_ticks = _draw_p1_vector(config, rng)
-        mult = float(rng.choice(P1_ALPHA_MULTIPLIERS))
-        alpha_ticks = max(1, int(round(mult * l1_ticks)))
-        return bill_gates(c, i, beta_ticks * TICK, alpha_ticks * TICK)
+    return _retry(lambda: CRITERIA[criterion].draw(config, rng), f"{criterion} trial")
 
-    def attempt() -> CriterionTrial | None:
-        if criterion is Criterion.D1:
-            return _draw_robin_hood(config, rng)
-        if criterion is Criterion.D2:
-            return _draw_scale(config, rng)
-        if criterion is Criterion.D3:
-            return _draw_rising_tide(config, rng)
-        if criterion is Criterion.D4:
-            return clone(draw_vector(config, rng), int(rng.integers(2, 5)))
-        if criterion is Criterion.P2:
-            c = draw_vector(config, rng)
-            return babies(c, int(rng.integers(1, 4))) if c.values.any() else None
-        raise InvalidTransform(f"unknown criterion {criterion}")
 
-    return _retry(attempt, f"{criterion} trial")
+def probes(
+    criterion: Criterion, config: TrialConfig, rng: np.random.Generator
+) -> Iterator[Iterable[CriterionTrial]]:
+    """The trials one seeded draw tests, lazily, in groups that share a
+    before vector.
+
+    The criterion holds on the draw when every trial of some group holds.
+    Every criterion but P1 yields one group of one trial.  P1 ("for some
+    beta, for every alpha") yields one group per beta, the policy beta
+    first and then ``P1_BETA_SWEEP``, each with the ``P1_ALPHA_MULTIPLIERS``
+    alphas.
+    """
+    if criterion is not Criterion.P1:
+        yield (draw_trial(criterion, config, rng),)
+        return
+    c, i, beta_policy, l1_ticks = _draw_p1_vector(config, rng)
+    alphas = [max(1, int(round(m * l1_ticks))) * TICK for m in P1_ALPHA_MULTIPLIERS]
+    betas = [beta_policy] + [max(1, int(round(m * l1_ticks))) for m in P1_BETA_SWEEP]
+    for beta_ticks in betas:
+        yield map(partial(bill_gates, c, i, beta_ticks * TICK), alphas)
 
 
 def sample_trial(

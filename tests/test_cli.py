@@ -162,6 +162,19 @@ class TestFloat64Range:
         assert len(rows) == 15
         assert {r[0] for r in rows if r[2] == "degenerate"} == degenerate
 
+    @pytest.mark.parametrize(
+        "measure, text",
+        [("neg-l1", "-6.000000e-200\n"), ("neg-lp-neg", "-1.833333e+200\n")],
+    )
+    def test_tabular_value_keeps_its_magnitude(self, tmp_path, capsys, measure, text):
+        # fixed point would print -0.000000 and a 201-digit integer
+        p = tmp_path / "v.txt"
+        p.write_text(TINY)
+        assert run_cli("measure", "--measure", measure, "--input", str(p)) == 0
+        assert capsys.readouterr().out == text
+        assert run_cli("measure-all", "--input", str(p)) == 0
+        assert f"{measure},{text.strip()},ok" in capsys.readouterr().out.splitlines()
+
 
 class TestCheckCommand:
     def test_check_outputs_verdict(self, capsys):
@@ -289,6 +302,41 @@ class TestExperimentCommand:
         assert code == 0
         doc = json.loads(capsys.readouterr().out)
         assert abs(doc["quadrature_gini"] - 0.5) <= 1e-12
+
+
+class TestBadArguments:
+    """Out-of-range or malformed arguments exit 2 with an error line."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("check", "--measure", "gini", "--criterion", "D1", "--trials", "0"),
+            ("table", "--trials", "0"),
+            ("experiment", "--name", "poisson-convergence", "--sizes", "10,x"),
+            ("experiment", "--name", "bernoulli-sweep", "--grid", "a:b:c"),
+            ("experiment", "--name", "bernoulli-sweep", "--grid", "0.1,zz"),
+            ("experiment", "--name", "poisson-convergence", "--lambda", "800",
+             "--sizes", "10", "--repeats", "2"),
+        ],
+        ids=["check-trials-0", "table-trials-0", "sizes", "grid-range", "grid-list",
+             "lambda-800"],
+    )
+    def test_exit_2(self, capsys, argv):
+        assert run_cli(*argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "argv, token",
+        [
+            (("--name", "poisson-convergence", "--sizes", "10,x"), "'x'"),
+            (("--name", "bernoulli-sweep", "--grid", "0.1,zz"), "'zz'"),
+        ],
+    )
+    def test_bad_token_named(self, capsys, argv, token):
+        assert run_cli("experiment", *argv) == 2
+        assert token in capsys.readouterr().err
 
 
 class TestSeedEnvVar:

@@ -13,6 +13,7 @@ from sparsemetrics import (
     TABLE4_WITNESSES,
     CoefficientVector,
     Criterion,
+    CriterionTrial,
     Measure,
     MeasureSpec,
     catalog_verdict,
@@ -24,7 +25,10 @@ from sparsemetrics import (
     run_counterexamples,
     theorem_consistency,
 )
-from sparsemetrics.errors import CatalogMiss
+from sparsemetrics import compliance
+from sparsemetrics.compliance import _group_outcome
+from sparsemetrics.errors import CatalogMiss, InvalidParams
+from sparsemetrics.transforms import TICK
 
 
 class TestRelationHolds:
@@ -45,8 +49,11 @@ class TestRelationHolds:
         assert relation_holds(Criterion.D2, 1e6, 1e6 + 1e-4)
         assert not relation_holds(Criterion.D2, 1e6, 1e6 + 1e-2)
 
-    def test_explicit_tolerance(self):
-        assert relation_holds(Criterion.D2, 1.0, 1.5, tolerance=1.0)
+    def test_tolerance_is_absolute_below_one(self):
+        # below magnitude 1 the tolerance stays 1e-9
+        assert relation_holds(Criterion.D2, 0.0, 9e-10)
+        assert not relation_holds(Criterion.D2, 0.0, 1.1e-9)
+        assert not relation_holds(Criterion.P1, 1e-3, 1e-3 + 9e-10)
 
 
 class TestCatalog:
@@ -139,6 +146,117 @@ class TestCheckCell:
         big = check_cell(MeasureSpec(Measure.GINI), Criterion.D1, trials=120, seed=5)
         small = check_cell(MeasureSpec(Measure.GINI), Criterion.D1, trials=40, seed=5)
         assert not big.violated and not small.violated
+
+
+M, C = Measure, Criterion
+
+# check_cell(trials=1000, seed=0) on every increase cell, including those the
+# table resolves from the catalog: (measure, criterion, violated, trials,
+# skipped, witness params)
+PINNED_SEARCH = [
+    (M.L0, C.P1, True, 1, 0, {'i': 9, 'beta': 795.2727794647217, 'alpha': 0.06960582733154297}),
+    (M.L0, C.P2, False, 1000, 0, None),
+    (M.L0_EPS, C.P1, True, 1, 0, {'i': 10, 'beta': 527.2270488739014, 'alpha': 0.047515869140625}),
+    (M.L0_EPS, C.P2, False, 1000, 0, None),
+    (M.NEG_L1, C.P1, True, 1, 0, {'i': 15, 'beta': 1511.6813278198242, 'alpha': 0.14129638671875}),
+    (M.NEG_L1, C.P2, True, 1, 0, {'k': 3}),
+    (M.NEG_LP, C.P1, True, 1, 0, {'i': 39, 'beta': 1845.215311050415, 'alpha': 0.18051815032958984}),
+    (M.NEG_LP, C.P2, True, 1, 0, {'k': 2}),
+    (M.L2_OVER_L1, C.P1, False, 1000, 5, None),
+    (M.L2_OVER_L1, C.P2, True, 1, 0, {'k': 3}),
+    (M.NEG_TANH, C.P1, True, 1, 0, {'i': 3, 'beta': 435.1112365722656, 'alpha': 0.04103374481201172}),
+    (M.NEG_TANH, C.P2, True, 1, 0, {'k': 1}),
+    (M.NEG_LOG, C.P1, True, 1, 0, {'i': 12, 'beta': 1052.3008441925049, 'alpha': 0.09795475006103516}),
+    (M.NEG_LOG, C.P2, True, 1, 0, {'k': 2}),
+    (M.KAPPA4, C.P1, False, 1000, 4, None),
+    (M.KAPPA4, C.P2, True, 1, 0, {'k': 1}),
+    (M.U_THETA, C.P1, False, 1000, 26, None),
+    (M.U_THETA, C.P2, True, 3, 0, {'k': 1}),
+    (M.NEG_LP_NEG, C.P1, False, 1000, 0, None),
+    (M.NEG_LP_NEG, C.P2, True, 1, 0, {'k': 1}),
+    (M.HG, C.P1, True, 1, 0, {'i': 28, 'beta': 2351.4708042144775, 'alpha': 0.23514747619628906}),
+    (M.HG, C.P2, True, 1, 0, {'k': 1}),
+    (M.HS, C.P1, True, 1, 0, {'i': 15, 'beta': 1089.929485321045, 'alpha': 0.10643386840820312}),
+    (M.HS, C.P2, True, 1, 0, {'k': 2}),
+    (M.HS_PRIME, C.P1, True, 1, 0, {'i': 4, 'beta': 340.9358501434326, 'alpha': 0.02544879913330078}),
+    (M.HS_PRIME, C.P2, True, 1, 0, {'k': 1}),
+    (M.HOYER, C.P1, False, 1000, 3, None),
+    (M.HOYER, C.P2, False, 1000, 3, None),
+    (M.GINI, C.P1, False, 1000, 5, None),
+    (M.GINI, C.P2, False, 1000, 0, None),
+]
+
+
+class TestSearchPinned:
+    @pytest.mark.parametrize(
+        "measure, criterion, violated, trials, skipped, params",
+        PINNED_SEARCH,
+        ids=[f"{m.value}-{c.value}" for m, c, *_ in PINNED_SEARCH],
+    )
+    def test_increase_cells(self, measure, criterion, violated, trials, skipped, params):
+        v = check_cell(MeasureSpec(measure), criterion, trials=1000, seed=0)
+        assert (v.violated, v.trials, v.skipped) == (violated, trials, skipped)
+        assert (v.witness.params if v.witness else None) == params
+
+    @pytest.mark.parametrize("measure", [m for m, c, violated, *_ in PINNED_SEARCH
+                                         if c is C.P1 and violated])
+    def test_p1_witness_is_the_policy_beta_at_the_smallest_alpha(self, measure):
+        # the first group (policy beta) and its first alpha, 1e-3 * l1
+        v = check_cell(MeasureSpec(measure), C.P1, trials=1000, seed=0)
+        p = v.witness.params
+        ticks = np.round(v.witness.before.values / TICK).astype(np.int64)
+        beta_ticks = round(p["beta"] / TICK)
+        ticks[p["i"]] -= beta_ticks
+        l1 = int(ticks.sum())
+        assert beta_ticks == 10 * (l1 + int(ticks.max()) - int(ticks[p["i"]]))
+        assert p["alpha"] == max(1, round(1e-3 * l1)) * TICK
+
+    def test_zero_trials_is_invalid(self):
+        with pytest.raises(InvalidParams):
+            check_cell(MeasureSpec(M.GINI), C.D1, trials=0)
+
+
+def _pair(criterion, before, after):
+    return CriterionTrial(criterion, CoefficientVector(before), CoefficientVector(after))
+
+
+# gini under scaling (D2): [1, 2] -> [2, 4] holds, -> [1, 3] fails, and the
+# all-zero after vector is degenerate
+HOLDS = _pair(C.D2, [1, 2], [2, 4])
+FAILS = _pair(C.D2, [1, 2], [1, 3])
+DEGENERATE = _pair(C.D2, [1, 2], [0, 0])
+
+
+class TestGroupRule:
+    GINI = MeasureSpec(M.GINI)
+
+    def test_group_outcome(self):
+        assert _group_outcome(self.GINI, C.D2, [HOLDS, HOLDS]) is None
+        trial, vb, va = _group_outcome(self.GINI, C.D2, [HOLDS, FAILS, FAILS])
+        assert trial is FAILS and (vb, va) == (1 / 6, 0.25)
+        # a degenerate value anywhere in the group skips it, even after a failure
+        assert _group_outcome(self.GINI, C.D2, [FAILS, DEGENERATE]) == "skip"
+
+    def test_saturated_start_skips_only_increase_criteria(self):
+        hoyer = MeasureSpec(M.HOYER)  # one-hot: hoyer is at its maximum, 1
+        assert _group_outcome(hoyer, C.P2, [_pair(C.P2, [0, 1], [0, 1, 0])]) == "skip"
+        assert _group_outcome(hoyer, C.D2, [_pair(C.D2, [0, 1], [0, 2])]) is None
+
+    @pytest.mark.parametrize(
+        "groups, violated, skipped",
+        [
+            ([[FAILS]], True, 0),
+            ([[FAILS], [FAILS], [HOLDS]], False, 0),  # some later group holds
+            ([[FAILS], [DEGENERATE]], True, 0),  # a later skip counts as failing
+            ([[DEGENERATE], [HOLDS]], False, 2),  # the first group decides a skip
+        ],
+    )
+    def test_draw_verdict(self, monkeypatch, groups, violated, skipped):
+        monkeypatch.setattr(compliance, "probes", lambda *args: iter(groups))
+        v = check_cell(self.GINI, C.D2, trials=2, seed=0)
+        assert (v.violated, v.skipped) == (violated, skipped)
+        if violated:
+            assert v.trials == 1 and v.witness is FAILS
 
 
 @pytest.fixture(scope="module")

@@ -40,6 +40,17 @@ class TestDistributionSpec:
         with pytest.raises(InvalidParams):
             DistributionSpec("weibull")
 
+    @pytest.mark.parametrize("lam", [745.0, 800.0, 1e9])
+    def test_poisson_lam_beyond_the_float64_range(self, lam):
+        # exp(-lam), where the cumulative pmf starts, is subnormal or 0
+        with pytest.raises(InvalidParams, match="too large"):
+            DistributionSpec.poisson(lam)
+
+    def test_large_poisson_lam_in_range(self):
+        v = sample_vector(DistributionSpec.poisson(700.0), 10_000, seed=0).values
+        assert v.mean() == pytest.approx(700.0, abs=2.0)
+        assert v.var() == pytest.approx(700.0, rel=0.1)
+
 
 class TestSampleVector:
     def test_bernoulli_extremes(self):

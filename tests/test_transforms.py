@@ -21,7 +21,15 @@ from sparsemetrics import (
     sample_trial,
     scale,
 )
-from sparsemetrics.transforms import POSITIVE_FLOOR, draw_trial
+from sparsemetrics.transforms import (
+    P1_ALPHA_MULTIPLIERS,
+    P1_BETA_SWEEP,
+    POSITIVE_FLOOR,
+    TICK,
+    draw_trial,
+    probes,
+    stream,
+)
 
 
 def vec(*xs):
@@ -205,3 +213,35 @@ class TestSampler:
                 assert 0 < p["alpha"] < gap / 2
             elif criterion is Criterion.P2:
                 assert t.before.values.any()
+
+
+class TestProbes:
+    @pytest.mark.parametrize("criterion", [c for c in Criterion if c is not Criterion.P1])
+    def test_one_group_of_the_drawn_trial(self, criterion):
+        for seed in range(20):
+            groups = [list(g) for g in probes(criterion, TrialConfig(), stream(seed))]
+            t = draw_trial(criterion, TrialConfig(), stream(seed))
+            assert len(groups) == 1 and len(groups[0]) == 1
+            (g,) = groups[0]
+            assert (g.before, g.after, g.params) == (t.before, t.after, t.params)
+
+    def test_bill_gates_groups_share_before_and_sweep_beta(self):
+        for seed in range(20):
+            groups = [list(g) for g in probes(Criterion.P1, TrialConfig(), stream(seed))]
+            assert len(groups) == 1 + len(P1_BETA_SWEEP)
+            for k, group in enumerate(groups):
+                assert len(group) == len(P1_ALPHA_MULTIPLIERS)
+                first = group[0]
+                assert all(t.before == first.before for t in group)
+                assert len({t.params["beta"] for t in group}) == 1
+                i, beta = first.params["i"], first.params["beta"]
+                c = first.before.values.copy()
+                c[i] -= beta
+                l1 = float(c.sum())
+                alphas = [t.params["alpha"] for t in group]
+                assert alphas == [max(TICK, round(m * l1 / TICK) * TICK)
+                                  for m in P1_ALPHA_MULTIPLIERS]
+                if k == 0:  # the policy beta
+                    assert beta == 10 * (l1 + c.max() - c[i])
+                else:
+                    assert beta == max(TICK, round(P1_BETA_SWEEP[k - 1] * l1 / TICK) * TICK)
