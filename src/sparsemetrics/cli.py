@@ -66,23 +66,55 @@ def _default_seed() -> int:
         raise InputError(f"{SEED_ENV_VAR} must be an integer, got {raw!r}") from exc
 
 
+def _read_text(path: str) -> str:
+    try:
+        if path == "-":
+            data = sys.stdin.buffer.read()
+        else:
+            with open(path, "rb") as fh:
+                data = fh.read()
+    except OSError as exc:
+        raise InputError(f"cannot read {path}: {exc}") from exc
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise InputError(
+            f"cannot read {path}: not UTF-8 text (byte offset {exc.start})"
+        ) from exc
+
+
 def read_vector(path: str, complex_pairs: bool = False) -> CoefficientVector:
-    """Read a coefficient vector from a file or '-' (stdin).
+    """Read a coefficient vector from a UTF-8 file or '-' (stdin).
 
     Numbers may be separated by commas, whitespace, or newlines; scientific
     notation is accepted.  In complex mode every non-empty line holds one
     're,im' pair and contributes the magnitude.  Magnitudes are taken
     either way.
     """
-    if path == "-":
-        text = sys.stdin.read()
-    else:
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        except OSError as exc:
-            raise InputError(f"cannot read {path}: {exc}") from exc
+    text = _read_text(path)
+    values = None if complex_pairs else _split_values(text)
+    if values is None:
+        values = _line_values(text, complex_pairs)
+    if len(values) == 0:
+        raise InputError("input contains no values")
+    return CoefficientVector(np.asarray(values))
 
+
+def _split_values(text: str) -> np.ndarray | None:
+    """Every number in ``text``, parsed in one pass, or None if a token is
+    malformed (``_line_values`` then names it).  Same values as
+    ``_line_values``: numpy converts each token with Python's ``float``,
+    and ``str.split`` splits on the whitespace its regex ``\\s`` matches.
+    """
+    try:
+        return np.array(text.replace(",", " ").split(), dtype=np.float64)
+    except ValueError:
+        return None
+
+
+def _line_values(text: str, complex_pairs: bool) -> list[complex]:
+    """The numbers of ``text`` line by line; a malformed token raises
+    InputError naming its line and column."""
     values: list[complex] = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         tokens = list(re.finditer(r"[^\s,]+", line))
@@ -106,9 +138,7 @@ def read_vector(path: str, complex_pairs: bool = False) -> CoefficientVector:
             values.append(complex(parsed[0], parsed[1]))
         else:
             values.extend(parsed)
-    if not values:
-        raise InputError("input contains no values")
-    return CoefficientVector(np.asarray(values))
+    return values
 
 
 def _csv(rows, header: tuple[str, ...]) -> str:
@@ -118,10 +148,12 @@ def _csv(rows, header: tuple[str, ...]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_report(payload: dict, fmt: str, tabular_fn) -> str:
-    """Render a report: 'tabular' delegates to tabular_fn, 'structured' is JSON."""
+def write_report(fmt: str, payload_fn, tabular_fn) -> str:
+    """Render a report: 'tabular' delegates to tabular_fn, 'structured' is
+    the JSON of the document payload_fn builds.  Only the chosen format's
+    function runs."""
     if fmt == "structured":
-        return json.dumps(payload, indent=2) + "\n"
+        return json.dumps(payload_fn(), indent=2) + "\n"
     return tabular_fn()
 
 
@@ -177,7 +209,13 @@ def _fixed(value: float, precision: int) -> str:
     return f"{value:.{precision}e}" if hidden else text
 
 
+def _check_precision(precision: int) -> None:
+    if precision < 0:
+        raise InputError(f"--precision must be 0 or more, got {precision}")
+
+
 def _cmd_measure(args) -> int:
+    _check_precision(args.precision)
     vec = read_vector(args.input, args.complex)
     spec = _spec_from_args(Measure(args.measure), args)
     value = evaluate(spec, vec)
@@ -194,6 +232,7 @@ def _cmd_measure(args) -> int:
 
 
 def _cmd_measure_all(args) -> int:
+    _check_precision(args.precision)
     vec = read_vector(args.input, args.complex)
     rows = []
     cells = []
@@ -213,7 +252,9 @@ def _cmd_measure_all(args) -> int:
         {**_config_echo(args), "n": len(vec)},
         {"values": cells},
     )
-    text = write_report(doc, args.format, lambda: _csv(rows, ("measure", "value", "status")))
+    text = write_report(
+        args.format, lambda: doc, lambda: _csv(rows, ("measure", "value", "status"))
+    )
     _emit(text, args.output)
     return 0
 
@@ -221,19 +262,24 @@ def _cmd_measure_all(args) -> int:
 def _cmd_lorenz(args) -> int:
     vec = read_vector(args.input, args.complex)
     curve = lorenz_curve(vec)
-    doc = _document(
-        "lorenz",
-        {**_config_echo(args), "n": len(vec)},
-        {
-            "points": [[float(x), float(y)] for x, y in curve.points],
-            "twice_area_above_diagonal": curve.twice_area_above(),
-        },
-    )
-    text = write_report(
-        doc,
-        args.format,
-        lambda: _csv(((float(x), float(y)) for x, y in curve.points), ("x", "y")),
-    )
+
+    def document() -> dict:
+        return _document(
+            "lorenz",
+            {**_config_echo(args), "n": len(vec)},
+            {
+                "points": curve.points.tolist(),
+                "twice_area_above_diagonal": curve.twice_area_above(),
+            },
+        )
+
+    def tabular() -> str:
+        # one %-format over the flat (x0, y0, x1, y1, ...) tuple: the repr of
+        # every point, without a Python call per row
+        template = "x,y\n" + "%r,%r\n" * len(curve.points)
+        return template % tuple(curve.points.ravel().tolist())
+
+    text = write_report(args.format, document, tabular)
     _emit(text, args.output)
     return 0
 
@@ -249,8 +295,8 @@ def _cmd_check(args) -> int:
         {"cell": d},
     )
     text = write_report(
-        doc,
         args.format,
+        lambda: doc,
         lambda: _csv(
             [
                 (
@@ -305,7 +351,7 @@ def _cmd_table(args) -> int:
             ),
         )
 
-    _emit(write_report(doc, args.format, tabular), args.output)
+    _emit(write_report(args.format, lambda: doc, tabular), args.output)
     mismatches = result.mismatches
     for m, c in mismatches:
         note = ERRATUM_NOTES.get((m, c), "")
@@ -375,7 +421,7 @@ def _cmd_experiment(args) -> int:
             },
         )
         text = write_report(
-            doc, args.format, lambda: _csv(table.rows(), ("measure", "x", "term"))
+            args.format, lambda: doc, lambda: _csv(table.rows(), ("measure", "x", "term"))
         )
         _emit(text, args.output)
         return 0
@@ -400,7 +446,7 @@ def _cmd_experiment(args) -> int:
             },
         )
         text = write_report(
-            doc, args.format, lambda: _csv(rows, ("field", "value", ""))
+            args.format, lambda: doc, lambda: _csv(rows, ("field", "value", ""))
         )
         _emit(text, args.output)
         return 0
@@ -416,7 +462,7 @@ def _cmd_experiment(args) -> int:
         if args.raw
         else (result.sweep_name, "measure", "mean", "std", "normalized")
     )
-    text = write_report(doc, args.format, lambda: _csv(rows, header))
+    text = write_report(args.format, lambda: doc, lambda: _csv(rows, header))
     _emit(text, args.output)
     return 0
 

@@ -101,10 +101,10 @@ class CoefficientVector:
         arr = np.asarray(values)
         if arr.ndim != 1 or arr.size == 0:
             raise InvalidParams("coefficient vector must be one-dimensional and non-empty")
+        # np.abs allocates, so the caller's array is never aliased
         mags = np.abs(arr).astype(np.float64, copy=False)
         if not np.all(np.isfinite(mags)):
             raise InvalidParams("coefficient magnitudes must be finite")
-        mags = np.array(mags, copy=True)
         mags.setflags(write=False)
         self._values = mags
         srt = np.sort(mags, kind="stable")

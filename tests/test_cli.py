@@ -1,10 +1,13 @@
 """End-to-end CLI tests: commands, formats, exit codes, determinism."""
 
+import io
 import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sparsemetrics import (
     CoefficientVector,
@@ -14,6 +17,7 @@ from sparsemetrics import (
     evaluate,
     relation_holds,
 )
+from sparsemetrics import cli
 from sparsemetrics.cli import parse_and_dispatch, read_vector
 from sparsemetrics.errors import SparsemetricsError
 
@@ -62,6 +66,74 @@ class TestReadVector:
         with pytest.raises(SparsemetricsError, match="no values"):
             read_vector(str(p))
 
+    def test_not_utf8_rejected(self, tmp_path, monkeypatch, capsys):
+        data = b"1 2 \xff\xfe 3\n"
+        p = tmp_path / "v.txt"
+        p.write_bytes(data)
+        with pytest.raises(SparsemetricsError, match=f"cannot read {p}: .*byte offset 4"):
+            read_vector(str(p))
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data)))
+        assert run_cli("measure", "--measure", "gini", "--input", "-") == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: cannot read -: not UTF-8 text (byte offset 4)\n"
+
+
+def _number_forms(v: float) -> list[str]:
+    return [repr(v), "%.16e" % v, "%.16E" % v]
+
+
+# valid tokens: plain and %.16e/%.16E forms, signed zeros, underscores and
+# non-ASCII decimal digits, all of which Python's float accepts
+TOKENS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).flatmap(
+        lambda v: st.sampled_from(_number_forms(v))
+    ),
+    st.sampled_from(
+        ["-0.0", "0e0", "1_000", "-2_5.0_1e-1_0", "\u0661\u0662\u0663",
+         "\u0661.\u0665", "\uff11\uff12", "\U0001d7cfe3", "-\u0663e2", "+.5"]
+    ),
+)
+SEPARATORS = st.sampled_from([",", " , ", "\t", "\r\n", "\v", " ", "\n\n", "\n \n"])
+BAD_TOKENS = st.sampled_from(["x", "1e", "1..2", "--1", "1_", "0x10", "\u00bd", "1e5x", "nan?"])
+
+
+@st.composite
+def vector_text(draw):
+    tokens = draw(st.lists(TOKENS, max_size=30))
+    seps = draw(st.lists(SEPARATORS, min_size=len(tokens) + 1, max_size=len(tokens) + 1))
+    text = seps[0] if draw(st.booleans()) else ""
+    return text + "".join(t + s for t, s in zip(tokens, seps[1:]))
+
+
+@pytest.fixture(scope="module")
+def scratch_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("parse") / "v.txt"
+
+
+class TestFastParse:
+    """The one-pass real-mode parse gives exactly what the line loop gives,
+    and a malformed token keeps the loop's line and column message."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(vector_text())
+    def test_same_values_as_line_loop(self, text):
+        fast = cli._split_values(text).tolist()
+        loop = cli._line_values(text, complex_pairs=False)
+        # float.hex tells -0.0 from 0.0 and shows every bit
+        assert [v.hex() for v in fast] == [float(v).hex() for v in loop]
+
+    @settings(max_examples=200, deadline=None)
+    @given(vector_text(), BAD_TOKENS, SEPARATORS, vector_text())
+    def test_malformed_token_named(self, scratch_file, head, bad, sep, tail):
+        # head ends with a separator (or is empty), so bad stands alone
+        lines = (head + bad).splitlines()
+        line, column = len(lines), len(lines[-1]) - len(bad) + 1
+        scratch_file.write_bytes((head + bad + sep + tail).encode("utf-8"))
+        with pytest.raises(SparsemetricsError) as info:
+            read_vector(str(scratch_file))
+        assert str(info.value) == f"line {line}, column {column}: malformed number {bad!r}"
+
 
 class TestMeasureCommand:
     def test_gini_six_decimals(self, vec_file, capsys):
@@ -107,6 +179,21 @@ class TestMeasureAllAndLorenz:
         assert lines[0] == "x,y"
         assert len(lines) == 7  # header + 6 points
         assert lines[-1] == "1.0,1.0"
+
+    def test_lorenz_rendering(self, tmp_path, capsys):
+        # sorted [1, 2, 3]: x = k/3, y = (0, 1, 3, 6)/6
+        p = tmp_path / "v.txt"
+        p.write_text("3,-1\n2\n")
+        points = [(k / 3, c / 6) for k, c in enumerate((0, 1, 3, 6))]
+        assert run_cli("lorenz", "--input", str(p)) == 0
+        tabular = "x,y\n" + "".join(f"{x!r},{y!r}\n" for x, y in points)
+        assert capsys.readouterr().out == tabular
+        assert run_cli("lorenz", "--input", str(p), "--format", "structured") == 0
+        out = capsys.readouterr().out
+        doc = json.loads(out)
+        assert doc["points"] == [list(pt) for pt in points]
+        rendered = json.dumps([list(pt) for pt in points], indent=2).replace("\n", "\n  ")
+        assert f'"points": {rendered},' in out
 
 
 TINY = "1e-200,2e-200,3e-200\n"
@@ -337,6 +424,17 @@ class TestBadArguments:
     def test_bad_token_named(self, capsys, argv, token):
         assert run_cli("experiment", *argv) == 2
         assert token in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("measure", "--measure", "gini", "--precision", "-1"), ("measure-all", "--precision", "-1")],
+        ids=["measure", "measure-all"],
+    )
+    def test_negative_precision(self, vec_file, capsys, argv):
+        assert run_cli(*argv, "--input", vec_file) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --precision must be 0 or more, got -1\n"
 
 
 class TestSeedEnvVar:

@@ -48,6 +48,17 @@ class TestCoefficientVector:
         with pytest.raises(ValueError):
             v.values[0] = 9.0
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32, np.int64, np.complex128])
+    def test_caller_array_not_aliased(self, dtype):
+        # float64 input is where np.abs's fresh array is the only copy
+        arr = np.array([3, 1, 2], dtype=dtype)
+        v = CoefficientVector(arr)
+        arr[:] = 7
+        assert v.values.tolist() == [3.0, 1.0, 2.0]
+        assert v.sorted_values.tolist() == [1.0, 2.0, 3.0]
+        assert not v.values.flags.writeable and not v.sorted_values.flags.writeable
+        assert not np.shares_memory(v.values, arr)
+
 
 class TestCountMeasures:
     def test_l0_counts_zeros(self):
