@@ -13,10 +13,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import re
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -148,6 +150,15 @@ def _csv(rows, header: tuple[str, ...]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _cells_csv(cells: list[dict], header: tuple[str, ...]) -> str:
+    """CSV of the header's fields of each cell dict; a boolean field
+    prints as its name when true and empty when false."""
+    rows = (
+        [(k if c[k] else "") if isinstance(c[k], bool) else c[k] for k in header] for c in cells
+    )
+    return _csv(rows, header)
+
+
 def write_report(fmt: str, payload_fn, tabular_fn) -> str:
     """Render a report: 'tabular' delegates to tabular_fn, 'structured' is
     the JSON of the document payload_fn builds.  Only the chosen format's
@@ -168,19 +179,17 @@ def _emit(text: str, output: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _config_echo(args) -> dict:
-    """Full run configuration, defaults included, for structured reports."""
-    return {k: v for k, v in sorted(vars(args).items()) if k != "func"}
+@dataclass
+class Report:
+    """A command's result: the keys it adds to the config echo (a key already
+    there keeps its place), its payload and tabular renderers (only the chosen
+    format's runs), and the text for stderr, written after the report."""
 
-
-def _document(command: str, config: dict, payload: dict) -> dict:
-    return {
-        "tool": "sparsemetrics",
-        "version": __version__,
-        "command": command,
-        "config": config,
-        **payload,
-    }
+    config: dict
+    payload: Callable[[], dict]
+    tabular: Callable[[], str]
+    status: int = 0
+    stderr: str = ""
 
 
 def _spec_from_args(measure: Measure, args) -> MeasureSpec:
@@ -196,9 +205,7 @@ def _spec_from_args(measure: Measure, args) -> MeasureSpec:
 
 
 def _spec_params(spec: MeasureSpec) -> dict:
-    d = asdict(spec)
-    d["id"] = spec.id.value
-    return d
+    return {**asdict(spec), "id": spec.id.value}
 
 
 def _fixed(value: float, precision: int) -> str:
@@ -212,66 +219,51 @@ def _fixed(value: float, precision: int) -> str:
 def _check_precision(precision: int) -> None:
     if precision < 0:
         raise InputError(f"--precision must be 0 or more, got {precision}")
+    # 2**-1074, the smallest float64, has 1074 decimal places: every later
+    # digit of a float64 in 'f' or 'e' format is 0
+    if precision > 1074:
+        raise InputError(f"--precision must be 1074 or less, got {precision}")
 
 
-def _cmd_measure(args) -> int:
+def _cmd_measure(args) -> Report:
     _check_precision(args.precision)
     vec = read_vector(args.input, args.complex)
     spec = _spec_from_args(Measure(args.measure), args)
     value = evaluate(spec, vec)
-    if args.format == "structured":
-        doc = _document(
-            "measure",
-            {**_config_echo(args), "spec": _spec_params(spec), "n": len(vec)},
-            {"value": value},
-        )
-        _emit(json.dumps(doc, indent=2) + "\n", args.output)
-    else:
-        _emit(_fixed(value, args.precision) + "\n", args.output)
-    return 0
+    return Report(
+        {"spec": _spec_params(spec), "n": len(vec)},
+        lambda: {"value": value},
+        lambda: _fixed(value, args.precision) + "\n",
+    )
 
 
-def _cmd_measure_all(args) -> int:
+def _cmd_measure_all(args) -> Report:
     _check_precision(args.precision)
     vec = read_vector(args.input, args.complex)
-    rows = []
     cells = []
     for m in MEASURE_ORDER:
         spec = _spec_from_args(m, args)
         try:
-            value = evaluate(spec, vec)
-            rows.append((m.value, _fixed(value, args.precision), "ok"))
-            cells.append({"measure": m.value, "value": value, "status": "ok"})
+            cells.append({"measure": m.value, "value": evaluate(spec, vec), "status": "ok"})
         except SparsemetricsError as exc:
-            rows.append((m.value, "", "degenerate"))
             cells.append(
                 {"measure": m.value, "value": None, "status": "degenerate", "error": str(exc)}
             )
-    doc = _document(
-        "measure-all",
-        {**_config_echo(args), "n": len(vec)},
-        {"values": cells},
+
+    def row(c: dict) -> tuple:
+        value = "" if c["value"] is None else _fixed(c["value"], args.precision)
+        return c["measure"], value, c["status"]
+
+    return Report(
+        {"n": len(vec)},
+        lambda: {"values": cells},
+        lambda: _csv(map(row, cells), ("measure", "value", "status")),
     )
-    text = write_report(
-        args.format, lambda: doc, lambda: _csv(rows, ("measure", "value", "status"))
-    )
-    _emit(text, args.output)
-    return 0
 
 
-def _cmd_lorenz(args) -> int:
+def _cmd_lorenz(args) -> Report:
     vec = read_vector(args.input, args.complex)
     curve = lorenz_curve(vec)
-
-    def document() -> dict:
-        return _document(
-            "lorenz",
-            {**_config_echo(args), "n": len(vec)},
-            {
-                "points": curve.points.tolist(),
-                "twice_area_above_diagonal": curve.twice_area_above(),
-            },
-        )
 
     def tabular() -> str:
         # one %-format over the flat (x0, y0, x1, y1, ...) tuple: the repr of
@@ -279,66 +271,44 @@ def _cmd_lorenz(args) -> int:
         template = "x,y\n" + "%r,%r\n" * len(curve.points)
         return template % tuple(curve.points.ravel().tolist())
 
-    text = write_report(args.format, document, tabular)
-    _emit(text, args.output)
-    return 0
+    return Report(
+        {"n": len(vec)},
+        lambda: {
+            "points": curve.points.tolist(),
+            "twice_area_above_diagonal": curve.twice_area_above(),
+        },
+        tabular,
+    )
 
 
-def _cmd_check(args) -> int:
+def _cmd_check(args) -> Report:
     spec = _spec_from_args(Measure(args.measure), args)
     criterion = Criterion(args.criterion.upper())
-    verdict = check_cell(spec, criterion, trials=args.trials, seed=args.seed)
-    d = verdict.to_dict()
-    doc = _document(
-        "check",
-        {**_config_echo(args), "params": _spec_params(spec)},
-        {"cell": d},
+    cell = check_cell(spec, criterion, trials=args.trials, seed=args.seed).to_dict()
+    return Report(
+        {"params": _spec_params(spec)},
+        lambda: {"cell": cell},
+        lambda: _cells_csv([cell], ("measure", "criterion", "verdict", "trials", "skipped")),
     )
-    text = write_report(
-        args.format,
-        lambda: doc,
-        lambda: _csv(
-            [
-                (
-                    d["measure"],
-                    d["criterion"],
-                    d["verdict"],
-                    d["trials"],
-                    d["skipped"],
-                )
-            ],
-            ("measure", "criterion", "verdict", "trials", "skipped"),
-        ),
-    )
-    _emit(text, args.output)
-    return 0
 
 
-def _cmd_table(args) -> int:
+def _cmd_table(args) -> Report:
     result = full_table(trials=args.trials, seed=args.seed)
-    doc = _document(
-        "table",
-        _config_echo(args),
-        result.to_dict(),
-    )
-
-    def tabular() -> str:
-        rows = []
-        for cell in doc["cells"]:
-            rows.append(
-                (
-                    cell["measure"],
-                    cell["criterion"],
-                    cell["verdict"],
-                    cell["expected"],
-                    "disputed" if cell["disputed"] else "",
-                    "mismatch" if cell["mismatch"] else "",
-                    cell["trials"],
-                    cell["skipped"],
-                )
-            )
-        return _csv(
-            rows,
+    table = result.to_dict()
+    mismatches = result.mismatches
+    lines = [
+        f"mismatch: ({m.value}, {c.value}) expected "
+        f"{'no-violation' if c in EXPECTED_TRUE[m] else 'violated'}"
+        + (f" -- {ERRATUM_NOTES[m, c]}" if ERRATUM_NOTES.get((m, c)) else "")
+        + "\n"
+        for m, c in mismatches
+    ]
+    lines += [f"disputed (excluded from diff): ({m.value}, {c.value})\n" for m, c in DISPUTED_CELLS]
+    return Report(
+        {},
+        lambda: table,
+        lambda: _cells_csv(
+            table["cells"],
             (
                 "measure",
                 "criterion",
@@ -349,21 +319,10 @@ def _cmd_table(args) -> int:
                 "trials",
                 "skipped",
             ),
-        )
-
-    _emit(write_report(args.format, lambda: doc, tabular), args.output)
-    mismatches = result.mismatches
-    for m, c in mismatches:
-        note = ERRATUM_NOTES.get((m, c), "")
-        print(
-            f"mismatch: ({m.value}, {c.value}) expected "
-            f"{'no-violation' if c in EXPECTED_TRUE[m] else 'violated'}"
-            + (f" -- {note}" if note else ""),
-            file=sys.stderr,
-        )
-    for m, c in DISPUTED_CELLS:
-        print(f"disputed (excluded from diff): ({m.value}, {c.value})", file=sys.stderr)
-    return 1 if mismatches else 0
+        ),
+        status=1 if mismatches else 0,
+        stderr="".join(lines),
+    )
 
 
 def _number(token: str, kind=float):
@@ -382,15 +341,43 @@ def _parse_grid(text: str) -> list[float]:
         start, stop, step = (_number(p) for p in parts)
         if step <= 0:
             raise InputError("grid step must be positive")
-        count = int(round((stop - start) / step))
+        steps = (stop - start) / step
+        if not all(math.isfinite(v) for v in (start, stop, step, steps)):
+            raise InputError(f"grid range {text!r} needs a finite start, stop, step and count")
+        count = int(round(steps))
         return [start + k * step for k in range(count + 1) if start + k * step <= stop + 1e-12]
     return [_number(p) for p in text.split(",") if p.strip()]
 
 
-def _cmd_experiment(args) -> int:
-    name = args.name
+def _cmd_experiment(args) -> Report:
+    if args.name == "contribution-curves":
+        xs = _parse_grid(args.amplitudes) if args.amplitudes else [k * 0.01 for k in range(501)]
+        rows = [{"measure": m, "x": x, "term": t} for m, x, t in contribution_curves(xs).rows()]
+        return Report(
+            {"grid_points": len(xs)},
+            lambda: {"rows": rows},
+            lambda: _cells_csv(rows, ("measure", "x", "term")),
+        )
+    if args.name == "distributional-gini":
+        dist = DistributionSpec(args.dist, lo=args.lo, hi=args.hi, rate=args.rate)
+        quad_value = distributional_gini(dist, tol=args.tol)
+        sample_value = sample_gini(dist, args.sample_n, seed=args.seed)
+        gini = {
+            "quadrature_gini": quad_value,
+            "sample_gini": sample_value,
+            "abs_difference": abs(quad_value - sample_value),
+        }
+        rows = [
+            ("kind", args.dist, ""),
+            ("quadrature_gini", quad_value, ""),
+            ("sample_n", args.sample_n, ""),
+            ("sample_gini", sample_value, ""),
+            ("abs_difference", gini["abs_difference"], ""),
+        ]
+        return Report({}, lambda: gini, lambda: _csv(rows, ("field", "value", "")))
+
     repeats = {} if args.repeats is None else {"repeats": args.repeats}
-    if name == "poisson-convergence":
+    if args.name == "poisson-convergence":
         sizes = [_number(s, int) for s in args.sizes.split(",")] if args.sizes else None
         result = poisson_convergence(
             lam=args.lam,
@@ -398,7 +385,7 @@ def _cmd_experiment(args) -> int:
             seed=args.seed,
             **repeats,
         )
-    elif name == "bernoulli-sweep":
+    else:
         grid = _parse_grid(args.grid) if args.grid else None
         result = bernoulli_sweep(
             grid=grid or DEFAULT_BERNOULLI_GRID,
@@ -406,65 +393,10 @@ def _cmd_experiment(args) -> int:
             seed=args.seed,
             **repeats,
         )
-    elif name == "contribution-curves":
-        xs = _parse_grid(args.amplitudes) if args.amplitudes else None
-        if xs is None:
-            xs = [k * 0.01 for k in range(501)]
-        table = contribution_curves(xs)
-        doc = _document(
-            "experiment",
-            {**_config_echo(args), "grid_points": len(xs)},
-            {
-                "rows": [
-                    {"measure": m, "x": x, "term": t} for m, x, t in table.rows()
-                ]
-            },
-        )
-        text = write_report(
-            args.format, lambda: doc, lambda: _csv(table.rows(), ("measure", "x", "term"))
-        )
-        _emit(text, args.output)
-        return 0
-    elif name == "distributional-gini":
-        dist = DistributionSpec(args.dist, lo=args.lo, hi=args.hi, rate=args.rate)
-        quad_value = distributional_gini(dist, tol=args.tol)
-        sample_value = sample_gini(dist, args.sample_n, seed=args.seed)
-        rows = [
-            ("kind", args.dist, ""),
-            ("quadrature_gini", repr(quad_value), ""),
-            ("sample_n", str(args.sample_n), ""),
-            ("sample_gini", repr(sample_value), ""),
-            ("abs_difference", repr(abs(quad_value - sample_value)), ""),
-        ]
-        doc = _document(
-            "experiment",
-            _config_echo(args),
-            {
-                "quadrature_gini": quad_value,
-                "sample_gini": sample_value,
-                "abs_difference": abs(quad_value - sample_value),
-            },
-        )
-        text = write_report(
-            args.format, lambda: doc, lambda: _csv(rows, ("field", "value", ""))
-        )
-        _emit(text, args.output)
-        return 0
-    else:  # pragma: no cover - argparse choices guard this
-        raise InputError(f"unknown experiment {name!r}")
-
-    doc = _document(
-        "experiment", {**_config_echo(args), **result.metadata}, result.to_dict()
-    )
     rows = result.raw_rows() if args.raw else result.summary_rows()
-    header = (
-        (result.sweep_name, "measure", "repeat", "value")
-        if args.raw
-        else (result.sweep_name, "measure", "mean", "std", "normalized")
-    )
-    text = write_report(args.format, lambda: doc, lambda: _csv(rows, header))
-    _emit(text, args.output)
-    return 0
+    columns = ("repeat", "value") if args.raw else ("mean", "std", "normalized")
+    header = (result.sweep_name, "measure", *columns)
+    return Report(result.metadata, result.to_dict, lambda: _csv(rows, header))
 
 
 def _add_common(parser: argparse.ArgumentParser, with_params: bool = True) -> None:
@@ -563,10 +495,27 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def parse_and_dispatch(argv=None) -> int:
+    """Run one command: its Report is rendered in the chosen format, written
+    to stdout or --output, and followed by its stderr text."""
     try:
         parser = build_parser()  # reads the seed env var
         args = parser.parse_args(argv)
-        return args.func(args)
+        report = args.func(args)
+        echo = {k: v for k, v in sorted(vars(args).items()) if k != "func"}
+        text = write_report(
+            args.format,
+            lambda: {
+                "tool": "sparsemetrics",
+                "version": __version__,
+                "command": args.command,
+                "config": {**echo, **report.config},
+                **report.payload(),
+            },
+            report.tabular,
+        )
+        _emit(text, args.output)
+        sys.stderr.write(report.stderr)
+        return report.status
     except SparsemetricsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -25,7 +25,7 @@ from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from .errors import GenerationFailure, InvalidTransform
+from .errors import GenerationFailure, InvalidParams, InvalidTransform
 from .measures import CoefficientVector
 
 __all__ = [
@@ -215,8 +215,11 @@ class TrialConfig:
 
 
 def stream(key) -> np.random.Generator:
-    """The random stream for ``key``, an int or a tuple of ints; every
-    seeded draw in the package starts from one."""
+    """The random stream for ``key``, a seed or a tuple of ints that starts
+    with the seed; every seeded draw in the package starts from one."""
+    seed = key[0] if isinstance(key, tuple) else key
+    if seed < 0:
+        raise InvalidParams(f"seed must be non-negative, got {seed}")
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(key)))
 
 

@@ -2,6 +2,7 @@
 
 import io
 import json
+import re
 import subprocess
 import sys
 
@@ -404,9 +405,15 @@ class TestBadArguments:
             ("experiment", "--name", "bernoulli-sweep", "--grid", "0.1,zz"),
             ("experiment", "--name", "poisson-convergence", "--lambda", "800",
              "--sizes", "10", "--repeats", "2"),
+            ("check", "--measure", "gini", "--criterion", "D1", "--seed", "-1"),
+            ("experiment", "--name", "bernoulli-sweep", "--seed", "-1"),
+            ("experiment", "--name", "bernoulli-sweep", "--grid", "0:inf:1"),
+            ("experiment", "--name", "bernoulli-sweep", "--grid", "0:nan:1"),
+            ("experiment", "--name", "contribution-curves", "--amplitudes", "0:1e300:1e-300"),
         ],
         ids=["check-trials-0", "table-trials-0", "sizes", "grid-range", "grid-list",
-             "lambda-800"],
+             "lambda-800", "check-seed", "experiment-seed", "grid-inf", "grid-nan",
+             "grid-count-overflow"],
     )
     def test_exit_2(self, capsys, argv):
         assert run_cli(*argv) == 2
@@ -435,6 +442,26 @@ class TestBadArguments:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: --precision must be 0 or more, got -1\n"
+
+    @pytest.mark.parametrize("command", ["measure", "measure-all"])
+    @pytest.mark.parametrize("precision, code", [("1074", 0), ("1075", 2), ("2147483648", 2)])
+    def test_precision_limit(self, vec_file, capsys, command, precision, code):
+        # 2**-1074 has 1074 decimal places: more digits are all 0
+        measure = ("--measure", "gini") if command == "measure" else ()
+        assert run_cli(command, *measure, "--input", vec_file, "--precision", precision) == code
+        captured = capsys.readouterr()
+        if code:
+            assert captured.out == ""
+            assert captured.err == f"error: --precision must be 1074 or less, got {precision}\n"
+        else:
+            assert re.search(r"\.[0-9]{1074}[,\n]", captured.out)
+
+    def test_negative_seed_env_var(self, monkeypatch, capsys):
+        monkeypatch.setenv("SPARSEMETRICS_SEED", "-4")
+        assert run_cli("table", "--trials", "5") == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: seed must be non-negative, got -4\n"
 
 
 class TestSeedEnvVar:
@@ -488,3 +515,138 @@ class TestMalformedSeedEnvVar:
         assert run_cli("check", "--measure", "gini", "--criterion", "D1",
                        "--trials", "1") == 2
         assert "SPARSEMETRICS_SEED" in capsys.readouterr().err
+
+
+# argv, tabular header line (None: a bare value), top-level payload keys and
+# config keys appended after the sorted argv echo, for every command
+REPORT_SHAPES = {
+    "measure": (
+        ("measure", "--measure", "gini", "--input", "VEC"), None, ["value"], ["spec", "n"],
+    ),
+    "measure-all": (
+        ("measure-all", "--input", "VEC"), "measure,value,status", ["values"], ["n"],
+    ),
+    "lorenz": (
+        ("lorenz", "--input", "VEC"), "x,y", ["points", "twice_area_above_diagonal"], ["n"],
+    ),
+    "check": (
+        ("check", "--measure", "hg", "--criterion", "P2", "--trials", "50"),
+        "measure,criterion,verdict,trials,skipped", ["cell"], ["params"],
+    ),
+    "table": (
+        ("table", "--trials", "20", "--seed", "0"),
+        "measure,criterion,verdict,expected,disputed,mismatch,trials,skipped",
+        ["trials", "seed", "cells", "mismatches", "disputed"], [],
+    ),
+    "poisson": (
+        ("experiment", "--name", "poisson-convergence", "--sizes", "10,30"),
+        "n,measure,mean,std,normalized", ["name", "sweep", "metadata", "summary"],
+        ["measure_params"],
+    ),
+    "bernoulli-raw": (
+        ("experiment", "--name", "bernoulli-sweep", "--grid", "0.2,0.8", "--n", "50",
+         "--repeats", "2", "--raw"),
+        "p,measure,repeat,value", ["name", "sweep", "metadata", "summary"], ["measure_params"],
+    ),
+    "contribution-curves": (
+        ("experiment", "--name", "contribution-curves", "--amplitudes", "0:1:0.5"),
+        "measure,x,term", ["rows"], ["grid_points"],
+    ),
+    "distributional-gini": (
+        ("experiment", "--name", "distributional-gini", "--sample-n", "1000"),
+        "field,value,", ["quadrature_gini", "sample_gini", "abs_difference"], [],
+    ),
+}
+
+
+class TestReportShape:
+    """The report each command writes, pinned by structure rather than by
+    values: key order, config echo, tabular header, stderr and exit status,
+    and an --output file equal to stdout."""
+
+    @staticmethod
+    def _run(capsys, argv, output=None):
+        code = run_cli(*argv, *(("--output", str(output)) if output else ()))
+        captured = capsys.readouterr()
+        return code, captured.out if output is None else output.read_text(), captured.err
+
+    @pytest.mark.parametrize("name", list(REPORT_SHAPES))
+    def test_structured(self, vec_file, capsys, name):
+        argv, _, payload_keys, extras = REPORT_SHAPES[name]
+        argv = [vec_file if a == "VEC" else a for a in argv] + ["--format", "structured"]
+        _, text, _ = self._run(capsys, argv)
+        doc = json.loads(text)
+        assert list(doc) == ["tool", "version", "command", "config", *payload_keys]
+        assert doc["command"] == argv[0]
+        echo = vars(cli.build_parser().parse_args(argv))
+        echo.pop("func")
+        assert list(doc["config"]) == sorted(echo) + extras
+        metadata = doc.get("metadata", {})
+        for key in sorted(echo):
+            assert doc["config"][key] == metadata.get(key, echo[key])
+
+    def test_unset_repeats_echoes_the_default(self, capsys):
+        argv = ["experiment", "--name", "poisson-convergence", "--sizes", "10", "--format",
+                "structured"]
+        _, text, _ = self._run(capsys, argv)
+        config = json.loads(text)["config"]
+        assert config["repeats"] == 50
+        # overwritten in place: still among the sorted echo, before the extras
+        keys = list(config)
+        assert keys[-1] == "measure_params" and keys[:-1] == sorted(keys[:-1])
+
+    @pytest.mark.parametrize("name", list(REPORT_SHAPES))
+    def test_tabular_header(self, vec_file, capsys, name):
+        argv, header, _, _ = REPORT_SHAPES[name]
+        _, text, _ = self._run(capsys, [vec_file if a == "VEC" else a for a in argv])
+        first = text.splitlines()[0]
+        if header is None:
+            assert text == first + "\n" and float(first) >= 0
+        else:
+            assert first == header
+
+    @pytest.mark.parametrize("fmt", ["tabular", "structured"])
+    def test_table_stderr_and_exit(self, capsys, fmt):
+        from sparsemetrics.compliance import ERRATUM_NOTES
+
+        argv = ["table", "--trials", "20", "--seed", "0", "--format", fmt]
+        code, text, err = self._run(capsys, argv)
+        assert code == 1
+        if fmt == "tabular":
+            rows = [line.split(",") for line in text.splitlines()[1:]]
+            assert len(rows) == 90
+            # the flags print as their name or empty
+            assert sorted(r[4] for r in rows if r[4]) == ["disputed"]
+            assert sorted(r[5] for r in rows if r[5]) == ["mismatch", "mismatch"]
+        # at 20 trials (seed 0) the search misses (l0-eps, D3): a mismatch
+        # without a note, next to the documented (hs, D2) erratum
+        assert err == (
+            "mismatch: (l0-eps, D3) expected violated\n"
+            f"mismatch: (hs, D2) expected violated -- {ERRATUM_NOTES[Measure.HS, Criterion.D2]}\n"
+            "disputed (excluded from diff): (l2-over-l1, D3)\n"
+        )
+
+    def test_table_stderr_follows_the_report(self, monkeypatch):
+        both = io.StringIO()
+        monkeypatch.setattr(sys, "stdout", both)
+        monkeypatch.setattr(sys, "stderr", both)
+        assert run_cli("table", "--trials", "20", "--seed", "0") == 1
+        lines = both.getvalue().splitlines()
+        assert lines[0].startswith("measure,criterion,")
+        assert [line.split(":")[0] for line in lines[91:]] == [
+            "mismatch", "mismatch", "disputed (excluded from diff)",
+        ]
+
+    @pytest.mark.parametrize("fmt", ["tabular", "structured"])
+    @pytest.mark.parametrize("name", list(REPORT_SHAPES))
+    def test_output_file_equals_stdout(self, vec_file, tmp_path, capsys, name, fmt):
+        argv = [vec_file if a == "VEC" else a for a in REPORT_SHAPES[name][0]]
+        argv += ["--format", fmt]
+        out = tmp_path / "report.out"
+        code, text, err = self._run(capsys, argv)
+        assert self._run(capsys, argv, out) == (
+            code,
+            # the structured config echoes --output itself
+            text.replace('"output": null', f'"output": {json.dumps(str(out))}'),
+            err,
+        )

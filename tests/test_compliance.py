@@ -215,6 +215,10 @@ class TestSearchPinned:
         with pytest.raises(InvalidParams):
             check_cell(MeasureSpec(M.GINI), C.D1, trials=0)
 
+    def test_negative_seed_is_invalid(self):
+        with pytest.raises(InvalidParams, match="seed"):
+            check_cell(MeasureSpec(M.GINI), C.D1, trials=10, seed=-1)
+
 
 def _pair(criterion, before, after):
     return CriterionTrial(criterion, CoefficientVector(before), CoefficientVector(after))
