@@ -52,6 +52,8 @@ from .experiments import (
 )
 
 SEED_ENV_VAR = "SPARSEMETRICS_SEED"
+#: Most points a start:stop:step grid range may have.
+MAX_GRID_POINTS = 10**6
 
 
 class InputError(SparsemetricsError):
@@ -345,6 +347,8 @@ def _parse_grid(text: str) -> list[float]:
         if not all(math.isfinite(v) for v in (start, stop, step, steps)):
             raise InputError(f"grid range {text!r} needs a finite start, stop, step and count")
         count = int(round(steps))
+        if count + 1 > MAX_GRID_POINTS:
+            raise InputError(f"grid range {text!r} has more than {MAX_GRID_POINTS} points")
         return [start + k * step for k in range(count + 1) if start + k * step <= stop + 1e-12]
     return [_number(p) for p in text.split(",") if p.strip()]
 

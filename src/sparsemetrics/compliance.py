@@ -17,9 +17,12 @@ same seed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import AbstractSet, Mapping
 
-from .errors import CatalogMiss, DegenerateInput, InvalidParams
+import numpy as np
+
+from .errors import CatalogMiss, DegenerateInput, InvalidParams, SparsemetricsError
 from .measures import (
     MEASURE_ORDER,
     MEASURES,
@@ -35,6 +38,7 @@ from .transforms import (
     CriterionTrial,
     Relation,
     TrialConfig,
+    TrialGroup,
     probes,
     stream,
 )
@@ -293,33 +297,62 @@ class CellVerdict:
 SATURATION_MARGIN = 1e-6
 
 
-def _saturated(measure: Measure, value_before: float, trial: CriterionTrial) -> bool:
-    maximum = MEASURES[measure].maximum
-    return maximum is not None and maximum(len(trial.after)) - value_before <= SATURATION_MARGIN
+#: Search draws evaluated together: more saves kernel calls, fewer saves memory.
+BLOCK_TRIALS = 64
 
 
-def _group_outcome(spec: MeasureSpec, criterion: Criterion, group):
-    """Test one group of trials that share a before vector.
+def _values(spec: MeasureSpec, rows: list[np.ndarray]) -> list:
+    """``evaluate`` on each row of magnitudes (non-negative): its value or its
+    error.  Rows of one length are sorted and evaluated in one kernel call;
+    where they are not finite, or the call raises or yields a non-finite
+    value, they fall back to ``evaluate`` one by one, so each result is its."""
+    out: list = [None] * len(rows)
+    by_length: dict[int, list[int]] = {}
+    for k, row in enumerate(rows):
+        by_length.setdefault(row.size, []).append(k)
+    with np.errstate(over="raise", invalid="ignore"):
+        for picks in by_length.values():
+            block = np.array([rows[k] for k in picks], dtype=np.float64)
+            block.sort(axis=1)
+            values = None
+            if np.isfinite(block).all():
+                try:
+                    values = MEASURES[spec.id].kernel(spec, block)
+                except (ArithmeticError, DegenerateInput):
+                    pass
+            fine = values is not None and np.isfinite(values).all()
+            for k, value in zip(picks, values.tolist() if fine else picks):
+                try:
+                    out[k] = value if fine else evaluate(spec, CoefficientVector(rows[k]))
+                except SparsemetricsError as exc:
+                    out[k] = exc.with_traceback(None)  # no cycle through this frame
+    return out
+
+
+def _group_outcome(spec: MeasureSpec, criterion: Criterion, group: TrialGroup, values=None):
+    """Test one group of trials that share a before vector, given ``_values``
+    of its before and after rows (evaluated here if None).
 
     Returns "skip" when the group says nothing about the criterion (a
     degenerate value, or a strict-increase start already at the measure's
     maximum), None when every trial holds, else the first failing
-    (trial, value_before, value_after).
+    (k, value_before, value_after), k indexing ``group.afters``.
     """
-    first_fail = None
-    vb = None
-    try:
-        for trial in group:
-            if vb is None:
-                vb = evaluate(spec, trial.before)
-                increase = trial.expected_relation is Relation.AFTER_STRICTLY_GREATER
-                if increase and _saturated(spec.id, vb, trial):
-                    return "skip"
-            va = evaluate(spec, trial.after)
-            if not relation_holds(criterion, vb, va) and first_fail is None:
-                first_fail = (trial, vb, va)
-    except DegenerateInput:
-        return "skip"
+    if values is None:
+        values = _values(spec, [group.before, *group.afters])
+    increase = CRITERIA[criterion].relation is Relation.AFTER_STRICTLY_GREATER
+    maximum = MEASURES[spec.id].maximum if increase else None
+    vb, first_fail = values[0], None
+    for k, value in enumerate(values):
+        if isinstance(value, DegenerateInput):
+            return "skip"
+        if isinstance(value, SparsemetricsError):
+            raise value
+        if k == 0:
+            if maximum and maximum(group.afters[0].size) - vb <= SATURATION_MARGIN:
+                return "skip"
+        elif not relation_holds(criterion, vb, value) and first_fail is None:
+            first_fail = (k - 1, vb, value)
     return first_fail
 
 
@@ -332,6 +365,9 @@ def check_cell(
     group decides whether the draw is skipped; the draw holds when that
     group or any later one holds, where a later group that skips counts as
     failing.  Otherwise the witness is the first group's first failure.
+    First groups are evaluated ``BLOCK_TRIALS`` draws at a time, later ones
+    only for a failing draw.  Verdicts are decided in trial order, so the
+    block size changes none, and an error after the witness never surfaces.
     """
     if trials < 1:
         raise InvalidParams(f"trials must be >= 1, got {trials}")
@@ -340,18 +376,30 @@ def check_cell(
     m_idx = MEASURE_ORDER.index(spec.id)
     c_idx = CRITERION_ORDER.index(criterion)
     skipped = 0
-    for t in range(trials):
-        groups = probes(criterion, config, stream((seed, m_idx, c_idx, t)))
-        outcome = _group_outcome(spec, criterion, next(groups))
-        if outcome == "skip":
-            skipped += 1
-        elif outcome is not None and all(
-            _group_outcome(spec, criterion, g) is not None for g in groups
-        ):
-            witness, vb, va = outcome
-            return CellVerdict(
-                spec.id, criterion, True, t + 1, skipped, witness, vb, va, "search"
-            )
+    for start in range(0, trials, BLOCK_TRIALS):
+        draws, failure = [], None
+        for t in range(start, min(start + BLOCK_TRIALS, trials)):
+            try:
+                groups = probes(criterion, config, stream((seed, m_idx, c_idx, t)))
+                draws.append((groups, next(groups)))
+            except SparsemetricsError as exc:
+                failure = exc  # raised only if no earlier draw is a witness
+                break
+        values = iter(_values(spec, [row for _, g in draws for row in (g.before, *g.afters)]))
+        for t, (groups, first) in enumerate(draws, start):
+            group_values = list(islice(values, 1 + len(first.afters)))
+            outcome = _group_outcome(spec, criterion, first, group_values)
+            if outcome == "skip":
+                skipped += 1
+            elif outcome is not None and all(
+                _group_outcome(spec, criterion, g) is not None for g in groups
+            ):
+                k, vb, va = outcome
+                return CellVerdict(
+                    spec.id, criterion, True, t + 1, skipped, first.trial(criterion, k), vb, va
+                )
+        if failure is not None:
+            raise failure
     return CellVerdict(spec.id, criterion, False, trials, skipped)
 
 

@@ -149,7 +149,9 @@ Term = Callable[[MeasureSpec, np.ndarray], np.ndarray]
 class MeasureDef:
     """Everything the package knows about one measure.
 
-    * ``kernel`` evaluates it on the ascending magnitudes.
+    * ``kernel(spec, rows)`` maps a ``(B, n)`` block of ascending magnitudes to
+      ``(B,)`` values, each row's bit for bit as alone (``evaluate`` is B = 1);
+      a degenerate row raises the ``DegenerateInput`` it raises alone.
     * ``validate`` raises ``InvalidParams`` for out-of-range parameters.
     * ``maximum(n)`` is the attainable maximum over length-``n`` vectors, or
       None without a finite scale-free maximum; the compliance engine skips
@@ -160,7 +162,7 @@ class MeasureDef:
       order-statistic measures.
     """
 
-    kernel: Callable[[MeasureSpec, np.ndarray], float]
+    kernel: Callable[[MeasureSpec, np.ndarray], np.ndarray]
     validate: Callable[[MeasureSpec], None] = lambda spec: None
     maximum: Callable[[int], float] | None = None
     strictly_positive: bool = False
@@ -173,12 +175,28 @@ def _require(spec: MeasureSpec, ok: bool, condition: str, got) -> None:
         raise InvalidParams(f"{spec.id.value} requires {condition}, got {got}")
 
 
-def _sum(terms: np.ndarray) -> float:
-    """``sum(terms)`` as ``-sum(-terms)`` from -0.0: numpy's pairwise grouping
-    is unchanged and negation commutes with rounding, so every bit, down to
-    a zero total's sign (+0.0 for a count, -0.0 for a ``-sum(...)``), is the
-    closed form's."""
-    return -float(np.sum(-terms, initial=-0.0))
+def _sum(terms: np.ndarray) -> np.ndarray:
+    """Row sums of ``terms`` as ``-sum(-terms)`` from -0.0: numpy's pairwise
+    grouping is unchanged and negation commutes with rounding, so every bit,
+    down to a zero total's sign (+0.0 for a count, -0.0 for a
+    ``-sum(...)``), is the closed form's."""
+    return -np.add.reduce(-terms, axis=1, initial=-0.0)
+
+
+def _nonzero_rows(rows: np.ndarray, fn, empty: str | None) -> np.ndarray:
+    """``fn`` on the nonzero magnitudes after each row's leading zeros, one call
+    per zero count; a row of zeros raises ``DegenerateInput(empty)`` if given."""
+    zeros = np.add.reduce(rows == 0.0, axis=1)
+    counts = set(zeros.tolist())
+    if empty is not None and rows.shape[1] in counts:
+        raise DegenerateInput(empty)
+    if len(counts) == 1:
+        return fn(rows[:, counts.pop() :])
+    out = np.empty(len(rows))
+    for z in counts:
+        pick = zeros == z
+        out[pick] = fn(rows[pick, z:])
+    return out
 
 
 def _zero_at_zero(term: Term) -> Term:
@@ -198,12 +216,11 @@ def _separable(term: Term, nonzero_only: bool = False, **fields) -> MeasureDef:
     and the vector without any is degenerate.
     """
 
-    def kernel(spec: MeasureSpec, s: np.ndarray) -> float:
-        if nonzero_only:
-            s = s[s > 0]
-            if s.size == 0:
-                raise DegenerateInput(f"{spec.id.value} is undefined for the all-zero vector")
-        return _sum(term(spec, s))
+    def kernel(spec: MeasureSpec, rows: np.ndarray) -> np.ndarray:
+        if not nonzero_only:
+            return _sum(term(spec, rows))
+        empty = f"{spec.id.value} is undefined for the all-zero vector"
+        return _nonzero_rows(rows, lambda nz: _sum(term(spec, nz)), empty)
 
     return MeasureDef(kernel, term=_zero_at_zero(term) if nonzero_only else term, **fields)
 
@@ -213,67 +230,85 @@ def _neg_tanh_term(spec: MeasureSpec, x: np.ndarray) -> np.ndarray:
         return -np.tanh((spec.a * x) ** spec.b)
 
 
+def _neg_tanh_cap(spec: MeasureSpec) -> float:
+    """4^(1/b) / a: beyond it (a*c)^b > 4, where tanh (> 0.9993) is flat."""
+    try:
+        return (4.0 ** (1.0 / spec.b)) / spec.a
+    except OverflowError:  # 4^(1/b) passes the float64 range: take it in log space
+        log_cap = math.log(4.0) / spec.b - math.log(spec.a)
+        return math.exp(log_cap) if log_cap < 700.0 else math.inf
+
+
 def _hs_prime_term(spec: MeasureSpec, nz: np.ndarray) -> np.ndarray:
     return -2.0 * (nz * np.log(nz))
 
 
-def _hs_prime(spec: MeasureSpec, s: np.ndarray) -> float:
+def _hs_prime(spec: MeasureSpec, rows: np.ndarray) -> np.ndarray:
     # an all-zero vector has entropy 0, and +0.0 turns a -0.0 total into 0
-    return _sum(_hs_prime_term(spec, s[s > 0])) + 0.0
+    return _nonzero_rows(rows, lambda nz: _sum(_hs_prime_term(spec, nz)) + 0.0, None)
 
 
-def _ratio(form: Callable[[np.ndarray, float, float], float]):
-    """Kernel for ``form(s, l1, sum of squares)``; the all-zero vector is degenerate."""
+def _ratio(form: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]):
+    """Kernel for ``form(rows, l1, sum of squares)``; the all-zero vector is
+    degenerate.  A form's scalar tail runs per row in Python floats, where a
+    zero divisor raises and an overflowed product is inf."""
 
-    def kernel(spec: MeasureSpec, s: np.ndarray) -> float:
-        l1 = float(np.sum(s))
-        if l1 == 0.0:
+    def kernel(spec: MeasureSpec, rows: np.ndarray) -> np.ndarray:
+        l1 = np.add.reduce(rows, axis=1)
+        if 0.0 in l1.tolist():
             raise DegenerateInput(f"{spec.id.value} is undefined for the all-zero vector")
-        return form(s, l1, float(np.sum(s * s)))
+        return form(rows, l1, np.add.reduce(rows * rows, axis=1))
 
     return kernel
 
 
-def _hoyer(s: np.ndarray, l1: float, sq: float) -> float:
-    n = s.size
+def _kappa4(rows: np.ndarray, l1: np.ndarray, sq: np.ndarray) -> np.ndarray:
+    s4 = np.add.reduce(rows**4, axis=1).tolist()
+    return np.array([a / (b * b) for a, b in zip(s4, sq.tolist())])
+
+
+def _hoyer(rows: np.ndarray, l1: np.ndarray, sq: np.ndarray) -> np.ndarray:
+    n = rows.shape[1]
     if n < 2:
         raise DegenerateInput("hoyer needs at least two coefficients")
     rn = math.sqrt(n)
-    return (rn - l1 / math.sqrt(sq)) / (rn - 1.0)
+    return np.array([(rn - a / math.sqrt(b)) / (rn - 1) for a, b in zip(l1.tolist(), sq.tolist())])
 
 
-def _hs(spec: MeasureSpec, s: np.ndarray) -> float:
+def _hs(spec: MeasureSpec, rows: np.ndarray) -> np.ndarray:
     """hs-prime of the normalized energies c^2 / ||c||_2^2."""
-    sq = s * s
-    total = float(np.sum(sq))
-    if total == 0.0:
-        if s[-1] == 0.0:
+    sq = rows * rows
+    total = np.add.reduce(sq, axis=1)
+    if 0.0 in total.tolist():
+        if rows[total.argmin(), -1] == 0.0:  # the first row whose squares sum to 0
             raise DegenerateInput("hs is undefined for the all-zero vector")
         raise DegenerateInput("hs exceeds the float64 range on this input (its squares sum to 0)")
-    return _hs_prime(spec, sq / total)
+    return _hs_prime(spec, sq / total[:, None])
 
 
-def _u_theta(spec: MeasureSpec, s: np.ndarray) -> float:
+def _u_theta(spec: MeasureSpec, rows: np.ndarray) -> np.ndarray:
     """One minus the narrowest sorted window holding ceil(theta*N) points,
     as a fraction of the total range."""
-    n = s.size
+    n = rows.shape[1]
     w = math.ceil(spec.theta * n)
     if w == n:
         raise DegenerateInput(f"u-theta requires ceil(theta*N) != N (theta={spec.theta}, N={n})")
-    rng = float(s[-1] - s[0])
-    if rng == 0.0:
+    rng = rows[:, -1] - rows[:, 0]
+    if 0.0 in rng.tolist():
         raise DegenerateInput("u-theta is undefined for constant vectors")
-    widths = s[w - 1 :] - s[: n - w + 1]
-    return 1.0 - float(widths.min()) / rng
+    widths = rows[:, w - 1 :] - rows[:, : n - w + 1]
+    return 1.0 - np.minimum.reduce(widths, axis=1) / rng
 
 
-def _gini(s: np.ndarray) -> float:
-    n = s.size
-    total = math.fsum(s)
-    if total == 0.0:
+def _gini(spec: MeasureSpec, rows: np.ndarray) -> np.ndarray:
+    n = rows.shape[1]
+    # a memoryview yields a row's Python floats one at a time: no list of N floats
+    totals = [math.fsum(memoryview(r)) for r in rows]
+    if 0.0 in totals:
         raise DegenerateInput("gini is undefined for the all-zero vector")
     weights = 2.0 * np.arange(1, n + 1) - (n + 1)
-    return math.fsum(s * weights) / (n * total)
+    sums = [math.fsum(memoryview(r)) for r in rows * weights]
+    return np.array([s / (n * t) for s, t in zip(sums, totals)])
 
 
 def gini(c: CoefficientVector) -> float:
@@ -297,7 +332,10 @@ MEASURES: dict[Measure, MeasureDef] = {
     ),
     Measure.NEG_L1: _separable(lambda spec, x: -x),
     Measure.NEG_LP: MeasureDef(
-        kernel=lambda spec, s: -float(np.sum(s**spec.p_frac) ** (1.0 / spec.p_frac)),
+        # the root is numpy's scalar power per row: its array power rounds differently
+        kernel=lambda spec, rows: np.array(
+            [-(x ** (1.0 / spec.p_frac)) for x in np.add.reduce(rows**spec.p_frac, axis=1)]
+        ),
         validate=lambda spec: _require(spec, 0 < spec.p_frac < 1, "0 < p < 1", spec.p_frac),
         term=lambda spec, x: -(x**spec.p_frac),  # the power term inside the norm
     ),
@@ -306,8 +344,7 @@ MEASURES: dict[Measure, MeasureDef] = {
         validate=lambda spec: _require(
             spec, spec.a > 0 and spec.b > 0, "a, b > 0", f"a={spec.a} b={spec.b}"
         ),
-        # tanh is numerically flat once (a*c)^b saturates; tanh(4) = 0.9993
-        value_cap=lambda spec: (4.0 ** (1.0 / spec.b)) / spec.a,
+        value_cap=_neg_tanh_cap,
     ),
     Measure.NEG_LOG: _separable(lambda spec, x: -np.log1p(x * x)),
     Measure.HG: _separable(
@@ -323,11 +360,9 @@ MEASURES: dict[Measure, MeasureDef] = {
         strictly_positive=True,  # c^p blows up near zero
     ),
     Measure.L2_OVER_L1: MeasureDef(
-        kernel=_ratio(lambda s, l1, sq: math.sqrt(sq) / l1), maximum=lambda n: 1.0
+        kernel=_ratio(lambda rows, l1, sq: np.sqrt(sq) / l1), maximum=lambda n: 1.0
     ),
-    Measure.KAPPA4: MeasureDef(
-        kernel=_ratio(lambda s, l1, sq: float(np.sum(s**4)) / (sq * sq)), maximum=lambda n: 1.0
-    ),
+    Measure.KAPPA4: MeasureDef(kernel=_ratio(_kappa4), maximum=lambda n: 1.0),
     Measure.U_THETA: MeasureDef(
         kernel=_u_theta,
         validate=lambda spec: _require(spec, 0 < spec.theta < 1, "0 < theta < 1", spec.theta),
@@ -335,7 +370,7 @@ MEASURES: dict[Measure, MeasureDef] = {
     ),
     Measure.HS: MeasureDef(kernel=_hs),
     Measure.HOYER: MeasureDef(kernel=_ratio(_hoyer), maximum=lambda n: 1.0),
-    Measure.GINI: MeasureDef(kernel=lambda spec, s: _gini(s), maximum=lambda n: 1.0 - 1.0 / n),
+    Measure.GINI: MeasureDef(kernel=_gini, maximum=lambda n: 1.0 - 1.0 / n),
 }
 
 
@@ -394,7 +429,7 @@ def evaluate(spec: MeasureSpec, c: CoefficientVector) -> float:
     s = _as_sorted(c)
     try:
         with np.errstate(over="raise", invalid="ignore"):
-            value = MEASURES[spec.id].kernel(spec, s)
+            value = float(MEASURES[spec.id].kernel(spec, s[None])[0])
     except ArithmeticError as exc:
         raise DegenerateInput(
             f"{spec.id.value} exceeds the float64 range on this input ({exc})"

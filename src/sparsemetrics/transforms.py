@@ -20,8 +20,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import partial
-from typing import Callable, Iterable, Iterator
+from itertools import chain
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -34,6 +34,7 @@ __all__ = [
     "CriterionDef",
     "CRITERIA",
     "CriterionTrial",
+    "TrialGroup",
     "TrialConfig",
     "robin_hood",
     "scale",
@@ -111,9 +112,21 @@ class CriterionTrial:
         return CRITERIA[self.criterion].relation
 
 
-def robin_hood(c: CoefficientVector, i: int, j: int, alpha: float) -> CriterionTrial:
-    """Move ``alpha`` from coefficient ``i`` to the smaller coefficient ``j``."""
-    v = c.values
+class TrialGroup(NamedTuple):
+    """Trials sharing a before vector, in plain float64: an after vector and its
+    params per trial; ``later`` lazily holds the draw's further groups (P1)."""
+
+    before: np.ndarray
+    afters: tuple[np.ndarray, ...]
+    params: tuple[dict, ...]
+    later: Iterable[TrialGroup] = ()
+
+    def trial(self, criterion: Criterion, k: int = 0) -> CriterionTrial:
+        before, after = CoefficientVector(self.before), CoefficientVector(self.afters[k])
+        return CriterionTrial(criterion, before, after, self.params[k])
+
+
+def _robin_hood(v: np.ndarray, i: int, j: int, alpha: float) -> TrialGroup:
     if not v[i] > v[j]:
         raise InvalidTransform(f"robin hood requires c[i] > c[j], got {v[i]} <= {v[j]}")
     if not 0 < alpha < (v[i] - v[j]) / 2:
@@ -123,69 +136,84 @@ def robin_hood(c: CoefficientVector, i: int, j: int, alpha: float) -> CriterionT
     out = v.copy()
     out[i] -= alpha
     out[j] += alpha
-    return CriterionTrial(
-        Criterion.D1, c, CoefficientVector(out), {"i": int(i), "j": int(j), "alpha": float(alpha)}
-    )
+    return TrialGroup(v, (out,), ({"i": int(i), "j": int(j), "alpha": float(alpha)},))
 
 
-def scale(c: CoefficientVector, alpha: float) -> CriterionTrial:
-    """Multiply every coefficient by ``alpha`` (positive, not the trivial 1)."""
+def _scale(v: np.ndarray, alpha: float) -> TrialGroup:
     if not alpha > 0:
         raise InvalidTransform(f"scaling requires alpha > 0, got {alpha}")
     if alpha == 1.0:
         raise InvalidTransform("scaling by exactly 1 is the trivial case")
-    return CriterionTrial(
-        Criterion.D2, c, CoefficientVector(alpha * c.values), {"alpha": float(alpha)}
-    )
+    return TrialGroup(v, (alpha * v,), ({"alpha": float(alpha)},))
+
+
+def _rising_tide(v: np.ndarray, alpha: float) -> TrialGroup:
+    if not alpha > 0:
+        raise InvalidTransform(f"rising tide requires alpha > 0, got {alpha}")
+    if v.max() == v.min():
+        raise InvalidTransform("rising tide excludes constant vectors")
+    return TrialGroup(v, (v + alpha,), ({"alpha": float(alpha)},))
+
+
+def _clone(v: np.ndarray, m: int) -> TrialGroup:
+    if not (isinstance(m, (int, np.integer)) and m >= 2):
+        raise InvalidTransform(f"cloning requires an integer m >= 2, got {m}")
+    return TrialGroup(v, (np.tile(v, int(m)),), ({"m": int(m)},))
+
+
+def _bill_gates(v: np.ndarray, i: int, beta: float, alphas) -> TrialGroup:
+    """Coefficient ``i`` grown by beta, against grown by beta + each alpha."""
+    if not beta > 0:
+        raise InvalidTransform(f"bill gates requires beta > 0, got {beta}")
+    bv = v.copy()
+    bv[i] += beta
+    afters, params = [], []
+    for alpha in alphas:
+        if not alpha > 0:
+            raise InvalidTransform(f"bill gates requires alpha > 0, got {alpha}")
+        av = bv.copy()
+        av[i] += alpha
+        afters.append(av)
+        params.append({"i": int(i), "beta": float(beta), "alpha": float(alpha)})
+    return TrialGroup(bv, tuple(afters), tuple(params))
+
+
+def _babies(v: np.ndarray, k: int) -> TrialGroup:
+    if not (isinstance(k, (int, np.integer)) and k >= 1):
+        raise InvalidTransform(f"babies requires an integer k >= 1, got {k}")
+    if not v.any():
+        raise InvalidTransform("babies requires nonzero total mass")
+    return TrialGroup(v, (np.concatenate([v, np.zeros(int(k))]),), ({"k": int(k)},))
+
+
+def robin_hood(c: CoefficientVector, i: int, j: int, alpha: float) -> CriterionTrial:
+    """Move ``alpha`` from coefficient ``i`` to the smaller coefficient ``j``."""
+    return _robin_hood(c.values, i, j, alpha).trial(Criterion.D1)
+
+
+def scale(c: CoefficientVector, alpha: float) -> CriterionTrial:
+    """Multiply every coefficient by ``alpha`` (positive, not the trivial 1)."""
+    return _scale(c.values, alpha).trial(Criterion.D2)
 
 
 def rising_tide(c: CoefficientVector, alpha: float) -> CriterionTrial:
     """Add ``alpha`` to every coefficient; constant vectors are excluded."""
-    if not alpha > 0:
-        raise InvalidTransform(f"rising tide requires alpha > 0, got {alpha}")
-    v = c.values
-    if v.max() == v.min():
-        raise InvalidTransform("rising tide excludes constant vectors")
-    return CriterionTrial(Criterion.D3, c, CoefficientVector(v + alpha), {"alpha": float(alpha)})
+    return _rising_tide(c.values, alpha).trial(Criterion.D3)
 
 
 def clone(c: CoefficientVector, m: int) -> CriterionTrial:
     """Concatenate ``m`` copies of the vector (total length m*N)."""
-    if not (isinstance(m, (int, np.integer)) and m >= 2):
-        raise InvalidTransform(f"cloning requires an integer m >= 2, got {m}")
-    return CriterionTrial(
-        Criterion.D4, c, CoefficientVector(np.tile(c.values, int(m))), {"m": int(m)}
-    )
+    return _clone(c.values, m).trial(Criterion.D4)
 
 
 def bill_gates(c: CoefficientVector, i: int, beta: float, alpha: float) -> CriterionTrial:
     """Compare coefficient ``i`` grown by beta against grown by beta + alpha."""
-    if not beta > 0:
-        raise InvalidTransform(f"bill gates requires beta > 0, got {beta}")
-    if not alpha > 0:
-        raise InvalidTransform(f"bill gates requires alpha > 0, got {alpha}")
-    bv = c.values.copy()
-    bv[i] += beta
-    av = bv.copy()
-    av[i] += alpha
-    return CriterionTrial(
-        Criterion.P1,
-        CoefficientVector(bv),
-        CoefficientVector(av),
-        {"i": int(i), "beta": float(beta), "alpha": float(alpha)},
-    )
+    return _bill_gates(c.values, i, beta, (alpha,)).trial(Criterion.P1)
 
 
 def babies(c: CoefficientVector, k: int = 1) -> CriterionTrial:
     """Append ``k`` zero coefficients; requires nonzero total mass."""
-    if not (isinstance(k, (int, np.integer)) and k >= 1):
-        raise InvalidTransform(f"babies requires an integer k >= 1, got {k}")
-    v = c.values
-    if not v.any():
-        raise InvalidTransform("babies requires nonzero total mass")
-    return CriterionTrial(
-        Criterion.P2, c, CoefficientVector(np.concatenate([v, np.zeros(int(k))])), {"k": int(k)}
-    )
+    return _babies(c.values, k).trial(Criterion.P2)
 
 
 def reapply(trial: CriterionTrial) -> CoefficientVector:
@@ -223,8 +251,8 @@ def stream(key) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(key)))
 
 
-def draw_vector(config: TrialConfig, rng: np.random.Generator) -> CoefficientVector:
-    """Draw one coefficient vector on the dyadic grid."""
+def draw_vector(config: TrialConfig, rng: np.random.Generator) -> np.ndarray:
+    """Draw one vector of magnitudes on the dyadic grid, as plain float64."""
     n = int(rng.integers(N_MIN, N_MAX + 1))
     top = VALUE_MAX if config.value_cap is None else min(VALUE_MAX, config.value_cap)
     hi = int(round(top * _TICKS_PER_UNIT))
@@ -234,7 +262,7 @@ def draw_vector(config: TrialConfig, rng: np.random.Generator) -> CoefficientVec
     else:
         ticks = rng.integers(0, hi + 1, size=n)
         ticks[rng.random(n) < ZERO_PROB] = 0
-    return CoefficientVector(ticks.astype(np.float64) * TICK)
+    return ticks.astype(np.float64) * TICK
 
 
 def _min_gap_ticks(values: np.ndarray) -> int:
@@ -242,9 +270,8 @@ def _min_gap_ticks(values: np.ndarray) -> int:
     return max(3, int(math.ceil(MIN_GAP_FRAC * max_ticks)))
 
 
-def _draw_robin_hood(config: TrialConfig, rng: np.random.Generator) -> CriterionTrial | None:
-    c = draw_vector(config, rng)
-    v = c.values
+def _draw_robin_hood(config: TrialConfig, rng: np.random.Generator) -> TrialGroup | None:
+    v = draw_vector(config, rng)
     gap = _min_gap_ticks(v) * TICK if v.max() > 0 else None
     if gap is None:
         return None
@@ -260,26 +287,25 @@ def _draw_robin_hood(config: TrialConfig, rng: np.random.Generator) -> Criterion
         return None
     alpha_ticks = int(round(rng.uniform(0.2, 0.8) * gap_ticks / 2))
     alpha_ticks = min(max(alpha_ticks, 1), hi_alpha)
-    return robin_hood(c, i, j, alpha_ticks * TICK)
+    return _robin_hood(v, i, j, alpha_ticks * TICK)
 
 
-def _draw_rising_tide(config: TrialConfig, rng: np.random.Generator) -> CriterionTrial | None:
-    c = draw_vector(config, rng)
-    v = c.values
+def _draw_rising_tide(config: TrialConfig, rng: np.random.Generator) -> TrialGroup | None:
+    v = draw_vector(config, rng)
     if v.max() == 0 or (v.max() - v.min()) < _min_gap_ticks(v) * TICK:
         return None
     alpha_ticks = max(
         1, int(round((rng.uniform(0.05, 0.5) * float(v.max()) + 0.01) * _TICKS_PER_UNIT))
     )
-    return rising_tide(c, alpha_ticks * TICK)
+    return _rising_tide(v, alpha_ticks * TICK)
 
 
-def _draw_scale(config: TrialConfig, rng: np.random.Generator) -> CriterionTrial:
-    c = draw_vector(config, rng)
+def _draw_scale(config: TrialConfig, rng: np.random.Generator) -> TrialGroup:
+    v = draw_vector(config, rng)
     while True:
         alpha = math.exp(rng.uniform(math.log(0.1), math.log(10.0)))
         if abs(alpha - 1.0) > 0.01:
-            return scale(c, alpha)
+            return _scale(v, alpha)
 
 
 def _retry(draw, what: str):
@@ -291,41 +317,30 @@ def _retry(draw, what: str):
     raise GenerationFailure(f"could not draw an eligible {what} in {MAX_RETRIES} attempts")
 
 
-def _draw_p1_vector(
-    config: TrialConfig, rng: np.random.Generator
-) -> tuple[CoefficientVector, int, int, int]:
-    """Vector, target index, policy beta and l1 mass (both in ticks) for a
-    P1 probe, redrawing all-zero vectors.
-
-    The policy beta is 10 * (l1 + max - c_i), large enough that the grown
-    coefficient dominates the rest of the vector.
-    """
-
-    def attempt():
-        c = draw_vector(config, rng)
-        ticks = np.round(c.values * _TICKS_PER_UNIT).astype(np.int64)
-        l1_ticks = int(ticks.sum())
-        if l1_ticks == 0:
-            return None
-        i = int(rng.integers(ticks.size))
-        return c, i, 10 * (l1_ticks + int(ticks.max()) - int(ticks[i])), l1_ticks
-
-    return _retry(attempt, "P1 vector")
+def _draw_bill_gates(config: TrialConfig, rng: np.random.Generator) -> TrialGroup | None:
+    """The policy beta's group, then the ``P1_BETA_SWEEP`` groups, each with the
+    ``P1_ALPHA_MULTIPLIERS`` alphas; None for an all-zero vector.  The policy beta,
+    10 * (l1 + max - c_i), makes the grown coefficient dominate the vector."""
+    v = draw_vector(config, rng)
+    ticks = np.round(v * _TICKS_PER_UNIT).astype(np.int64)
+    l1 = int(ticks.sum())
+    if l1 == 0:
+        return None
+    i = int(rng.integers(ticks.size))
+    alphas = [max(1, int(round(m * l1))) * TICK for m in P1_ALPHA_MULTIPLIERS]
+    betas = [10 * (l1 + int(ticks.max()) - int(ticks[i]))]
+    betas += [max(1, int(round(m * l1))) for m in P1_BETA_SWEEP]
+    groups = (_bill_gates(v, i, beta_ticks * TICK, alphas) for beta_ticks in betas)
+    return next(groups)._replace(later=groups)
 
 
-def _draw_bill_gates(config: TrialConfig, rng: np.random.Generator) -> CriterionTrial:
-    c, i, beta_ticks, l1_ticks = _draw_p1_vector(config, rng)
-    alpha_ticks = max(1, int(round(float(rng.choice(P1_ALPHA_MULTIPLIERS)) * l1_ticks)))
-    return bill_gates(c, i, beta_ticks * TICK, alpha_ticks * TICK)
+def _draw_clone(config: TrialConfig, rng: np.random.Generator) -> TrialGroup:
+    return _clone(draw_vector(config, rng), int(rng.integers(2, 5)))
 
 
-def _draw_clone(config: TrialConfig, rng: np.random.Generator) -> CriterionTrial:
-    return clone(draw_vector(config, rng), int(rng.integers(2, 5)))
-
-
-def _draw_babies(config: TrialConfig, rng: np.random.Generator) -> CriterionTrial | None:
-    c = draw_vector(config, rng)
-    return babies(c, int(rng.integers(1, 4))) if c.values.any() else None
+def _draw_babies(config: TrialConfig, rng: np.random.Generator) -> TrialGroup | None:
+    v = draw_vector(config, rng)
+    return _babies(v, int(rng.integers(1, 4))) if v.any() else None
 
 
 @dataclass(frozen=True)
@@ -333,13 +348,13 @@ class CriterionDef:
     """Everything specific to one criterion.
 
     ``transform(before, **params)`` builds the trial that ``params`` record;
-    ``draw(config, rng)`` draws one random trial, or None when the drawn
-    vector is ineligible and must be redrawn.
+    ``draw(config, rng)`` draws one random ``TrialGroup``, or None when the
+    drawn vector is ineligible and must be redrawn.
     """
 
     relation: Relation
     transform: Callable[..., CriterionTrial]
-    draw: Callable[[TrialConfig, np.random.Generator], CriterionTrial | None]
+    draw: Callable[[TrialConfig, np.random.Generator], TrialGroup | None]
 
 
 CRITERIA: dict[Criterion, CriterionDef] = {
@@ -354,16 +369,15 @@ CRITERIA: dict[Criterion, CriterionDef] = {
 
 def draw_trial(
     criterion: Criterion, config: TrialConfig, rng: np.random.Generator
-) -> CriterionTrial:
-    """Draw one valid trial for ``criterion``, redrawing ineligible vectors."""
+) -> TrialGroup:
+    """Draw one valid group of trials for ``criterion``, redrawing ineligible vectors."""
     return _retry(lambda: CRITERIA[criterion].draw(config, rng), f"{criterion} trial")
 
 
 def probes(
     criterion: Criterion, config: TrialConfig, rng: np.random.Generator
-) -> Iterator[Iterable[CriterionTrial]]:
-    """The trials one seeded draw tests, lazily, in groups that share a
-    before vector.
+) -> Iterator[TrialGroup]:
+    """The groups of trials one seeded draw tests, the later ones lazily.
 
     The criterion holds on the draw when every trial of some group holds.
     Every criterion but P1 yields one group of one trial.  P1 ("for some
@@ -371,18 +385,15 @@ def probes(
     first and then ``P1_BETA_SWEEP``, each with the ``P1_ALPHA_MULTIPLIERS``
     alphas.
     """
-    if criterion is not Criterion.P1:
-        yield (draw_trial(criterion, config, rng),)
-        return
-    c, i, beta_policy, l1_ticks = _draw_p1_vector(config, rng)
-    alphas = [max(1, int(round(m * l1_ticks))) * TICK for m in P1_ALPHA_MULTIPLIERS]
-    betas = [beta_policy] + [max(1, int(round(m * l1_ticks))) for m in P1_BETA_SWEEP]
-    for beta_ticks in betas:
-        yield map(partial(bill_gates, c, i, beta_ticks * TICK), alphas)
+    group = draw_trial(criterion, config, rng)
+    return chain((group,), group.later)
 
 
 def sample_trial(
     criterion: Criterion, config: TrialConfig | None = None, seed: int = 0
 ) -> CriterionTrial:
-    """Seeded convenience wrapper around :func:`draw_trial`."""
-    return draw_trial(criterion, config or TrialConfig(), stream(seed))
+    """One seeded trial of :func:`draw_trial`'s group (for P1, a random alpha)."""
+    rng = stream(seed)
+    group = draw_trial(criterion, config or TrialConfig(), rng)
+    k = int(rng.choice(len(group.afters))) if len(group.afters) > 1 else 0
+    return group.trial(criterion, k)

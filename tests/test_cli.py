@@ -19,7 +19,13 @@ from sparsemetrics import (
     relation_holds,
 )
 from sparsemetrics import cli
-from sparsemetrics.cli import parse_and_dispatch, read_vector
+from sparsemetrics.cli import (
+    MAX_GRID_POINTS,
+    InputError,
+    _parse_grid,
+    parse_and_dispatch,
+    read_vector,
+)
 from sparsemetrics.errors import SparsemetricsError
 
 
@@ -274,6 +280,19 @@ class TestCheckCommand:
         out = capsys.readouterr().out
         assert "violated" in out
 
+    @pytest.mark.parametrize("b", ["1e-9", "1e-300"])
+    def test_neg_tanh_tiny_b(self, capsys, b):
+        # 4^(1/b) leaves the float64 range: the trial cap saturates instead
+        code = run_cli(
+            "check", "--measure", "neg-tanh", "--criterion", "D1", "--b", b, "--trials", "5"
+        )
+        assert code in (0, 1)
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        header, row = captured.out.splitlines()
+        assert header == "measure,criterion,verdict,trials,skipped"
+        assert row.split(",")[2] in ("violated", "no-violation-found")
+
 
 @pytest.fixture(scope="module")
 def table_run(tmp_path_factory):
@@ -410,16 +429,23 @@ class TestBadArguments:
             ("experiment", "--name", "bernoulli-sweep", "--grid", "0:inf:1"),
             ("experiment", "--name", "bernoulli-sweep", "--grid", "0:nan:1"),
             ("experiment", "--name", "contribution-curves", "--amplitudes", "0:1e300:1e-300"),
+            ("experiment", "--name", "contribution-curves", "--amplitudes", "0:1e9:1e-9"),
+            ("experiment", "--name", "bernoulli-sweep", "--grid", "0:1:1e-6"),
         ],
         ids=["check-trials-0", "table-trials-0", "sizes", "grid-range", "grid-list",
              "lambda-800", "check-seed", "experiment-seed", "grid-inf", "grid-nan",
-             "grid-count-overflow"],
+             "grid-count-overflow", "grid-too-many-points", "grid-one-past-the-limit"],
     )
     def test_exit_2(self, capsys, argv):
         assert run_cli(*argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ")
+
+    def test_grid_point_limit(self):
+        assert len(_parse_grid(f"0:{MAX_GRID_POINTS - 1}:1")) == MAX_GRID_POINTS
+        with pytest.raises(InputError, match="more than 1000000 points"):
+            _parse_grid(f"0:{MAX_GRID_POINTS}:1")
 
     @pytest.mark.parametrize(
         "argv, token",

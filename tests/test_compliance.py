@@ -7,13 +7,15 @@ import pytest
 
 from sparsemetrics import (
     CATALOG_PAIRS,
+    CRITERION_ORDER,
     DISPUTED_CELLS,
     EXPECTED_TRUE,
     KNOWN_DEAD_MAPPINGS,
+    MEASURE_ORDER,
+    MEASURES,
     TABLE4_WITNESSES,
     CoefficientVector,
     Criterion,
-    CriterionTrial,
     Measure,
     MeasureSpec,
     catalog_verdict,
@@ -27,8 +29,8 @@ from sparsemetrics import (
 )
 from sparsemetrics import compliance
 from sparsemetrics.compliance import _group_outcome
-from sparsemetrics.errors import CatalogMiss, InvalidParams
-from sparsemetrics.transforms import TICK
+from sparsemetrics.errors import CatalogMiss, DegenerateInput, GenerationFailure, InvalidParams
+from sparsemetrics.transforms import TICK, TrialConfig, TrialGroup, probes, stream
 
 
 class TestRelationHolds:
@@ -220,39 +222,44 @@ class TestSearchPinned:
             check_cell(MeasureSpec(M.GINI), C.D1, trials=10, seed=-1)
 
 
-def _pair(criterion, before, after):
-    return CriterionTrial(criterion, CoefficientVector(before), CoefficientVector(after))
+def _group(before, *afters):
+    """One group of trials: ``before`` against each of ``afters``."""
+    return TrialGroup(
+        np.array(before, dtype=float),
+        tuple(np.array(a, dtype=float) for a in afters),
+        tuple({"k": k} for k in range(len(afters))),
+    )
 
 
 # gini under scaling (D2): [1, 2] -> [2, 4] holds, -> [1, 3] fails, and the
 # all-zero after vector is degenerate
-HOLDS = _pair(C.D2, [1, 2], [2, 4])
-FAILS = _pair(C.D2, [1, 2], [1, 3])
-DEGENERATE = _pair(C.D2, [1, 2], [0, 0])
+HOLDS = _group([1, 2], [2, 4])
+FAILS = _group([1, 2], [1, 3])
+DEGENERATE = _group([1, 2], [0, 0])
 
 
 class TestGroupRule:
     GINI = MeasureSpec(M.GINI)
 
     def test_group_outcome(self):
-        assert _group_outcome(self.GINI, C.D2, [HOLDS, HOLDS]) is None
-        trial, vb, va = _group_outcome(self.GINI, C.D2, [HOLDS, FAILS, FAILS])
-        assert trial is FAILS and (vb, va) == (1 / 6, 0.25)
+        assert _group_outcome(self.GINI, C.D2, _group([1, 2], [2, 4], [2, 4])) is None
+        k, vb, va = _group_outcome(self.GINI, C.D2, _group([1, 2], [2, 4], [1, 3], [1, 3]))
+        assert k == 1 and (vb, va) == (1 / 6, 0.25)
         # a degenerate value anywhere in the group skips it, even after a failure
-        assert _group_outcome(self.GINI, C.D2, [FAILS, DEGENERATE]) == "skip"
+        assert _group_outcome(self.GINI, C.D2, _group([1, 2], [1, 3], [0, 0])) == "skip"
 
     def test_saturated_start_skips_only_increase_criteria(self):
         hoyer = MeasureSpec(M.HOYER)  # one-hot: hoyer is at its maximum, 1
-        assert _group_outcome(hoyer, C.P2, [_pair(C.P2, [0, 1], [0, 1, 0])]) == "skip"
-        assert _group_outcome(hoyer, C.D2, [_pair(C.D2, [0, 1], [0, 2])]) is None
+        assert _group_outcome(hoyer, C.P2, _group([0, 1], [0, 1, 0])) == "skip"
+        assert _group_outcome(hoyer, C.D2, _group([0, 1], [0, 2])) is None
 
     @pytest.mark.parametrize(
         "groups, violated, skipped",
         [
-            ([[FAILS]], True, 0),
-            ([[FAILS], [FAILS], [HOLDS]], False, 0),  # some later group holds
-            ([[FAILS], [DEGENERATE]], True, 0),  # a later skip counts as failing
-            ([[DEGENERATE], [HOLDS]], False, 2),  # the first group decides a skip
+            ([FAILS], True, 0),
+            ([FAILS, FAILS, HOLDS], False, 0),  # some later group holds
+            ([FAILS, DEGENERATE], True, 0),  # a later skip counts as failing
+            ([DEGENERATE, HOLDS], False, 2),  # the first group decides a skip
         ],
     )
     def test_draw_verdict(self, monkeypatch, groups, violated, skipped):
@@ -260,7 +267,146 @@ class TestGroupRule:
         v = check_cell(self.GINI, C.D2, trials=2, seed=0)
         assert (v.violated, v.skipped) == (violated, skipped)
         if violated:
-            assert v.trials == 1 and v.witness is FAILS
+            assert v.trials == 1 and v.witness == FAILS.trial(C.D2)
+
+
+# check_cell(trials=1000, seed=0) witnesses found by search: (measure,
+# criterion, trial); the table's five search witnesses come first
+SEARCH_WITNESSES = [
+    (M.L0_EPS, C.D1, 1),
+    (M.L0_EPS, C.D3, 56),
+    (M.U_THETA, C.D3, 1),
+    (M.HG, C.D4, 1),
+    (M.HS_PRIME, C.D4, 1),
+    (M.L0, C.D1, 2),
+    (M.NEG_LOG, C.D1, 12),
+    (M.KAPPA4, C.D1, 2),
+    (M.U_THETA, C.P2, 3),
+    (M.HS_PRIME, C.D3, 519),
+]
+# two of them after trial 1, one in the first block and one in a later one
+LATE_WITNESSES = [(M.L0_EPS, C.D3, 56), (M.HS_PRIME, C.D3, 519)]
+
+
+def _found(v):
+    w = v.witness
+    return (v.violated, v.trials, v.skipped, w.before, w.after, w.params,
+            v.value_before.hex(), v.value_after.hex())
+
+
+def _sequential_skips(spec, criterion, trials, seed=0):
+    """Skip flags of a strict-increase criterion's first ``trials`` draws, one
+    draw at a time through ``evaluate``: a degenerate value in the first
+    group, or a start within the saturation margin of the maximum."""
+    assert criterion in (C.P1, C.P2)
+    d = MEASURES[spec.id]
+    config = TrialConfig(d.strictly_positive, d.value_cap(spec) if d.value_cap else None)
+    key = (seed, MEASURE_ORDER.index(spec.id), CRITERION_ORDER.index(criterion))
+    flags = []
+    for t in range(trials):
+        group = next(probes(criterion, config, stream((*key, t))))
+        trials_ = [group.trial(criterion, k) for k in range(len(group.afters))]
+        try:
+            vb = evaluate(spec, trials_[0].before)
+            n = len(trials_[0].after)
+            if d.maximum is not None and d.maximum(n) - vb <= compliance.SATURATION_MARGIN:
+                flags.append(True)
+                continue
+            for trial in trials_:
+                evaluate(spec, trial.after)
+            flags.append(False)
+        except DegenerateInput:
+            flags.append(True)
+    return flags
+
+
+@pytest.fixture
+def draws_fail_from(monkeypatch):
+    """``install(k)``: every draw from trial index k on raises GenerationFailure."""
+
+    def install(k):
+        real, calls = compliance.probes, iter(range(10**9))
+
+        def probes(*args):
+            if next(calls) >= k:
+                raise GenerationFailure(f"draw {k} fails")
+            return real(*args)
+
+        monkeypatch.setattr(compliance, "probes", probes)
+
+    return install
+
+
+class TestBlockBoundaries:
+    """Drawing and evaluating trials in blocks of ``BLOCK_TRIALS`` never
+    changes a verdict, a witness or a skip count."""
+
+    B = compliance.BLOCK_TRIALS
+
+    @pytest.mark.parametrize("measure, criterion, t", SEARCH_WITNESSES)
+    def test_no_violation_before_the_witness(self, measure, criterion, t):
+        spec = MeasureSpec(measure)
+        found = check_cell(spec, criterion, trials=1000, seed=0)
+        assert (found.violated, found.trials) == (True, t)
+        if t > 1:
+            v = check_cell(spec, criterion, trials=t - 1, seed=0)
+            assert (v.violated, v.trials, v.skipped) == (False, t - 1, found.skipped)
+
+    @pytest.mark.parametrize("measure, criterion, t", SEARCH_WITNESSES)
+    def test_same_witness_for_more_trials(self, measure, criterion, t):
+        spec = MeasureSpec(measure)
+        found = _found(check_cell(spec, criterion, trials=1000, seed=0))
+        counts = {t, t + 1, self.B - 1, self.B, self.B + 1, 2 * self.B + 1, 9 * self.B}
+        for trials in sorted(n for n in counts if n >= t):
+            assert _found(check_cell(spec, criterion, trials=trials, seed=0)) == found, trials
+
+    @pytest.mark.parametrize("block", [1, 2, 7, 55, 56])
+    def test_block_size_does_not_matter(self, monkeypatch, block):
+        expected = {
+            (m, c): _found(check_cell(MeasureSpec(m), c, trials=600, seed=0))
+            for m, c, _ in SEARCH_WITNESSES
+        }
+        monkeypatch.setattr(compliance, "BLOCK_TRIALS", block)
+        for (m, c), found in expected.items():
+            assert _found(check_cell(MeasureSpec(m), c, trials=600, seed=0)) == found, (m, c)
+
+    def test_a_degenerate_row_leaves_its_block_exact(self, monkeypatch):
+        # the first draw's all-zero after vector sends its block (both draws'
+        # rows have length 2) back to evaluate row by row: the first draw
+        # skips, the second still fails
+        draws = iter([DEGENERATE, FAILS])
+        monkeypatch.setattr(compliance, "probes", lambda *args: iter([next(draws)]))
+        v = check_cell(MeasureSpec(M.GINI), C.D2, trials=2, seed=0)
+        assert (v.violated, v.trials, v.skipped) == (True, 2, 1)
+        assert v.witness == FAILS.trial(C.D2)
+
+    def test_u_theta_p1_skips_match_sequential(self, monkeypatch):
+        spec = MeasureSpec(M.U_THETA)
+        flags = _sequential_skips(spec, C.P1, 1000)
+        assert sum(flags) == 26  # TestSearchPinned's count
+        for trials in (self.B - 1, self.B, self.B + 1, 5 * self.B, 5 * self.B + 1, 1000):
+            v = check_cell(spec, C.P1, trials=trials, seed=0)
+            assert (v.violated, v.skipped) == (False, sum(flags[:trials])), trials
+        monkeypatch.setattr(compliance, "BLOCK_TRIALS", 7)
+        assert check_cell(spec, C.P1, trials=1000, seed=0).skipped == 26
+
+    @pytest.mark.parametrize("measure, criterion, t", LATE_WITNESSES)
+    def test_failure_after_the_witness_does_not_surface(
+        self, draws_fail_from, measure, criterion, t
+    ):
+        spec = MeasureSpec(measure)
+        found = _found(check_cell(spec, criterion, trials=1000, seed=0))
+        draws_fail_from(t)  # the draw right after the witness, in its block
+        assert _found(check_cell(spec, criterion, trials=1000, seed=0)) == found
+
+    @pytest.mark.parametrize("measure, criterion, t", LATE_WITNESSES)
+    @pytest.mark.parametrize("before", [1, 10])
+    def test_failure_up_to_the_witness_surfaces(
+        self, draws_fail_from, measure, criterion, t, before
+    ):
+        draws_fail_from(t - before)  # the witness's own draw, or an earlier one
+        with pytest.raises(GenerationFailure, match="fails"):
+            check_cell(MeasureSpec(measure), criterion, trials=1000, seed=0)
 
 
 @pytest.fixture(scope="module")

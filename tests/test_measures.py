@@ -368,3 +368,102 @@ class TestRegistry:
         assert sign(Measure.HG, [0.5, 2.0]) == -1.0  # log 0.5 + log 2 == 0
         assert sign(Measure.HS_PRIME, [1.0, 1.0]) == 1.0
 
+
+
+def _alone(spec, row):
+    """``evaluate`` on one row: the value's hex, or the error message."""
+    try:
+        return evaluate(spec, CoefficientVector(row)).hex()
+    except DegenerateInput as exc:
+        return str(exc)
+
+
+# zeros, ties (the small integers) and magnitudes from 1e-200 to 1e300
+MAGNITUDES = st.one_of(
+    st.just(0.0),
+    st.sampled_from([0.5, 1.0, 2.0, 3.0]),
+    st.builds(lambda m, e: m * 10.0**e, st.floats(1.0, 9.99), st.integers(-200, 299)),
+)
+
+
+@st.composite
+def blocks(draw):
+    """A (B, n) block of ascending rows: n from 1, some rows all zero."""
+    n = draw(st.integers(1, 40))
+    row = st.one_of(
+        st.lists(MAGNITUDES, min_size=n, max_size=n), st.just([0.0] * n)
+    )
+    return np.sort(np.array(draw(st.lists(row, min_size=1, max_size=6))), axis=1)
+
+
+BLOCK_PARAMS = [
+    {},
+    dict(a=2.0, b=0.5, epsilon=0.5, theta=0.3, p_frac=0.3, p_neg=-2.0),
+    dict(a=0.5, b=3.0, epsilon=3.0, theta=0.9, p_frac=0.9, p_neg=-0.5),
+]
+
+
+class TestBlockKernels:
+    """A kernel's row r is ``evaluate`` on row r alone, bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(block=blocks(), params=st.sampled_from(BLOCK_PARAMS))
+    def test_rows_equal_evaluate(self, block, params):
+        for m in MEASURE_ORDER:
+            spec = MeasureSpec(m, **params)
+            alone = [_alone(spec, row) for row in block]
+            out_of_range = [a for a in alone if a.startswith(f"{m.value} exceeds the float64")]
+            try:
+                with np.errstate(over="raise", invalid="ignore"):
+                    values = MEASURES[m].kernel(spec, block)
+            except DegenerateInput as exc:
+                # the message a degenerate row raises alone
+                assert str(exc) in alone, (m, str(exc), alone)
+                continue
+            except ArithmeticError:
+                assert out_of_range, (m, alone)
+                continue
+            assert values.shape == (len(block),)
+            for value, a in zip(values.tolist(), alone):
+                if math.isfinite(value):
+                    assert value.hex() == a, (m, value.hex(), a)
+                else:
+                    assert a in out_of_range, (m, value, a)
+
+    @pytest.mark.parametrize("m", MEASURE_ORDER)
+    def test_degenerate_row_in_a_block(self, m):
+        # a degenerate row among good ones raises the message it raises alone
+        spec = MeasureSpec(m)
+        good = np.array([0.5, 1.0, 2.0, 3.0])
+        for bad in (np.zeros(4), np.full(4, 2.0), np.array([1e-200, 2e-200, 3e-200, 4e-200])):
+            message = _alone(spec, bad)
+            if message.startswith("0x") or message.startswith("-0x"):
+                continue
+            block = np.array([good, bad, good])
+            try:
+                with np.errstate(over="raise", invalid="ignore"):
+                    MEASURES[m].kernel(spec, block)
+            except DegenerateInput as exc:
+                assert str(exc) == message
+            except ArithmeticError:  # evaluate words these as out of range
+                assert message.startswith(f"{m.value} exceeds the float64 range")
+            else:
+                pytest.fail(f"{m.value} on {bad.tolist()} raised nothing in a block")
+
+
+class TestNegTanhCap:
+    """The trial amplitude cap of neg-tanh, 4^(1/b) / a."""
+
+    def test_unchanged_in_range(self):
+        cap = MEASURES[Measure.NEG_TANH].value_cap
+        for a, b in [(1.0, 1.0), (1.0, 0.5), (2.0, 0.5), (0.3, 3.0), (1e-3, 0.01), (5.0, 0.002)]:
+            assert cap(MeasureSpec(Measure.NEG_TANH, a=a, b=b)) == (4.0 ** (1.0 / b)) / a
+
+    @pytest.mark.parametrize("b", [1e-3, 1e-9, 1e-300, 5e-324])
+    def test_saturates_past_the_float_range(self, b):
+        cap = MEASURES[Measure.NEG_TANH].value_cap
+        assert cap(MeasureSpec(Measure.NEG_TANH, b=b)) == math.inf
+        # log space: a huge a can bring the cap back into range
+        assert cap(MeasureSpec(Measure.NEG_TANH, a=1e300, b=0.0014)) == pytest.approx(
+            math.exp(math.log(4.0) / 0.0014 - math.log(1e300)), rel=1e-12
+        )

@@ -190,14 +190,14 @@ class TestSampler:
         rng = np.random.default_rng(0)
         for _ in range(200):
             t = draw_trial(Criterion.D1, config, rng)
-            assert np.all(t.before.values >= POSITIVE_FLOOR)
+            assert np.all(t.before >= POSITIVE_FLOOR)
 
     def test_value_cap_mode(self):
         config = TrialConfig(value_cap=4.0)
         rng = np.random.default_rng(0)
         for _ in range(200):
             t = draw_trial(Criterion.D3, config, rng)
-            assert np.all(t.before.values <= 4.0)
+            assert np.all(t.before <= 4.0)
 
     @pytest.mark.parametrize("criterion", list(Criterion))
     def test_preconditions_hold_on_10k_draws(self, criterion):
@@ -208,26 +208,29 @@ class TestSampler:
         for _ in range(10_000):
             t = draw_trial(criterion, config, rng)
             if criterion is Criterion.D1:
-                p = t.params
-                gap = t.before.values[p["i"]] - t.before.values[p["j"]]
+                p = t.params[0]
+                gap = t.before[p["i"]] - t.before[p["j"]]
                 assert 0 < p["alpha"] < gap / 2
             elif criterion is Criterion.P2:
-                assert t.before.values.any()
+                assert t.before.any()
 
 
 class TestProbes:
     @pytest.mark.parametrize("criterion", [c for c in Criterion if c is not Criterion.P1])
     def test_one_group_of_the_drawn_trial(self, criterion):
         for seed in range(20):
-            groups = [list(g) for g in probes(criterion, TrialConfig(), stream(seed))]
-            t = draw_trial(criterion, TrialConfig(), stream(seed))
-            assert len(groups) == 1 and len(groups[0]) == 1
-            (g,) = groups[0]
+            groups = list(probes(criterion, TrialConfig(), stream(seed)))
+            t = sample_trial(criterion, seed=seed)
+            assert len(groups) == 1 and len(groups[0].afters) == 1
+            g = groups[0].trial(criterion)
             assert (g.before, g.after, g.params) == (t.before, t.after, t.params)
 
     def test_bill_gates_groups_share_before_and_sweep_beta(self):
         for seed in range(20):
-            groups = [list(g) for g in probes(Criterion.P1, TrialConfig(), stream(seed))]
+            groups = [
+                [g.trial(Criterion.P1, k) for k in range(len(g.afters))]
+                for g in probes(Criterion.P1, TrialConfig(), stream(seed))
+            ]
             assert len(groups) == 1 + len(P1_BETA_SWEEP)
             for k, group in enumerate(groups):
                 assert len(group) == len(P1_ALPHA_MULTIPLIERS)
