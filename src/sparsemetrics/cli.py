@@ -42,6 +42,8 @@ from .measures import (
 from .transforms import Criterion
 from .experiments import (
     DEFAULT_BERNOULLI_GRID,
+    DEFAULT_BERNOULLI_REPEATS,
+    DEFAULT_POISSON_REPEATS,
     DEFAULT_SIZES,
     DistributionSpec,
     bernoulli_sweep,
@@ -52,8 +54,11 @@ from .experiments import (
 )
 
 SEED_ENV_VAR = "SPARSEMETRICS_SEED"
-#: Most points a start:stop:step grid range may have.
+#: Most points a start:stop:step grid range may have, and most draws a study
+#: may make (--repeats times its sweep points).
 MAX_GRID_POINTS = 10**6
+#: Longest vector a study may draw (--sample-n, each --sizes entry, --n).
+MAX_VECTOR_LENGTH = 10**7
 
 
 class InputError(SparsemetricsError):
@@ -353,6 +358,17 @@ def _parse_grid(text: str) -> list[float]:
     return [_number(p) for p in text.split(",") if p.strip()]
 
 
+def _check_study_size(option: str, lengths, points: int, repeats: int) -> None:
+    """Reject a study too large to allocate, before anything is allocated."""
+    for n in lengths:
+        if n > MAX_VECTOR_LENGTH:
+            raise InputError(f"{option} must be {MAX_VECTOR_LENGTH} or less, got {n}")
+    if repeats * points > MAX_GRID_POINTS:
+        raise InputError(
+            f"--repeats times sweep points ({repeats} x {points}) is more than {MAX_GRID_POINTS}"
+        )
+
+
 def _cmd_experiment(args) -> Report:
     if args.name == "contribution-curves":
         xs = _parse_grid(args.amplitudes) if args.amplitudes else [k * 0.01 for k in range(501)]
@@ -363,6 +379,7 @@ def _cmd_experiment(args) -> Report:
             lambda: _cells_csv(rows, ("measure", "x", "term")),
         )
     if args.name == "distributional-gini":
+        _check_study_size("--sample-n", [args.sample_n], 1, 1)
         dist = DistributionSpec(args.dist, lo=args.lo, hi=args.hi, rate=args.rate)
         quad_value = distributional_gini(dist, tol=args.tol)
         sample_value = sample_gini(dist, args.sample_n, seed=args.seed)
@@ -380,23 +397,17 @@ def _cmd_experiment(args) -> Report:
         ]
         return Report({}, lambda: gini, lambda: _csv(rows, ("field", "value", "")))
 
-    repeats = {} if args.repeats is None else {"repeats": args.repeats}
     if args.name == "poisson-convergence":
         sizes = [_number(s, int) for s in args.sizes.split(",")] if args.sizes else None
-        result = poisson_convergence(
-            lam=args.lam,
-            sizes=sizes or DEFAULT_SIZES,
-            seed=args.seed,
-            **repeats,
-        )
+        sizes = sizes or DEFAULT_SIZES  # an empty list too
+        repeats = DEFAULT_POISSON_REPEATS if args.repeats is None else args.repeats
+        _check_study_size("each --sizes entry", sizes, len(sizes), repeats)
+        result = poisson_convergence(lam=args.lam, sizes=sizes, repeats=repeats, seed=args.seed)
     else:
-        grid = _parse_grid(args.grid) if args.grid else None
-        result = bernoulli_sweep(
-            grid=grid or DEFAULT_BERNOULLI_GRID,
-            n=args.n,
-            seed=args.seed,
-            **repeats,
-        )
+        grid = (_parse_grid(args.grid) if args.grid else None) or DEFAULT_BERNOULLI_GRID
+        repeats = DEFAULT_BERNOULLI_REPEATS if args.repeats is None else args.repeats
+        _check_study_size("--n", [args.n], len(grid), repeats)
+        result = bernoulli_sweep(grid=grid, n=args.n, repeats=repeats, seed=args.seed)
     rows = result.raw_rows() if args.raw else result.summary_rows()
     columns = ("repeat", "value") if args.raw else ("mean", "std", "normalized")
     header = (result.sweep_name, "measure", *columns)

@@ -30,6 +30,7 @@ from .measures import (
     Measure,
     MeasureSpec,
     evaluate,
+    evaluate_block,
 )
 from .transforms import (
     CRITERIA,
@@ -303,29 +304,17 @@ BLOCK_TRIALS = 64
 
 def _values(spec: MeasureSpec, rows: list[np.ndarray]) -> list:
     """``evaluate`` on each row of magnitudes (non-negative): its value or its
-    error.  Rows of one length are sorted and evaluated in one kernel call;
-    where they are not finite, or the call raises or yields a non-finite
-    value, they fall back to ``evaluate`` one by one, so each result is its."""
+    error.  Rows of one length are sorted and go to ``evaluate_block`` as one
+    block."""
     out: list = [None] * len(rows)
     by_length: dict[int, list[int]] = {}
     for k, row in enumerate(rows):
         by_length.setdefault(row.size, []).append(k)
-    with np.errstate(over="raise", invalid="ignore"):
-        for picks in by_length.values():
-            block = np.array([rows[k] for k in picks], dtype=np.float64)
-            block.sort(axis=1)
-            values = None
-            if np.isfinite(block).all():
-                try:
-                    values = MEASURES[spec.id].kernel(spec, block)
-                except (ArithmeticError, DegenerateInput):
-                    pass
-            fine = values is not None and np.isfinite(values).all()
-            for k, value in zip(picks, values.tolist() if fine else picks):
-                try:
-                    out[k] = value if fine else evaluate(spec, CoefficientVector(rows[k]))
-                except SparsemetricsError as exc:
-                    out[k] = exc.with_traceback(None)  # no cycle through this frame
+    for picks in by_length.values():
+        block = np.array([rows[k] for k in picks], dtype=np.float64)
+        block.sort(axis=1)
+        for k, value in zip(picks, evaluate_block(spec, block)):
+            out[k] = value
     return out
 
 

@@ -25,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DegenerateInput, InvalidParams
+from .errors import DegenerateInput, InvalidParams, SparsemetricsError
 
 __all__ = [
     "Measure",
@@ -36,6 +36,7 @@ __all__ = [
     "LorenzCurve",
     "MEASURE_ORDER",
     "evaluate",
+    "evaluate_block",
     "gini",
     "lorenz_curve",
 ]
@@ -264,7 +265,9 @@ def _ratio(form: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]):
 
 def _kappa4(rows: np.ndarray, l1: np.ndarray, sq: np.ndarray) -> np.ndarray:
     s4 = np.add.reduce(rows**4, axis=1).tolist()
-    return np.array([a / (b * b) for a, b in zip(s4, sq.tolist())])
+    # where (sum c^2)^2 passes the float64 range, divide by sum c^2 twice
+    tail = [a / (b * b) if b * b < math.inf else a / b / b for a, b in zip(s4, sq.tolist())]
+    return np.array(tail)
 
 
 def _hoyer(rows: np.ndarray, l1: np.ndarray, sq: np.ndarray) -> np.ndarray:
@@ -419,6 +422,25 @@ def lorenz_curve(c: CoefficientVector) -> LorenzCurve:
     return LorenzCurve(pts)
 
 
+def _checked(spec: MeasureSpec, rows: np.ndarray) -> np.ndarray:
+    """The kernel on an ascending block; ``DegenerateInput`` where an
+    intermediate leaves the float64 range or a value is not finite."""
+    try:
+        with np.errstate(over="raise", invalid="ignore"):
+            values = MEASURES[spec.id].kernel(spec, rows)
+    except ArithmeticError as exc:
+        raise DegenerateInput(
+            f"{spec.id.value} exceeds the float64 range on this input ({exc})"
+        ) from exc
+    finite = np.isfinite(values)
+    if not finite.all():
+        raise DegenerateInput(
+            f"{spec.id.value} exceeds the float64 range on this input "
+            f"(got {float(values[~finite][0])})"
+        )
+    return values
+
+
 def evaluate(spec: MeasureSpec, c: CoefficientVector) -> float:
     """Evaluate the measure named by ``spec`` on ``c``.
 
@@ -426,16 +448,26 @@ def evaluate(spec: MeasureSpec, c: CoefficientVector) -> float:
     intermediate leaves the float64 range (overflow, or an underflow to a
     zero divisor).
     """
-    s = _as_sorted(c)
-    try:
-        with np.errstate(over="raise", invalid="ignore"):
-            value = float(MEASURES[spec.id].kernel(spec, s[None])[0])
-    except ArithmeticError as exc:
-        raise DegenerateInput(
-            f"{spec.id.value} exceeds the float64 range on this input ({exc})"
-        ) from exc
-    if not math.isfinite(value):
-        raise DegenerateInput(
-            f"{spec.id.value} exceeds the float64 range on this input (got {value})"
-        )
-    return value
+    return float(_checked(spec, _as_sorted(c)[None])[0])
+
+
+def evaluate_block(spec: MeasureSpec, rows: np.ndarray) -> list:
+    """``evaluate`` on each row of an ascending ``(B, n)`` block of
+    magnitudes: its value, or the ``SparsemetricsError`` it raises.
+
+    A finite block takes one kernel call.  Where the block is not finite, or
+    the call raises or yields a value that is not finite, each row is
+    evaluated alone, so every result is the row's own.
+    """
+    if np.isfinite(rows).all():
+        try:
+            return _checked(spec, rows).tolist()
+        except DegenerateInput:
+            pass
+    out: list = []
+    for row in rows:
+        try:
+            out.append(evaluate(spec, row))
+        except SparsemetricsError as exc:
+            out.append(exc.with_traceback(None))  # no cycle through this frame
+    return out

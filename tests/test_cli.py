@@ -431,10 +431,16 @@ class TestBadArguments:
             ("experiment", "--name", "contribution-curves", "--amplitudes", "0:1e300:1e-300"),
             ("experiment", "--name", "contribution-curves", "--amplitudes", "0:1e9:1e-9"),
             ("experiment", "--name", "bernoulli-sweep", "--grid", "0:1:1e-6"),
+            ("experiment", "--name", "distributional-gini", "--sample-n", "2000000000"),
+            ("experiment", "--name", "poisson-convergence", "--sizes", "2000000000",
+             "--repeats", "2"),
+            ("experiment", "--name", "poisson-convergence", "--sizes", "10",
+             "--repeats", "3000000000"),
         ],
         ids=["check-trials-0", "table-trials-0", "sizes", "grid-range", "grid-list",
              "lambda-800", "check-seed", "experiment-seed", "grid-inf", "grid-nan",
-             "grid-count-overflow", "grid-too-many-points", "grid-one-past-the-limit"],
+             "grid-count-overflow", "grid-too-many-points", "grid-one-past-the-limit",
+             "huge-sample-n", "huge-size", "huge-repeats"],
     )
     def test_exit_2(self, capsys, argv):
         assert run_cli(*argv) == 2
@@ -446,6 +452,40 @@ class TestBadArguments:
         assert len(_parse_grid(f"0:{MAX_GRID_POINTS - 1}:1")) == MAX_GRID_POINTS
         with pytest.raises(InputError, match="more than 1000000 points"):
             _parse_grid(f"0:{MAX_GRID_POINTS}:1")
+
+    @pytest.mark.parametrize(
+        "argv, error",
+        [
+            # just under a limit a later check names another fault, so
+            # nothing large is allocated on either side
+            (("--name", "distributional-gini", "--sample-n", "10000000", "--lo", "2"),
+             "uniform requires 0 <= lo < hi"),
+            (("--name", "distributional-gini", "--sample-n", "10000001", "--lo", "2"),
+             "--sample-n must be 10000000 or less, got 10000001"),
+            (("--name", "poisson-convergence", "--sizes", "10000000", "--repeats", "1"),
+             "repeats must be >= 2"),
+            (("--name", "poisson-convergence", "--sizes", "10,10000001", "--repeats", "1"),
+             "each --sizes entry must be 10000000 or less, got 10000001"),
+            (("--name", "bernoulli-sweep", "--n", "10000000", "--grid", "0"),
+             "grid values must lie strictly inside (0, 1)"),
+            (("--name", "bernoulli-sweep", "--n", "10000001", "--grid", "0"),
+             "--n must be 10000000 or less, got 10000001"),
+            (("--name", "poisson-convergence", "--sizes", "3,2", "--repeats", "500000"),
+             "sizes must be ascending and each >= 2"),
+            (("--name", "poisson-convergence", "--sizes", "3,2", "--repeats", "500001"),
+             "--repeats times sweep points (500001 x 2) is more than 1000000"),
+            # the default 20 repeats count too
+            (("--name", "bernoulli-sweep", "--grid", "0:49999:1"),
+             "grid values must lie strictly inside (0, 1)"),
+            (("--name", "bernoulli-sweep", "--grid", "0:50000:1"),
+             "--repeats times sweep points (20 x 50001) is more than 1000000"),
+        ],
+    )
+    def test_study_size_limits(self, capsys, argv, error):
+        assert run_cli("experiment", *argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {error}\n"
 
     @pytest.mark.parametrize(
         "argv, token",

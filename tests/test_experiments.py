@@ -1,5 +1,7 @@
 """Unit tests for the experiment harness and the distributional Gini."""
 
+import dataclasses
+import hashlib
 import math
 import subprocess
 import sys
@@ -19,12 +21,16 @@ from sparsemetrics import (
     bernoulli_sweep,
     contribution_curves,
     distributional_gini,
+    evaluate,
     minmax_normalize,
     poisson_convergence,
     sample_gini,
     sample_vector,
 )
+from sparsemetrics import experiments
 from sparsemetrics.errors import NonSeparableMeasure
+from sparsemetrics.experiments import BERNOULLI_EPSILON, MAX_RESAMPLES, default_specs
+from sparsemetrics.transforms import stream
 
 
 class TestDistributionSpec:
@@ -278,3 +284,168 @@ class TestConvergenceOrdering:
             s = result.std(m)
             inversions = int(np.sum(np.diff(s) > 0))
             assert inversions <= 1, (m, s.tolist())
+
+
+#: sha256 of each study's raw arrays, concatenated in measure order, as the
+#: one-draw-at-a-time engine computed them; any change to a draw, a resample
+#: or a kernel bit changes them.
+PINNED_STUDIES = {
+    "poisson-default": (
+        lambda: poisson_convergence(seed=0),
+        "f9b60c91c7ec2d1519a8a8d6b806988888e51000c15f3e52698a7d86bcf11c26",
+    ),
+    "bernoulli-default": (
+        lambda: bernoulli_sweep(seed=0),
+        "4f91c8d6b28bb47e4e7c7a2a900e1dbaa54390fc34fa6e72df5e9ac28ac10eb4",
+    ),
+    # 30 of the 100 draws are resampled
+    "bernoulli-n4": (
+        lambda: bernoulli_sweep(grid=(0.5, 0.7), n=4, repeats=50, seed=4),
+        "cf50fcd61bcb66c5f787f32151cf68839dd7a73b6843346a5ecd3bdf8763f2d5",
+    ),
+    # 32 of the 900 draws are resampled
+    "poisson-small": (
+        lambda: poisson_convergence(lam=1, sizes=(3, 5, 8), repeats=300, seed=2),
+        "5e0d0b264976714dc8a615bac46d70c9b0c25c25a897f8a7936d6d8c3eddf1ed",
+    ),
+}
+
+
+def _raw_digest(result) -> str:
+    return hashlib.sha256(b"".join(result.raw[m].tobytes() for m in result.measures)).hexdigest()
+
+
+@pytest.mark.parametrize("case", list(PINNED_STUDIES))
+def test_pinned_study_bits(case):
+    run, digest = PINNED_STUDIES[case]
+    assert _raw_digest(run()) == digest
+
+
+def _one_at_a_time(specs, points, repeats, seed):
+    """The studies' reference: each draw alone, through the resample loop,
+    as ``float.hex`` strings ``raw[m][i][r]``."""
+    raw = {m: [[None] * repeats for _ in points] for m in specs}
+    for i, (dist, n) in enumerate(points):
+        for r in range(repeats):
+            for attempt in range(MAX_RESAMPLES):
+                vec = sample_vector(dist, n, stream((seed, i, r, attempt)))
+                try:
+                    values = {m: evaluate(spec, vec) for m, spec in specs.items()}
+                    break
+                except DegenerateInput:
+                    continue
+            else:
+                raise DegenerateInput(
+                    f"draw for {(seed, i, r)} stayed degenerate after {MAX_RESAMPLES} resamples"
+                )
+            for m, v in values.items():
+                raw[m][i][r] = v.hex()
+    return raw
+
+
+def _hex(result):
+    return {m: [[v.hex() for v in row.tolist()] for row in result.raw[m]] for m in result.measures}
+
+
+# degenerate-heavy studies: 4-value 0/1 draws, and short Poisson(1) draws
+STUDIES = {
+    "bernoulli-n4": (
+        lambda repeats: bernoulli_sweep(grid=(0.5, 0.7), n=4, repeats=repeats, seed=4),
+        lambda: default_specs(epsilon=BERNOULLI_EPSILON),
+        [(DistributionSpec.bernoulli01(0.5), 4), (DistributionSpec.bernoulli01(0.7), 4)],
+        4,
+    ),
+    "poisson-small": (
+        lambda repeats: poisson_convergence(lam=1, sizes=(3, 5, 8), repeats=repeats, seed=2),
+        default_specs,
+        [(DistributionSpec.poisson(1), n) for n in (3, 5, 8)],
+        2,
+    ),
+}
+
+
+def _expected(study, repeats):
+    _, specs, points, seed = STUDIES[study]
+    return _one_at_a_time(specs(), points, repeats, seed)
+
+
+class TestStudyBlocks:
+    """Drawing and evaluating the studies' draws in blocks of
+    ``BLOCK_VALUES`` values changes no bit of any value."""
+
+    # 28 values hold 7 draws of 4, 9 of 3, 5 of 5 and 3 of 8
+    @pytest.mark.parametrize("block_values", [1, 7, 28, experiments.BLOCK_VALUES])
+    @pytest.mark.parametrize("repeats", [2, 6, 7, 8, 14, 15, 50])
+    @pytest.mark.parametrize("study", list(STUDIES))
+    def test_blocks_match_one_draw_at_a_time(self, monkeypatch, study, repeats, block_values):
+        monkeypatch.setattr(experiments, "BLOCK_VALUES", block_values)
+        assert _hex(STUDIES[study][0](repeats)) == _expected(study, repeats)
+
+    def test_a_degenerate_draw_mid_block_is_the_only_one_redrawn(self, monkeypatch):
+        run, specs, points, seed = STUDIES["bernoulli-n4"]
+        keys = []
+        real = experiments.stream
+        monkeypatch.setattr(experiments, "stream", lambda key: keys.append(key) or real(key))
+        result = run(50)
+        assert 50 * 4 <= experiments.BLOCK_VALUES  # each sweep point is one block
+
+        def first_values(i, r):
+            vec = sample_vector(points[i][0], 4, real((seed, i, r, 0)))
+            try:
+                return {m: evaluate(spec, vec).hex() for m, spec in specs().items()}
+            except DegenerateInput:
+                return None
+
+        first = [[first_values(i, r) for r in range(50)] for i in range(2)]
+        redrawn = {key[1:3] for key in keys if key[3] > 0}
+        assert redrawn == {(i, r) for i in range(2) for r in range(50) if first[i][r] is None}
+        assert sorted(key[1:3] for key in keys if key[3] == 0) == [
+            (i, r) for i in range(2) for r in range(50)
+        ]
+        got = _hex(result)
+        i, r = next(
+            (i, r) for i, r in sorted(redrawn)
+            if 0 < r < 49 and {(i, r - 1), (i, r + 1)}.isdisjoint(redrawn)
+        )
+        expected = _expected("bernoulli-n4", 50)
+        for m in result.measures:
+            assert got[m][i][r] == expected[m][i][r]
+            assert got[m][i][r - 1] == first[i][r - 1][m]
+            assert got[m][i][r + 1] == first[i][r + 1][m]
+
+    @pytest.mark.parametrize("fault", ["raises", "nan"])
+    @pytest.mark.parametrize("study", list(STUDIES))
+    def test_a_block_failing_for_one_measure_falls_back_per_row(self, monkeypatch, study, fault):
+        # neg-log is defined on every draw, so each block reaches the fault
+        real = MEASURES[Measure.NEG_LOG]
+        blocks = []
+
+        def kernel(spec, rows):
+            values = real.kernel(spec, rows)
+            if len(rows) > 1:
+                blocks.append(len(rows))
+                if fault == "raises":
+                    raise FloatingPointError("overflow encountered in a block")
+                values[len(rows) // 2] = math.nan
+            return values
+
+        monkeypatch.setitem(MEASURES, Measure.NEG_LOG, dataclasses.replace(real, kernel=kernel))
+        assert _hex(STUDIES[study][0](50)) == _expected(study, 50)
+        assert blocks
+
+    @pytest.mark.parametrize("block_values", [1, 7, experiments.BLOCK_VALUES])
+    def test_stayed_degenerate_names_the_reference_key(self, monkeypatch, block_values):
+        monkeypatch.setattr(experiments, "BLOCK_VALUES", block_values)
+        points = [(DistributionSpec.poisson(0.1), n) for n in (2, 3, 4)]
+        with pytest.raises(DegenerateInput) as expected:
+            _one_at_a_time(default_specs(), points, 50, 0)
+        with pytest.raises(DegenerateInput) as got:
+            poisson_convergence(lam=0.1, sizes=(2, 3, 4), repeats=50, seed=0)
+        assert str(got.value) == str(expected.value)
+        assert str(got.value) == "draw for (0, 0, 46) stayed degenerate after 20 resamples"
+
+
+def test_poisson_table_built_once_and_read_only():
+    table = experiments._poisson_cdf(5.0)
+    assert experiments._poisson_cdf(5.0) is table
+    assert not table.flags.writeable

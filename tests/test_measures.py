@@ -20,6 +20,7 @@ from sparsemetrics import (
     gini,
     lorenz_curve,
 )
+from sparsemetrics.measures import evaluate_block
 
 
 def ev(measure, values, **params):
@@ -298,6 +299,18 @@ class TestOverflow:
         with pytest.raises(DegenerateInput, match="overflow"):
             ev(Measure.KAPPA4, [1e300, 1.0])
 
+    def test_kappa4_squares_past_the_float64_range(self):
+        # (sum c^2)^2 = 1e310 overflows a Python float without raising; the
+        # value of a constant vector is 1/N, alone and as a row of a block
+        spec = MeasureSpec(Measure.KAPPA4)
+        huge = np.full(1000, 1e76)
+        block = np.sort([np.linspace(1.0, 2.0, 1000), huge, np.arange(1000.0)], axis=1)
+        with np.errstate(over="raise", invalid="ignore"):
+            in_block = MEASURES[Measure.KAPPA4].kernel(spec, block)[1]
+        alone = evaluate(spec, CoefficientVector(huge))
+        for value in (alone, in_block, evaluate_block(spec, block)[1]):
+            assert abs(value - 0.001) <= 4 * math.ulp(0.001), value
+
     def test_huge_but_finite_values_fine(self):
         assert ev(Measure.NEG_L1, [1e200, 1e200]) == -2e200
         assert gini(CoefficientVector([1e300, 1e300])) == 0.0
@@ -449,6 +462,24 @@ class TestBlockKernels:
                 assert message.startswith(f"{m.value} exceeds the float64 range")
             else:
                 pytest.fail(f"{m.value} on {bad.tolist()} raised nothing in a block")
+
+
+class TestEvaluateBlock:
+    @pytest.mark.parametrize("m", MEASURE_ORDER)
+    def test_each_row_gets_what_evaluate_gives_it(self, m):
+        # a good block takes one kernel call; one with a degenerate, an
+        # out-of-range or a non-finite row falls back row by row
+        spec = MeasureSpec(m)
+        good = [[0.5, 1.0, 2.0, 3.0], [0.0, 1.0, 1.0, 4.0]]
+        for bad in ([0.0] * 4, [2.0] * 4, [1.0, 1.0, 2.0, 1e300], [1.0, 2.0, 3.0, math.inf]):
+            rows = np.array([good[0], bad, good[1]])
+            for row, got in zip(rows, evaluate_block(spec, rows)):
+                try:
+                    expected = evaluate(spec, CoefficientVector(row))
+                except SparsemetricsError as exc:
+                    assert (type(got), str(got)) == (type(exc), str(exc))
+                else:
+                    assert got.hex() == expected.hex()
 
 
 class TestNegTanhCap:
