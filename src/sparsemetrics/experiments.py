@@ -308,6 +308,8 @@ def bernoulli_sweep(
         raise InvalidParams("grid values must lie strictly inside (0, 1)")
     if n < 2:
         raise InvalidParams("n must be >= 2")
+    if repeats < 2:
+        raise InvalidParams("repeats must be >= 2")
     if specs is None:
         specs = default_specs(epsilon=BERNOULLI_EPSILON)
     raw = _study(specs, [(DistributionSpec.bernoulli01(p), n) for p in grid], repeats, seed)

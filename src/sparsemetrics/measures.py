@@ -142,6 +142,15 @@ def _as_sorted(c: CoefficientVector) -> np.ndarray:
     return c.sorted_values
 
 
+@dataclass(frozen=True)
+class Domain:
+    inside: Callable[[MeasureSpec, np.ndarray], np.ndarray]  # masks an ascending (B, n) block
+    outside: str  # a row outside raises "<id> is undefined for <outside>"
+
+
+#: An ascending non-negative row is all zero exactly when its last entry is.
+NONZERO = Domain(lambda spec, rows: rows[:, -1] != 0.0, "the all-zero vector")
+
 #: Maps (spec, magnitudes) to the additive per-component terms, elementwise.
 Term = Callable[[MeasureSpec, np.ndarray], np.ndarray]
 
@@ -150,20 +159,21 @@ Term = Callable[[MeasureSpec, np.ndarray], np.ndarray]
 class MeasureDef:
     """Everything the package knows about one measure.
 
-    * ``kernel(spec, rows)`` maps a ``(B, n)`` block of ascending magnitudes to
-      ``(B,)`` values, each row's bit for bit as alone (``evaluate`` is B = 1);
-      a degenerate row raises the ``DegenerateInput`` it raises alone.
+    * ``kernel(spec, rows)`` maps a ``(B, n)`` block of ascending magnitudes in
+      ``domain`` (None: all) to ``(B,)`` values, each row's bit for bit as alone
+      (``evaluate`` is B = 1); it raises ``DegenerateInput`` only for a length.
     * ``validate`` raises ``InvalidParams`` for out-of-range parameters.
     * ``maximum(n)`` is the attainable maximum over length-``n`` vectors, or
       None without a finite scale-free maximum; the compliance engine skips
       strict-increase trials that start saturated.
-    * ``strictly_positive`` and ``value_cap(spec)`` set the domain of the
+    * ``strictly_positive`` and ``value_cap(spec)`` bound the draws of the
       compliance engine's random trials (see ``transforms.TrialConfig``).
     * ``term`` is the additive per-component term, or None for the ratio and
       order-statistic measures.
     """
 
     kernel: Callable[[MeasureSpec, np.ndarray], np.ndarray]
+    domain: Domain | None = None
     validate: Callable[[MeasureSpec], None] = lambda spec: None
     maximum: Callable[[int], float] | None = None
     strictly_positive: bool = False
@@ -184,13 +194,10 @@ def _sum(terms: np.ndarray) -> np.ndarray:
     return -np.add.reduce(-terms, axis=1, initial=-0.0)
 
 
-def _nonzero_rows(rows: np.ndarray, fn, empty: str | None) -> np.ndarray:
-    """``fn`` on the nonzero magnitudes after each row's leading zeros, one call
-    per zero count; a row of zeros raises ``DegenerateInput(empty)`` if given."""
+def _nonzero_rows(rows: np.ndarray, fn) -> np.ndarray:
+    """``fn`` on each row's magnitudes after its leading zeros, one call per zero count."""
     zeros = np.add.reduce(rows == 0.0, axis=1)
     counts = set(zeros.tolist())
-    if empty is not None and rows.shape[1] in counts:
-        raise DegenerateInput(empty)
     if len(counts) == 1:
         return fn(rows[:, counts.pop() :])
     out = np.empty(len(rows))
@@ -209,21 +216,20 @@ def _zero_at_zero(term: Term) -> Term:
     return extended
 
 
-def _separable(term: Term, nonzero_only: bool = False, **fields) -> MeasureDef:
+def _separable(term: Term, domain: Domain | None = None, **fields) -> MeasureDef:
     """A measure whose kernel sums ``term`` over the sorted magnitudes.
 
-    A term singular at zero sums over the nonzero magnitudes only, as the
-    formula does (summing extra zeros would regroup numpy's pairwise sum),
-    and the vector without any is degenerate.
+    A term singular at zero (``domain=NONZERO``) sums over the nonzero
+    magnitudes only, as the formula does (summing extra zeros would regroup
+    numpy's pairwise sum).
     """
 
     def kernel(spec: MeasureSpec, rows: np.ndarray) -> np.ndarray:
-        if not nonzero_only:
+        if domain is None:
             return _sum(term(spec, rows))
-        empty = f"{spec.id.value} is undefined for the all-zero vector"
-        return _nonzero_rows(rows, lambda nz: _sum(term(spec, nz)), empty)
+        return _nonzero_rows(rows, lambda nz: _sum(term(spec, nz)))
 
-    return MeasureDef(kernel, term=_zero_at_zero(term) if nonzero_only else term, **fields)
+    return MeasureDef(kernel, domain, term=_zero_at_zero(term) if domain else term, **fields)
 
 
 def _neg_tanh_term(spec: MeasureSpec, x: np.ndarray) -> np.ndarray:
@@ -246,21 +252,17 @@ def _hs_prime_term(spec: MeasureSpec, nz: np.ndarray) -> np.ndarray:
 
 def _hs_prime(spec: MeasureSpec, rows: np.ndarray) -> np.ndarray:
     # an all-zero vector has entropy 0, and +0.0 turns a -0.0 total into 0
-    return _nonzero_rows(rows, lambda nz: _sum(_hs_prime_term(spec, nz)) + 0.0, None)
+    return _nonzero_rows(rows, lambda nz: _sum(_hs_prime_term(spec, nz)) + 0.0)
 
 
-def _ratio(form: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]):
-    """Kernel for ``form(rows, l1, sum of squares)``; the all-zero vector is
-    degenerate.  A form's scalar tail runs per row in Python floats, where a
-    zero divisor raises and an overflowed product is inf."""
+def _ratio(form: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray], **fields):
+    """A measure ``form(rows, l1, sum of squares)``.  A form's scalar tail runs
+    per row in Python floats: a zero divisor raises, an overflowed product is inf."""
 
     def kernel(spec: MeasureSpec, rows: np.ndarray) -> np.ndarray:
-        l1 = np.add.reduce(rows, axis=1)
-        if 0.0 in l1.tolist():
-            raise DegenerateInput(f"{spec.id.value} is undefined for the all-zero vector")
-        return form(rows, l1, np.add.reduce(rows * rows, axis=1))
+        return form(rows, np.add.reduce(rows, axis=1), np.add.reduce(rows * rows, axis=1))
 
-    return kernel
+    return MeasureDef(kernel, NONZERO, **fields)
 
 
 def _kappa4(rows: np.ndarray, l1: np.ndarray, sq: np.ndarray) -> np.ndarray:
@@ -282,10 +284,8 @@ def _hs(spec: MeasureSpec, rows: np.ndarray) -> np.ndarray:
     """hs-prime of the normalized energies c^2 / ||c||_2^2."""
     sq = rows * rows
     total = np.add.reduce(sq, axis=1)
-    if 0.0 in total.tolist():
-        if rows[total.argmin(), -1] == 0.0:  # the first row whose squares sum to 0
-            raise DegenerateInput("hs is undefined for the all-zero vector")
-        raise DegenerateInput("hs exceeds the float64 range on this input (its squares sum to 0)")
+    if 0.0 in total.tolist():  # a nonzero row whose squares underflow
+        raise FloatingPointError("its squares sum to 0")
     return _hs_prime(spec, sq / total[:, None])
 
 
@@ -296,19 +296,19 @@ def _u_theta(spec: MeasureSpec, rows: np.ndarray) -> np.ndarray:
     w = math.ceil(spec.theta * n)
     if w == n:
         raise DegenerateInput(f"u-theta requires ceil(theta*N) != N (theta={spec.theta}, N={n})")
-    rng = rows[:, -1] - rows[:, 0]
-    if 0.0 in rng.tolist():
-        raise DegenerateInput("u-theta is undefined for constant vectors")
     widths = rows[:, w - 1 :] - rows[:, : n - w + 1]
-    return 1.0 - np.minimum.reduce(widths, axis=1) / rng
+    return 1.0 - np.minimum.reduce(widths, axis=1) / (rows[:, -1] - rows[:, 0])
+
+
+def _varies(spec: MeasureSpec, rows: np.ndarray) -> np.ndarray:
+    n = rows.shape[1]  # at ceil(theta*N) = N all rows go in, to the kernel's length message
+    return (rows[:, 0] != rows[:, -1]) | (math.ceil(spec.theta * n) == n)
 
 
 def _gini(spec: MeasureSpec, rows: np.ndarray) -> np.ndarray:
     n = rows.shape[1]
     # a memoryview yields a row's Python floats one at a time: no list of N floats
     totals = [math.fsum(memoryview(r)) for r in rows]
-    if 0.0 in totals:
-        raise DegenerateInput("gini is undefined for the all-zero vector")
     weights = 2.0 * np.arange(1, n + 1) - (n + 1)
     sums = [math.fsum(memoryview(r)) for r in rows * weights]
     return np.array([s / (n * t) for s, t in zip(sums, totals)])
@@ -350,30 +350,26 @@ MEASURES: dict[Measure, MeasureDef] = {
         value_cap=_neg_tanh_cap,
     ),
     Measure.NEG_LOG: _separable(lambda spec, x: -np.log1p(x * x)),
-    Measure.HG: _separable(
-        lambda spec, nz: -2.0 * np.log(nz),
-        nonzero_only=True,
-        strictly_positive=True,  # log blows up near zero
-    ),
+    # log blows up near zero
+    Measure.HG: _separable(lambda spec, nz: -2.0 * np.log(nz), NONZERO, strictly_positive=True),
     Measure.HS_PRIME: MeasureDef(kernel=_hs_prime, term=_zero_at_zero(_hs_prime_term)),
     Measure.NEG_LP_NEG: _separable(
         lambda spec, nz: -(nz**spec.p_neg),
-        nonzero_only=True,
+        NONZERO,
         validate=lambda spec: _require(spec, spec.p_neg < 0, "p < 0", spec.p_neg),
         strictly_positive=True,  # c^p blows up near zero
     ),
-    Measure.L2_OVER_L1: MeasureDef(
-        kernel=_ratio(lambda rows, l1, sq: np.sqrt(sq) / l1), maximum=lambda n: 1.0
-    ),
-    Measure.KAPPA4: MeasureDef(kernel=_ratio(_kappa4), maximum=lambda n: 1.0),
+    Measure.L2_OVER_L1: _ratio(lambda rows, l1, sq: np.sqrt(sq) / l1, maximum=lambda n: 1.0),
+    Measure.KAPPA4: _ratio(_kappa4, maximum=lambda n: 1.0),
     Measure.U_THETA: MeasureDef(
         kernel=_u_theta,
+        domain=Domain(_varies, "constant vectors"),
         validate=lambda spec: _require(spec, 0 < spec.theta < 1, "0 < theta < 1", spec.theta),
         maximum=lambda n: 1.0,
     ),
-    Measure.HS: MeasureDef(kernel=_hs),
-    Measure.HOYER: MeasureDef(kernel=_ratio(_hoyer), maximum=lambda n: 1.0),
-    Measure.GINI: MeasureDef(kernel=_gini, maximum=lambda n: 1.0 - 1.0 / n),
+    Measure.HS: MeasureDef(kernel=_hs, domain=NONZERO),
+    Measure.HOYER: _ratio(_hoyer, maximum=lambda n: 1.0),
+    Measure.GINI: MeasureDef(kernel=_gini, domain=NONZERO, maximum=lambda n: 1.0 - 1.0 / n),
 }
 
 
@@ -423,22 +419,16 @@ def lorenz_curve(c: CoefficientVector) -> LorenzCurve:
 
 
 def _checked(spec: MeasureSpec, rows: np.ndarray) -> np.ndarray:
-    """The kernel on an ascending block; ``DegenerateInput`` where an
-    intermediate leaves the float64 range or a value is not finite."""
+    """The kernel's values; ``DegenerateInput`` where they leave the float64 range."""
     try:
         with np.errstate(over="raise", invalid="ignore"):
             values = MEASURES[spec.id].kernel(spec, rows)
+        if np.isfinite(values).all():
+            return values
+        why = f"got {float(values[~np.isfinite(values)][0])}"
     except ArithmeticError as exc:
-        raise DegenerateInput(
-            f"{spec.id.value} exceeds the float64 range on this input ({exc})"
-        ) from exc
-    finite = np.isfinite(values)
-    if not finite.all():
-        raise DegenerateInput(
-            f"{spec.id.value} exceeds the float64 range on this input "
-            f"(got {float(values[~finite][0])})"
-        )
-    return values
+        why = exc
+    raise DegenerateInput(f"{spec.id.value} exceeds the float64 range on this input ({why})")
 
 
 def evaluate(spec: MeasureSpec, c: CoefficientVector) -> float:
@@ -448,22 +438,32 @@ def evaluate(spec: MeasureSpec, c: CoefficientVector) -> float:
     intermediate leaves the float64 range (overflow, or an underflow to a
     zero divisor).
     """
-    return float(_checked(spec, _as_sorted(c)[None])[0])
+    (value,) = evaluate_block(spec, _as_sorted(c)[None])
+    if isinstance(value, SparsemetricsError):
+        raise value
+    return value
 
 
 def evaluate_block(spec: MeasureSpec, rows: np.ndarray) -> list:
     """``evaluate`` on each row of an ascending ``(B, n)`` block of
     magnitudes: its value, or the ``SparsemetricsError`` it raises.
 
-    A finite block takes one kernel call.  Where the block is not finite, or
-    the call raises or yields a value that is not finite, each row is
-    evaluated alone, so every result is the row's own.
+    Rows outside the domain get its ``DegenerateInput``, the rest of a finite
+    block one kernel call.  Where that raises or yields a value that is not
+    finite, or the block is not finite, each row is evaluated alone.
     """
     if np.isfinite(rows).all():
+        domain = MEASURES[spec.id].domain
+        inside = () if domain is None else domain.inside(spec, rows).tolist()
         try:
-            return _checked(spec, rows).tolist()
-        except DegenerateInput:
-            pass
+            if False not in inside:
+                return _checked(spec, rows).tolist()
+            values = iter(_checked(spec, rows[inside]).tolist() if True in inside else ())
+            outside = f"{spec.id.value} is undefined for {domain.outside}"
+            return [next(values) if ok else DegenerateInput(outside) for ok in inside]
+        except DegenerateInput as exc:
+            if len(rows) == 1:  # the row's own error; evaluate must not recurse
+                return [exc.with_traceback(None)]
     out: list = []
     for row in rows:
         try:

@@ -155,6 +155,9 @@ class TestBernoulliSweep:
     def test_grid_validated(self):
         with pytest.raises(InvalidParams):
             bernoulli_sweep(grid=(0.0, 0.5), n=10, repeats=2)
+        for repeats in (-1, 0, 1):  # a std needs two draws
+            with pytest.raises(InvalidParams, match="repeats must be >= 2"):
+                bernoulli_sweep(grid=(0.5,), n=10, repeats=repeats)
 
 
 class TestContributionCurves:

@@ -1,5 +1,6 @@
 """Unit tests for the fifteen measures and the Lorenz curve."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -417,7 +418,8 @@ BLOCK_PARAMS = [
 
 
 class TestBlockKernels:
-    """A kernel's row r is ``evaluate`` on row r alone, bit for bit."""
+    """On the rows inside its domain, a kernel's row r is ``evaluate`` on row r
+    alone, bit for bit; a row outside gets the message it raises alone."""
 
     @settings(max_examples=300, deadline=None)
     @given(block=blocks(), params=st.sampled_from(BLOCK_PARAMS))
@@ -425,18 +427,24 @@ class TestBlockKernels:
         for m in MEASURE_ORDER:
             spec = MeasureSpec(m, **params)
             alone = [_alone(spec, row) for row in block]
+            domain = MEASURES[m].domain
+            inside = np.full(len(block), True) if domain is None else domain.inside(spec, block)
+            for got, a, ok in zip(evaluate_block(spec, block), alone, inside.tolist()):
+                if not ok:
+                    assert (str(got), a) == (f"{m.value} is undefined for {domain.outside}",) * 2
+            alone = [a for a, ok in zip(alone, inside.tolist()) if ok]
             out_of_range = [a for a in alone if a.startswith(f"{m.value} exceeds the float64")]
             try:
                 with np.errstate(over="raise", invalid="ignore"):
-                    values = MEASURES[m].kernel(spec, block)
+                    values = MEASURES[m].kernel(spec, block[inside])
             except DegenerateInput as exc:
-                # the message a degenerate row raises alone
-                assert str(exc) in alone, (m, str(exc), alone)
+                # only for a length, which every row inside raises alone
+                assert all(a == str(exc) for a in alone), (m, str(exc), alone)
                 continue
             except ArithmeticError:
                 assert out_of_range, (m, alone)
                 continue
-            assert values.shape == (len(block),)
+            assert values.shape == (len(alone),)
             for value, a in zip(values.tolist(), alone):
                 if math.isfinite(value):
                     assert value.hex() == a, (m, value.hex(), a)
@@ -445,33 +453,101 @@ class TestBlockKernels:
 
     @pytest.mark.parametrize("m", MEASURE_ORDER)
     def test_degenerate_row_in_a_block(self, m):
-        # a degenerate row among good ones raises the message it raises alone
+        # among good rows, a row outside the domain is masked out and gets the
+        # message it raises alone; one inside that the kernel cannot take
+        # makes the call raise, and evaluate words it as out of range
         spec = MeasureSpec(m)
+        domain = MEASURES[m].domain
         good = np.array([0.5, 1.0, 2.0, 3.0])
         for bad in (np.zeros(4), np.full(4, 2.0), np.array([1e-200, 2e-200, 3e-200, 4e-200])):
             message = _alone(spec, bad)
             if message.startswith("0x") or message.startswith("-0x"):
                 continue
             block = np.array([good, bad, good])
+            assert str(evaluate_block(spec, block)[1]) == message
+            if domain is not None and not domain.inside(spec, block)[1]:
+                assert domain.inside(spec, block).tolist() == [True, False, True]
+                continue
             try:
                 with np.errstate(over="raise", invalid="ignore"):
                     MEASURES[m].kernel(spec, block)
-            except DegenerateInput as exc:
-                assert str(exc) == message
-            except ArithmeticError:  # evaluate words these as out of range
+            except ArithmeticError:
                 assert message.startswith(f"{m.value} exceeds the float64 range")
             else:
                 pytest.fail(f"{m.value} on {bad.tolist()} raised nothing in a block")
+
+    @pytest.mark.parametrize("m", [m for m in MEASURE_ORDER if MEASURES[m].domain is not None])
+    def test_one_degenerate_row_keeps_one_kernel_call(self, monkeypatch, m):
+        spec = MeasureSpec(m)
+        rows = np.sort(np.random.default_rng(11).uniform(0.5, 8.0, (10_000, 4)), axis=1)
+        rows[4321] = 0.0  # all zero, so also constant
+        real = MEASURES[m]
+        calls = []
+
+        def kernel(spec, block):
+            calls.append(len(block))
+            return real.kernel(spec, block)
+
+        monkeypatch.setitem(MEASURES, m, dataclasses.replace(real, kernel=kernel))
+        got = evaluate_block(spec, rows)
+        assert calls == [9_999]
+        monkeypatch.undo()
+        for row, value in zip(rows, got):
+            assert (value.hex() if isinstance(value, float) else str(value)) == _alone(spec, row)
+
+
+class TestMessagePrecedence:
+    """Which message a row gets where two apply, alone and in a block."""
+
+    CASES = [
+        (Measure.HOYER, {}, [0.0], "hoyer is undefined for the all-zero vector"),
+        (Measure.HOYER, {}, [3.0], "hoyer needs at least two coefficients"),
+        (Measure.U_THETA, {}, [0.0], "u-theta requires ceil(theta*N) != N (theta=0.5, N=1)"),
+        (Measure.U_THETA, {}, [2.0], "u-theta requires ceil(theta*N) != N (theta=0.5, N=1)"),
+        (
+            Measure.U_THETA,
+            {"theta": 0.9},
+            [2.0] * 5,
+            "u-theta requires ceil(theta*N) != N (theta=0.9, N=5)",
+        ),
+        (Measure.U_THETA, {}, [2.0] * 5, "u-theta is undefined for constant vectors"),
+        (
+            Measure.HS,
+            {},
+            [1e-200, 2e-200, 3e-200, 4e-200],
+            "hs exceeds the float64 range on this input (its squares sum to 0)",
+        ),
+    ]
+
+    @pytest.mark.parametrize("m, params, row, message", CASES)
+    def test_message(self, m, params, row, message):
+        spec = MeasureSpec(m, **params)
+        with pytest.raises(DegenerateInput) as exc:
+            evaluate(spec, CoefficientVector(row))
+        assert str(exc.value) == message
+        # the same row next to one of each kind of the same length
+        others = [[0.0] * len(row), [3.0] * len(row), list(range(1, len(row) + 1))]
+        block = np.sort([row, *others], axis=1).astype(float)
+        got = evaluate_block(spec, block)
+        assert (type(got[0]), str(got[0])) == (DegenerateInput, message)
+        for other, value in zip(block[1:], got[1:]):
+            assert (value.hex() if isinstance(value, float) else str(value)) == _alone(spec, other)
 
 
 class TestEvaluateBlock:
     @pytest.mark.parametrize("m", MEASURE_ORDER)
     def test_each_row_gets_what_evaluate_gives_it(self, m):
-        # a good block takes one kernel call; one with a degenerate, an
-        # out-of-range or a non-finite row falls back row by row
+        # a good block takes one kernel call, a degenerate row is masked out
+        # of it, and an out-of-range or a non-finite row falls back row by row
         spec = MeasureSpec(m)
         good = [[0.5, 1.0, 2.0, 3.0], [0.0, 1.0, 1.0, 4.0]]
-        for bad in ([0.0] * 4, [2.0] * 4, [1.0, 1.0, 2.0, 1e300], [1.0, 2.0, 3.0, math.inf]):
+        for bad in (
+            [0.0] * 4,
+            [2.0] * 4,
+            [1.0, 1.0, 2.0, 1e300],
+            [1.0, 2.0, 3.0, math.inf],
+            [1e-200, 2e-200, 3e-200, 4e-200],
+        ):
             rows = np.array([good[0], bad, good[1]])
             for row, got in zip(rows, evaluate_block(spec, rows)):
                 try:
