@@ -22,7 +22,6 @@ from .measures import (
     CoefficientVector,
     Measure,
     MeasureSpec,
-    evaluate,
     evaluate_block,
     gini,
 )
@@ -204,16 +203,26 @@ MAX_RESAMPLES = 20
 BLOCK_VALUES = 1 << 16
 
 
-def _redraw(specs: dict[Measure, MeasureSpec], dist, n: int, key: tuple) -> dict[Measure, float]:
-    """Every measure on draw ``key`` after its first attempt was degenerate:
-    attempts 1 on, each from its own stream, until one is not."""
-    for attempt in range(1, MAX_RESAMPLES):
-        vec = sample_vector(dist, n, stream(key + (attempt,)))
-        try:
-            return {m: evaluate(spec, vec) for m, spec in specs.items()}
-        except DegenerateInput:
-            continue
-    raise DegenerateInput(f"draw for {key} stayed degenerate after {MAX_RESAMPLES} resamples")
+def _draws(specs: dict[Measure, MeasureSpec], dist, n: int, keys: list) -> dict[Measure, list]:
+    """Every measure on the draws from ``stream(key)`` for (seed, i, r, attempt)
+    keys: one block, checked as ``CoefficientVector`` checks and sorted, then one
+    ``evaluate_block`` call per measure.  A draw degenerate for any measure is
+    redrawn from its next attempt's stream, as a block of one."""
+    rows = np.abs([dist.quantile(stream(key).random(n)) for key in keys])
+    if not np.isfinite(rows).all():
+        raise InvalidParams("coefficient magnitudes must be finite")
+    rows.sort(axis=1)
+    values = {m: evaluate_block(spec, rows) for m, spec in specs.items()}
+    for k, key in enumerate(keys):
+        if any(isinstance(v[k], DegenerateInput) for v in values.values()):
+            draw, attempt = key[:3], key[3] + 1
+            if attempt == MAX_RESAMPLES:
+                raise DegenerateInput(
+                    f"draw for {draw} stayed degenerate after {MAX_RESAMPLES} resamples"
+                )
+            for m, v in _draws(specs, dist, n, [draw + (attempt,)]).items():
+                values[m][k] = v[0]
+    return values
 
 
 def _study(
@@ -223,30 +232,14 @@ def _study(
     where ``points[i]`` is a (distribution, n) pair.
 
     Draw r's first attempt comes from ``stream((seed, i, r, 0))``, so no
-    value depends on the block size.  A block's draws are sorted once and
-    each measure evaluates them in one ``evaluate_block`` call; a draw
-    degenerate for any measure goes to ``_redraw``.
+    value depends on the block size.
     """
     raw = {m: np.empty((len(points), repeats)) for m in specs}
     for i, (dist, n) in enumerate(points):
         step = max(1, BLOCK_VALUES // n)
         for start in range(0, repeats, step):
             block = range(start, min(start + step, repeats))
-            # the magnitudes and check of CoefficientVector, then its sort
-            rows = np.empty((len(block), n))
-            for k, r in enumerate(block):
-                rows[k] = dist.quantile(stream((seed, i, r, 0)).random(n))
-            np.abs(rows, out=rows)
-            if not np.isfinite(rows).all():
-                raise InvalidParams("coefficient magnitudes must be finite")
-            rows.sort(axis=1)
-            values = {m: evaluate_block(spec, rows) for m, spec in specs.items()}
-            for k, r in enumerate(block):
-                if any(isinstance(v[k], DegenerateInput) for v in values.values()):
-                    redrawn = _redraw(specs, dist, n, (seed, i, r))
-                    for m, v in values.items():
-                        v[k] = redrawn[m]
-            for m, v in values.items():
+            for m, v in _draws(specs, dist, n, [(seed, i, r, 0) for r in block]).items():
                 raw[m][i, block.start : block.stop] = v
     return raw
 
@@ -346,6 +339,8 @@ def contribution_curves(amplitudes, specs=None) -> ContributionTable:
     xs = np.asarray(list(amplitudes), dtype=float)
     if xs.size == 0 or np.any(xs < 0):
         raise InvalidParams("amplitude grid must be non-empty and non-negative")
+    if not np.isfinite(xs).all():
+        raise InvalidParams("amplitude grid must be finite")
     if specs is None:
         specs = [MeasureSpec(m) for m, d in MEASURES.items() if d.term is not None]
     terms = {}
@@ -355,7 +350,11 @@ def contribution_curves(amplitudes, specs=None) -> ContributionTable:
             raise NonSeparableMeasure(
                 f"{spec.id.value} has no additive per-component term"
             )
-        terms[spec.id] = term(spec, xs)
+        try:
+            with np.errstate(over="raise"):
+                terms[spec.id] = term(spec, xs)
+        except FloatingPointError as exc:
+            raise DegenerateInput(f"{spec.id.value} term leaves the float64 range ({exc})") from exc
     return ContributionTable(xs, terms)
 
 

@@ -418,17 +418,23 @@ def lorenz_curve(c: CoefficientVector) -> LorenzCurve:
     return LorenzCurve(pts)
 
 
-def _checked(spec: MeasureSpec, rows: np.ndarray) -> np.ndarray:
-    """The kernel's values; ``DegenerateInput`` where they leave the float64 range."""
+def _checked(spec: MeasureSpec, rows: np.ndarray) -> list:
+    """The kernel on each row: its value, or the ``DegenerateInput`` it raises
+    alone.  A kernel raises that only for the length, so for every row; a block
+    out of the float64 range is split in halves down to the rows out of it alone."""
     try:
         with np.errstate(over="raise", invalid="ignore"):
             values = MEASURES[spec.id].kernel(spec, rows)
         if np.isfinite(values).all():
-            return values
+            return values.tolist()
         why = f"got {float(values[~np.isfinite(values)][0])}"
+    except DegenerateInput as exc:
+        return [DegenerateInput(str(exc)) for _ in rows]
     except ArithmeticError as exc:
         why = exc
-    raise DegenerateInput(f"{spec.id.value} exceeds the float64 range on this input ({why})")
+    if len(rows) > 1:
+        return _checked(spec, rows[: len(rows) // 2]) + _checked(spec, rows[len(rows) // 2 :])
+    return [DegenerateInput(f"{spec.id.value} exceeds the float64 range on this input ({why})")]
 
 
 def evaluate(spec: MeasureSpec, c: CoefficientVector) -> float:
@@ -448,26 +454,20 @@ def evaluate_block(spec: MeasureSpec, rows: np.ndarray) -> list:
     """``evaluate`` on each row of an ascending ``(B, n)`` block of
     magnitudes: its value, or the ``SparsemetricsError`` it raises.
 
-    Rows outside the domain get its ``DegenerateInput``, the rest of a finite
-    block one kernel call.  Where that raises or yields a value that is not
-    finite, or the block is not finite, each row is evaluated alone.
+    A row that is not finite gets ``CoefficientVector``'s ``InvalidParams``,
+    a row outside the domain its ``DegenerateInput``, and the rest go to
+    ``_checked`` together: ``rows`` itself where that is every row.
     """
-    if np.isfinite(rows).all():
-        domain = MEASURES[spec.id].domain
-        inside = () if domain is None else domain.inside(spec, rows).tolist()
-        try:
-            if False not in inside:
-                return _checked(spec, rows).tolist()
-            values = iter(_checked(spec, rows[inside]).tolist() if True in inside else ())
-            outside = f"{spec.id.value} is undefined for {domain.outside}"
-            return [next(values) if ok else DegenerateInput(outside) for ok in inside]
-        except DegenerateInput as exc:
-            if len(rows) == 1:  # the row's own error; evaluate must not recurse
-                return [exc.with_traceback(None)]
-    out: list = []
-    for row in rows:
-        try:
-            out.append(evaluate(spec, row))
-        except SparsemetricsError as exc:
-            out.append(exc.with_traceback(None))  # no cycle through this frame
-    return out
+    domain = MEASURES[spec.id].domain
+    finite = np.isfinite(rows).all(axis=1)
+    inside = finite if domain is None else finite & domain.inside(spec, rows)
+    go = inside.tolist()
+    if False not in go:
+        return _checked(spec, rows)
+    values = iter(_checked(spec, rows[inside]) if True in go else ())
+    return [
+        next(values) if ok
+        else DegenerateInput(f"{spec.id.value} is undefined for {domain.outside}") if fin
+        else InvalidParams("coefficient magnitudes must be finite")
+        for ok, fin in zip(go, finite.tolist())
+    ]

@@ -436,11 +436,17 @@ class TestBadArguments:
              "--repeats", "2"),
             ("experiment", "--name", "poisson-convergence", "--sizes", "10",
              "--repeats", "3000000000"),
+            ("experiment", "--name", "contribution-curves", "--amplitudes", "nan"),
+            ("experiment", "--name", "contribution-curves", "--amplitudes", "inf",
+             "--format", "structured"),
+            ("experiment", "--name", "contribution-curves", "--amplitudes", "1e200"),
+            ("experiment", "--name", "contribution-curves", "--amplitudes", "1e-310"),
         ],
         ids=["check-trials-0", "table-trials-0", "sizes", "grid-range", "grid-list",
              "lambda-800", "check-seed", "experiment-seed", "grid-inf", "grid-nan",
              "grid-count-overflow", "grid-too-many-points", "grid-one-past-the-limit",
-             "huge-sample-n", "huge-size", "huge-repeats"],
+             "huge-sample-n", "huge-size", "huge-repeats", "amplitude-nan",
+             "amplitude-inf", "term-overflow", "term-overflow-near-zero"],
     )
     def test_exit_2(self, capsys, argv):
         assert run_cli(*argv) == 2

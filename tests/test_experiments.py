@@ -195,6 +195,9 @@ class TestContributionCurves:
     def test_negative_amplitude_rejected(self):
         with pytest.raises(InvalidParams):
             contribution_curves([-1.0, 0.0])
+        for x in (math.nan, math.inf):
+            with pytest.raises(InvalidParams):
+                contribution_curves([0.0, x])
 
 
 class TestDistributionalGini:
@@ -419,7 +422,8 @@ class TestStudyBlocks:
     @pytest.mark.parametrize("fault", ["raises", "nan"])
     @pytest.mark.parametrize("study", list(STUDIES))
     def test_a_block_failing_for_one_measure_falls_back_per_row(self, monkeypatch, study, fault):
-        # neg-log is defined on every draw, so each block reaches the fault
+        # neg-log is defined on every draw, so each block reaches the fault,
+        # and the block is split in halves down to the rows that pass alone
         real = MEASURES[Measure.NEG_LOG]
         blocks = []
 

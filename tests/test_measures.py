@@ -495,6 +495,50 @@ class TestBlockKernels:
         for row, value in zip(rows, got):
             assert (value.hex() if isinstance(value, float) else str(value)) == _alone(spec, row)
 
+    @staticmethod
+    def _kernel_calls(monkeypatch, spec, rows):
+        """The row count of each kernel call ``evaluate_block(spec, rows)``
+        makes; every row must get what it gets alone."""
+        real = MEASURES[spec.id]
+        calls = []
+
+        def kernel(spec, block):
+            calls.append(len(block))
+            return real.kernel(spec, block)
+
+        monkeypatch.setitem(MEASURES, spec.id, dataclasses.replace(real, kernel=kernel))
+        got = evaluate_block(spec, rows)
+        monkeypatch.undo()
+        for row, value in zip(rows, got):
+            assert (value.hex() if isinstance(value, float) else str(value)) == _alone(spec, row)
+        return calls
+
+    @pytest.mark.parametrize(
+        "m, bad",
+        [
+            (Measure.HS, [1e-200, 2e-200, 3e-200, 4e-200]),
+            (Measure.KAPPA4, [1e-200, 2e-200, 3e-200, 4e-200]),
+            (Measure.HOYER, [1e-200, 2e-200, 3e-200, 4e-200]),
+            (Measure.KAPPA4, [1.0, 2.0, 3.0, 1e300]),
+            (Measure.NEG_LOG, [1.0, 2.0, 3.0, 1e300]),
+        ],
+    )
+    def test_one_out_of_range_row_splits_the_block(self, monkeypatch, m, bad):
+        spec = MeasureSpec(m)
+        rows = np.sort(np.random.default_rng(12).uniform(0.5, 8.0, (10_000, 4)), axis=1)
+        rows[4321] = bad
+        calls = self._kernel_calls(monkeypatch, spec, rows)
+        assert _alone(spec, bad).startswith(f"{m.value} exceeds the float64 range")
+        assert len(calls) <= 2 * math.ceil(math.log2(len(rows))) + 1, len(calls)
+
+    @pytest.mark.parametrize(
+        "m, n, params", [(Measure.HOYER, 1, {}), (Measure.U_THETA, 5, {"theta": 0.9})]
+    )
+    def test_a_length_the_measure_rejects_takes_one_call(self, monkeypatch, m, n, params):
+        spec = MeasureSpec(m, **params)
+        rows = np.sort(np.random.default_rng(13).uniform(0.5, 8.0, (1_000, n)), axis=1)
+        assert self._kernel_calls(monkeypatch, spec, rows) == [1_000]
+
 
 class TestMessagePrecedence:
     """Which message a row gets where two apply, alone and in a block."""
@@ -537,8 +581,8 @@ class TestMessagePrecedence:
 class TestEvaluateBlock:
     @pytest.mark.parametrize("m", MEASURE_ORDER)
     def test_each_row_gets_what_evaluate_gives_it(self, m):
-        # a good block takes one kernel call, a degenerate row is masked out
-        # of it, and an out-of-range or a non-finite row falls back row by row
+        # a good block takes one kernel call, a degenerate or a non-finite row
+        # is masked out of it, and an out-of-range row splits it in halves
         spec = MeasureSpec(m)
         good = [[0.5, 1.0, 2.0, 3.0], [0.0, 1.0, 1.0, 4.0]]
         for bad in (
