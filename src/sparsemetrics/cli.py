@@ -65,14 +65,16 @@ class InputError(SparsemetricsError):
     """Malformed CLI input (exit code 2)."""
 
 
-def _default_seed() -> int:
-    raw = os.environ.get(SEED_ENV_VAR)
-    if raw is None:
-        return 0
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise InputError(f"{SEED_ENV_VAR} must be an integer, got {raw!r}") from exc
+class _EnvSeed(str):
+    """The environment's seed text as the --seed default.  argparse converts a
+    string default with ``int`` only for the command it parses, so a
+    malformed value fails only the commands that take a seed."""
+
+    def __int__(self) -> int:
+        try:
+            return int(str(self))
+        except ValueError as exc:
+            raise InputError(f"{SEED_ENV_VAR} must be an integer, got {str(self)!r}") from exc
 
 
 def _read_text(path: str) -> str:
@@ -435,13 +437,15 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sparsemetrics",
         description="Sparsity measures, axiomatic criteria checks, and experiments.",
+        allow_abbrev=False,
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     measure_ids = [m.value for m in MEASURE_ORDER]
+    seed = _EnvSeed(os.environ.get(SEED_ENV_VAR, "0"))
 
-    p = sub.add_parser("measure", help="evaluate one measure on a vector")
+    p = sub.add_parser("measure", help="evaluate one measure on a vector", allow_abbrev=False)
     p.add_argument("--measure", required=True, choices=measure_ids)
     p.add_argument("--input", required=True, help="vector file, or - for stdin")
     p.add_argument("--complex", action="store_true", help="rows are re,im pairs")
@@ -449,36 +453,36 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(func=_cmd_measure)
 
-    p = sub.add_parser("measure-all", help="evaluate all fifteen measures")
+    p = sub.add_parser("measure-all", help="evaluate all fifteen measures", allow_abbrev=False)
     p.add_argument("--input", required=True)
     p.add_argument("--complex", action="store_true")
     p.add_argument("--precision", type=int, default=6)
     _add_common(p)
     p.set_defaults(func=_cmd_measure_all)
 
-    p = sub.add_parser("lorenz", help="emit the Lorenz curve points")
+    p = sub.add_parser("lorenz", help="emit the Lorenz curve points", allow_abbrev=False)
     p.add_argument("--input", required=True)
     p.add_argument("--complex", action="store_true")
     _add_common(p, with_params=False)
     p.set_defaults(func=_cmd_lorenz)
 
-    p = sub.add_parser("check", help="check one (measure, criterion) cell")
+    p = sub.add_parser("check", help="check one (measure, criterion) cell", allow_abbrev=False)
     p.add_argument("--measure", required=True, choices=measure_ids)
     p.add_argument(
         "--criterion", required=True, choices=[c.value for c in Criterion]
     )
     p.add_argument("--trials", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=int, default=seed)
     _add_common(p)
     p.set_defaults(func=_cmd_check)
 
-    p = sub.add_parser("table", help="full 15x6 compliance table and diff")
+    p = sub.add_parser("table", help="full 15x6 compliance table and diff", allow_abbrev=False)
     p.add_argument("--trials", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=int, default=seed)
     _add_common(p, with_params=False)
     p.set_defaults(func=_cmd_table)
 
-    p = sub.add_parser("experiment", help="run one of the numerical studies")
+    p = sub.add_parser("experiment", help="run one of the numerical studies", allow_abbrev=False)
     p.add_argument(
         "--name",
         required=True,
@@ -489,7 +493,7 @@ def build_parser() -> argparse.ArgumentParser:
             "distributional-gini",
         ),
     )
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=int, default=seed)
     p.add_argument("--lambda", dest="lam", type=float, default=5.0)
     p.add_argument("--sizes", help="comma-separated set sizes")
     p.add_argument("--repeats", type=int, default=None)
@@ -513,7 +517,7 @@ def parse_and_dispatch(argv=None) -> int:
     """Run one command: its Report is rendered in the chosen format, written
     to stdout or --output, and followed by its stderr text."""
     try:
-        parser = build_parser()  # reads the seed env var
+        parser = build_parser()
         args = parser.parse_args(argv)
         report = args.func(args)
         echo = {k: v for k, v in sorted(vars(args).items()) if k != "func"}

@@ -40,7 +40,7 @@ from .transforms import (
     Relation,
     TrialConfig,
     TrialGroup,
-    probes,
+    draw_trial,
     stream,
 )
 
@@ -318,17 +318,15 @@ def _values(spec: MeasureSpec, rows: list[np.ndarray]) -> list:
     return out
 
 
-def _group_outcome(spec: MeasureSpec, criterion: Criterion, group: TrialGroup, values=None):
-    """Test one group of trials that share a before vector, given ``_values``
-    of its before and after rows (evaluated here if None).
+def _group_outcome(spec: MeasureSpec, criterion: Criterion, group: TrialGroup, values):
+    """Decide one group of trials that share a before vector, from ``values``,
+    the ``_values`` of its before and after rows.
 
     Returns "skip" when the group says nothing about the criterion (a
     degenerate value, or a strict-increase start already at the measure's
     maximum), None when every trial holds, else the first failing
     (k, value_before, value_after), k indexing ``group.afters``.
     """
-    if values is None:
-        values = _values(spec, [group.before, *group.afters])
     increase = CRITERIA[criterion].relation is Relation.AFTER_STRICTLY_GREATER
     maximum = MEASURES[spec.id].maximum if increase else None
     vb, first_fail = values[0], None
@@ -345,18 +343,27 @@ def _group_outcome(spec: MeasureSpec, criterion: Criterion, group: TrialGroup, v
     return first_fail
 
 
+def _outcomes(spec: MeasureSpec, criterion: Criterion, groups: list[TrialGroup]):
+    """``_group_outcome`` of each of ``groups`` in turn, lazily, after one
+    ``_values`` call on all their rows."""
+    values = iter(_values(spec, [row for g in groups for row in (g.before, *g.afters)]))
+    for g in groups:
+        yield _group_outcome(spec, criterion, g, list(islice(values, 1 + len(g.afters))))
+
+
 def check_cell(
     spec: MeasureSpec, criterion: Criterion, trials: int = 1000, seed: int = 0
 ) -> CellVerdict:
     """Randomized search for a counter-witness over ``trials`` seeded draws.
 
-    Each draw's trials come in groups (``transforms.probes``).  The first
-    group decides whether the draw is skipped; the draw holds when that
-    group or any later one holds, where a later group that skips counts as
-    failing.  Otherwise the witness is the first group's first failure.
-    First groups are evaluated ``BLOCK_TRIALS`` draws at a time, later ones
-    only for a failing draw.  Verdicts are decided in trial order, so the
-    block size changes none, and an error after the witness never surfaces.
+    Each draw (``transforms.draw_trial``) is a first group of trials and its
+    ``later`` groups.  The first group decides whether the draw is skipped;
+    the draw holds when that group or any later one holds, where a later
+    group that skips counts as failing.  Otherwise the witness is the first
+    group's first failure.  First groups are evaluated ``BLOCK_TRIALS``
+    draws at a time, and all later groups of a failing draw together.
+    Verdicts are decided in trial order, so the block size changes none,
+    and an error after the witness never surfaces.
     """
     if trials < 1:
         raise InvalidParams(f"trials must be >= 1, got {trials}")
@@ -369,20 +376,14 @@ def check_cell(
         draws, failure = [], None
         for t in range(start, min(start + BLOCK_TRIALS, trials)):
             try:
-                groups = probes(criterion, config, stream((seed, m_idx, c_idx, t)))
-                draws.append((groups, next(groups)))
+                draws.append(draw_trial(criterion, config, stream((seed, m_idx, c_idx, t))))
             except SparsemetricsError as exc:
                 failure = exc  # raised only if no earlier draw is a witness
                 break
-        values = iter(_values(spec, [row for _, g in draws for row in (g.before, *g.afters)]))
-        for t, (groups, first) in enumerate(draws, start):
-            group_values = list(islice(values, 1 + len(first.afters)))
-            outcome = _group_outcome(spec, criterion, first, group_values)
+        for t, (first, outcome) in enumerate(zip(draws, _outcomes(spec, criterion, draws)), start):
             if outcome == "skip":
                 skipped += 1
-            elif outcome is not None and all(
-                _group_outcome(spec, criterion, g) is not None for g in groups
-            ):
+            elif outcome is not None and None not in _outcomes(spec, criterion, [*first.later]):
                 k, vb, va = outcome
                 return CellVerdict(
                     spec.id, criterion, True, t + 1, skipped, first.trial(criterion, k), vb, va

@@ -253,7 +253,6 @@ def poisson_convergence(
     sizes=DEFAULT_SIZES,
     repeats: int = DEFAULT_POISSON_REPEATS,
     seed: int = 0,
-    specs: dict[Measure, MeasureSpec] | None = None,
 ) -> ExperimentResult:
     """All fifteen measures on Poisson draws, as a function of set size."""
     sizes = [int(n) for n in sizes]
@@ -261,7 +260,7 @@ def poisson_convergence(
         raise InvalidParams("sizes must be ascending and each >= 2")
     if repeats < 2:
         raise InvalidParams("repeats must be >= 2")
-    specs = specs or default_specs()
+    specs = default_specs()
     dist = DistributionSpec.poisson(lam)
     raw = _study(specs, [(dist, n) for n in sizes], repeats, seed)
     return ExperimentResult(
@@ -293,7 +292,6 @@ def bernoulli_sweep(
     n: int = 1000,
     repeats: int = DEFAULT_BERNOULLI_REPEATS,
     seed: int = 0,
-    specs: dict[Measure, MeasureSpec] | None = None,
 ) -> ExperimentResult:
     """All fifteen measures on 0/1 draws as the zero-probability p sweeps."""
     grid = [float(p) for p in grid]
@@ -303,8 +301,7 @@ def bernoulli_sweep(
         raise InvalidParams("n must be >= 2")
     if repeats < 2:
         raise InvalidParams("repeats must be >= 2")
-    if specs is None:
-        specs = default_specs(epsilon=BERNOULLI_EPSILON)
+    specs = default_specs(epsilon=BERNOULLI_EPSILON)
     raw = _study(specs, [(DistributionSpec.bernoulli01(p), n) for p in grid], repeats, seed)
     return ExperimentResult(
         name="bernoulli-sweep",

@@ -3,8 +3,8 @@
 Each constructor validates its preconditions, records the parameters used,
 and states the relation a compliant measure must exhibit between the two
 vectors.  ``CRITERIA`` defines each criterion once: its relation, its
-constructor and its random draw.  ``probes`` yields the trials the
-compliance engine tests on one seeded draw.
+constructor and its random draw.  ``draw_trial`` draws the groups of
+trials the compliance engine tests on one seeded draw.
 
 The generator draws coefficients on a dyadic grid (multiples of 2**-20)
 and snaps transfer amounts to the same grid.  Sums of such values up to
@@ -20,8 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import chain
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
@@ -46,7 +45,6 @@ __all__ = [
     "sample_trial",
     "draw_trial",
     "draw_vector",
-    "probes",
     "stream",
 ]
 
@@ -282,11 +280,8 @@ def _draw_robin_hood(config: TrialConfig, rng: np.random.Generator) -> TrialGrou
     donors = np.flatnonzero(v >= v[j] + gap)
     i = int(rng.choice(donors))
     gap_ticks = int(round((v[i] - v[j]) * _TICKS_PER_UNIT))
-    hi_alpha = (gap_ticks - 1) // 2
-    if hi_alpha < 1:
-        return None
     alpha_ticks = int(round(rng.uniform(0.2, 0.8) * gap_ticks / 2))
-    alpha_ticks = min(max(alpha_ticks, 1), hi_alpha)
+    alpha_ticks = min(max(alpha_ticks, 1), (gap_ticks - 1) // 2)
     return _robin_hood(v, i, j, alpha_ticks * TICK)
 
 
@@ -370,23 +365,16 @@ CRITERIA: dict[Criterion, CriterionDef] = {
 def draw_trial(
     criterion: Criterion, config: TrialConfig, rng: np.random.Generator
 ) -> TrialGroup:
-    """Draw one valid group of trials for ``criterion``, redrawing ineligible vectors."""
-    return _retry(lambda: CRITERIA[criterion].draw(config, rng), f"{criterion} trial")
-
-
-def probes(
-    criterion: Criterion, config: TrialConfig, rng: np.random.Generator
-) -> Iterator[TrialGroup]:
-    """The groups of trials one seeded draw tests, the later ones lazily.
+    """Draw the groups of trials one seeded draw tests, redrawing ineligible
+    vectors: the first group, holding the others lazily in ``later``.
 
     The criterion holds on the draw when every trial of some group holds.
-    Every criterion but P1 yields one group of one trial.  P1 ("for some
-    beta, for every alpha") yields one group per beta, the policy beta
+    Every criterion but P1 draws one group of one trial.  P1 ("for some
+    beta, for every alpha") draws one group per beta, the policy beta
     first and then ``P1_BETA_SWEEP``, each with the ``P1_ALPHA_MULTIPLIERS``
     alphas.
     """
-    group = draw_trial(criterion, config, rng)
-    return chain((group,), group.later)
+    return _retry(lambda: CRITERIA[criterion].draw(config, rng), f"{criterion} trial")
 
 
 def sample_trial(

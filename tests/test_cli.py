@@ -454,6 +454,23 @@ class TestBadArguments:
         assert captured.out == ""
         assert captured.err.startswith("error: ")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("experiment", "--name", "contribution-curves", "--amplitudes", "0,1", "--a", "2"),
+            ("table", "--trial", "3"),
+        ],
+        ids=["a-for-amplitudes", "trial-for-trials"],
+    )
+    def test_abbreviated_option_exits_2(self, capsys, argv):
+        # argparse reports a usage error itself, before any command runs
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: unrecognized arguments: {' '.join(argv[-2:])}" in captured.err
+
     def test_grid_point_limit(self):
         assert len(_parse_grid(f"0:{MAX_GRID_POINTS - 1}:1")) == MAX_GRID_POINTS
         with pytest.raises(InputError, match="more than 1000000 points"):
@@ -587,6 +604,29 @@ class TestMalformedSeedEnvVar:
         assert run_cli("check", "--measure", "gini", "--criterion", "D1",
                        "--trials", "1") == 2
         assert "SPARSEMETRICS_SEED" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("measure", "--measure", "gini", "--input", "VEC"), ("lorenz", "--input", "VEC")],
+        ids=["measure", "lorenz"],
+    )
+    def test_commands_without_a_seed_ignore_it(self, monkeypatch, capsys, vec_file, argv):
+        monkeypatch.setenv("SPARSEMETRICS_SEED", "abc")
+        assert run_cli(*(vec_file if a == "VEC" else a for a in argv)) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_version_ignores_it(self, monkeypatch, capsys):
+        monkeypatch.setenv("SPARSEMETRICS_SEED", "abc")
+        with pytest.raises(SystemExit) as exc:
+            run_cli("--version")
+        assert exc.value.code == 0
+        assert capsys.readouterr().out == f"{cli.__version__}\n"
+
+    def test_flag_beats_a_malformed_env_var(self, monkeypatch):
+        from sparsemetrics.cli import build_parser
+
+        monkeypatch.setenv("SPARSEMETRICS_SEED", "abc")
+        assert build_parser().parse_args(["table", "--seed", "9"]).seed == 9
 
 
 # argv, tabular header line (None: a bare value), top-level payload keys and

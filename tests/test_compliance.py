@@ -28,9 +28,9 @@ from sparsemetrics import (
     theorem_consistency,
 )
 from sparsemetrics import compliance
-from sparsemetrics.compliance import _group_outcome
+from sparsemetrics.compliance import _outcomes
 from sparsemetrics.errors import CatalogMiss, DegenerateInput, GenerationFailure, InvalidParams
-from sparsemetrics.transforms import TICK, TrialConfig, TrialGroup, probes, stream
+from sparsemetrics.transforms import TICK, TrialConfig, TrialGroup, draw_trial, stream
 
 
 class TestRelationHolds:
@@ -242,16 +242,21 @@ class TestGroupRule:
     GINI = MeasureSpec(M.GINI)
 
     def test_group_outcome(self):
-        assert _group_outcome(self.GINI, C.D2, _group([1, 2], [2, 4], [2, 4])) is None
-        k, vb, va = _group_outcome(self.GINI, C.D2, _group([1, 2], [2, 4], [1, 3], [1, 3]))
+        holds, fails, skip = _outcomes(self.GINI, C.D2, [
+            _group([1, 2], [2, 4], [2, 4]),
+            _group([1, 2], [2, 4], [1, 3], [1, 3]),
+            _group([1, 2], [1, 3], [0, 0]),
+        ])
+        assert holds is None
+        k, vb, va = fails
         assert k == 1 and (vb, va) == (1 / 6, 0.25)
         # a degenerate value anywhere in the group skips it, even after a failure
-        assert _group_outcome(self.GINI, C.D2, _group([1, 2], [1, 3], [0, 0])) == "skip"
+        assert skip == "skip"
 
     def test_saturated_start_skips_only_increase_criteria(self):
         hoyer = MeasureSpec(M.HOYER)  # one-hot: hoyer is at its maximum, 1
-        assert _group_outcome(hoyer, C.P2, _group([0, 1], [0, 1, 0])) == "skip"
-        assert _group_outcome(hoyer, C.D2, _group([0, 1], [0, 2])) is None
+        assert list(_outcomes(hoyer, C.P2, [_group([0, 1], [0, 1, 0])])) == ["skip"]
+        assert list(_outcomes(hoyer, C.D2, [_group([0, 1], [0, 2])])) == [None]
 
     @pytest.mark.parametrize(
         "groups, violated, skipped",
@@ -263,11 +268,29 @@ class TestGroupRule:
         ],
     )
     def test_draw_verdict(self, monkeypatch, groups, violated, skipped):
-        monkeypatch.setattr(compliance, "probes", lambda *args: iter(groups))
+        draw = groups[0]._replace(later=groups[1:])
+        monkeypatch.setattr(compliance, "draw_trial", lambda *args: draw)
         v = check_cell(self.GINI, C.D2, trials=2, seed=0)
         assert (v.violated, v.skipped) == (violated, skipped)
         if violated:
             assert v.trials == 1 and v.witness == FAILS.trial(C.D2)
+
+    def test_later_groups_take_one_evaluation(self, monkeypatch):
+        # the first group fails, so both later groups are evaluated, in one
+        # call: the first of them fails and the second holds
+        monkeypatch.setattr(
+            compliance, "draw_trial", lambda *args: FAILS._replace(later=(FAILS, HOLDS))
+        )
+        real, calls = compliance.evaluate_block, []
+
+        def evaluate_block(spec, rows):
+            calls.append(len(rows))
+            return real(spec, rows)
+
+        monkeypatch.setattr(compliance, "evaluate_block", evaluate_block)
+        v = check_cell(self.GINI, C.D2, trials=1, seed=0)
+        assert (v.violated, v.skipped) == (False, 0)
+        assert calls == [2, 4]  # rows per call: the first group's, then both later ones'
 
 
 # check_cell(trials=1000, seed=0) witnesses found by search: (measure,
@@ -304,7 +327,7 @@ def _sequential_skips(spec, criterion, trials, seed=0):
     key = (seed, MEASURE_ORDER.index(spec.id), CRITERION_ORDER.index(criterion))
     flags = []
     for t in range(trials):
-        group = next(probes(criterion, config, stream((*key, t))))
+        group = draw_trial(criterion, config, stream((*key, t)))
         trials_ = [group.trial(criterion, k) for k in range(len(group.afters))]
         try:
             vb = evaluate(spec, trials_[0].before)
@@ -325,14 +348,14 @@ def draws_fail_from(monkeypatch):
     """``install(k)``: every draw from trial index k on raises GenerationFailure."""
 
     def install(k):
-        real, calls = compliance.probes, iter(range(10**9))
+        real, calls = compliance.draw_trial, iter(range(10**9))
 
-        def probes(*args):
+        def draw_trial(*args):
             if next(calls) >= k:
                 raise GenerationFailure(f"draw {k} fails")
             return real(*args)
 
-        monkeypatch.setattr(compliance, "probes", probes)
+        monkeypatch.setattr(compliance, "draw_trial", draw_trial)
 
     return install
 
@@ -371,13 +394,23 @@ class TestBlockBoundaries:
             assert _found(check_cell(MeasureSpec(m), c, trials=600, seed=0)) == found, (m, c)
 
     def test_a_degenerate_row_leaves_its_block_exact(self, monkeypatch):
-        # the first draw's all-zero after vector sends its block (both draws'
-        # rows have length 2) back to evaluate row by row: the first draw
+        # the first draw's all-zero after vector is outside gini's domain in
+        # a block of both draws' rows (all of length 2): the first draw
         # skips, the second still fails
         draws = iter([DEGENERATE, FAILS])
-        monkeypatch.setattr(compliance, "probes", lambda *args: iter([next(draws)]))
+        monkeypatch.setattr(compliance, "draw_trial", lambda *args: next(draws))
         v = check_cell(MeasureSpec(M.GINI), C.D2, trials=2, seed=0)
         assert (v.violated, v.trials, v.skipped) == (True, 2, 1)
+        assert v.witness == FAILS.trial(C.D2)
+
+    def test_a_bad_row_after_the_witness_does_not_surface(self, monkeypatch):
+        # the second draw's after vector is not finite, and its block is
+        # evaluated together; decided in trial order, the first draw's
+        # witness ends the search before that row's error is reached
+        draws = iter([FAILS, _group([1, 2], [1, np.inf])])
+        monkeypatch.setattr(compliance, "draw_trial", lambda *args: next(draws))
+        v = check_cell(MeasureSpec(M.GINI), C.D2, trials=2, seed=0)
+        assert (v.violated, v.trials, v.skipped) == (True, 1, 0)
         assert v.witness == FAILS.trial(C.D2)
 
     def test_u_theta_p1_skips_match_sequential(self, monkeypatch):

@@ -27,7 +27,6 @@ from sparsemetrics.transforms import (
     POSITIVE_FLOOR,
     TICK,
     draw_trial,
-    probes,
     stream,
 )
 
@@ -219,7 +218,8 @@ class TestProbes:
     @pytest.mark.parametrize("criterion", [c for c in Criterion if c is not Criterion.P1])
     def test_one_group_of_the_drawn_trial(self, criterion):
         for seed in range(20):
-            groups = list(probes(criterion, TrialConfig(), stream(seed)))
+            first = draw_trial(criterion, TrialConfig(), stream(seed))
+            groups = [first, *first.later]
             t = sample_trial(criterion, seed=seed)
             assert len(groups) == 1 and len(groups[0].afters) == 1
             g = groups[0].trial(criterion)
@@ -227,9 +227,10 @@ class TestProbes:
 
     def test_bill_gates_groups_share_before_and_sweep_beta(self):
         for seed in range(20):
+            first = draw_trial(Criterion.P1, TrialConfig(), stream(seed))
             groups = [
                 [g.trial(Criterion.P1, k) for k in range(len(g.afters))]
-                for g in probes(Criterion.P1, TrialConfig(), stream(seed))
+                for g in (first, *first.later)
             ]
             assert len(groups) == 1 + len(P1_BETA_SWEEP)
             for k, group in enumerate(groups):
