@@ -77,6 +77,15 @@ class _EnvSeed(str):
             raise InputError(f"{SEED_ENV_VAR} must be an integer, got {str(self)!r}") from exc
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are InputErrors, so they take
+    the one exit path: a single ``error:`` line and exit code 2.  Subparsers
+    are built from the same class."""
+
+    def error(self, message: str):
+        raise InputError(f"{message} (see '{self.prog} --help' for usage)")
+
+
 def _read_text(path: str) -> str:
     try:
         if path == "-":
@@ -434,7 +443,7 @@ def _add_common(parser: argparse.ArgumentParser, with_params: bool = True) -> No
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="sparsemetrics",
         description="Sparsity measures, axiomatic criteria checks, and experiments.",
         allow_abbrev=False,

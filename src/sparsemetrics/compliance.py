@@ -41,7 +41,7 @@ from .transforms import (
     TrialConfig,
     TrialGroup,
     draw_trial,
-    stream,
+    streams,
 )
 
 __all__ = [
@@ -374,9 +374,10 @@ def check_cell(
     skipped = 0
     for start in range(0, trials, BLOCK_TRIALS):
         draws, failure = [], None
-        for t in range(start, min(start + BLOCK_TRIALS, trials)):
+        block = range(start, min(start + BLOCK_TRIALS, trials))
+        for rng in streams([(seed, m_idx, c_idx, t) for t in block]):
             try:
-                draws.append(draw_trial(criterion, config, stream((seed, m_idx, c_idx, t))))
+                draws.append(draw_trial(criterion, config, rng))
             except SparsemetricsError as exc:
                 failure = exc  # raised only if no earlier draw is a witness
                 break

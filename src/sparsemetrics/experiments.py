@@ -25,7 +25,7 @@ from .measures import (
     evaluate_block,
     gini,
 )
-from .transforms import stream
+from .transforms import stream, streams
 
 __all__ = [
     "DistributionSpec",
@@ -204,11 +204,12 @@ BLOCK_VALUES = 1 << 16
 
 
 def _draws(specs: dict[Measure, MeasureSpec], dist, n: int, keys: list) -> dict[Measure, list]:
-    """Every measure on the draws from ``stream(key)`` for (seed, i, r, attempt)
-    keys: one block, checked as ``CoefficientVector`` checks and sorted, then one
-    ``evaluate_block`` call per measure.  A draw degenerate for any measure is
-    redrawn from its next attempt's stream, as a block of one."""
-    rows = np.abs([dist.quantile(stream(key).random(n)) for key in keys])
+    """Every measure on the draws from the streams of (seed, i, r, attempt)
+    keys, derived in one ``streams`` call: one block, checked as
+    ``CoefficientVector`` checks and sorted, then one ``evaluate_block`` call
+    per measure.  A draw degenerate for any measure is redrawn from its next
+    attempt's stream, as a block of one."""
+    rows = np.abs([dist.quantile(rng.random(n)) for rng in streams(keys)])
     if not np.isfinite(rows).all():
         raise InvalidParams("coefficient magnitudes must be finite")
     rows.sort(axis=1)

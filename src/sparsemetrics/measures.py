@@ -108,7 +108,8 @@ class CoefficientVector:
             raise InvalidParams("coefficient magnitudes must be finite")
         mags.setflags(write=False)
         self._values = mags
-        srt = np.sort(mags, kind="stable")
+        # finite, non-negative and free of -0.0, so any sort gives the same bits
+        srt = np.sort(mags)
         srt.setflags(write=False)
         self._sorted = srt
 

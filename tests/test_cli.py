@@ -411,6 +411,17 @@ class TestExperimentCommand:
         assert abs(doc["quadrature_gini"] - 0.5) <= 1e-12
 
 
+# argparse's usage errors, and how their one stderr line starts
+USAGE_ERRORS = {
+    ("experiment", "--name", "contribution-curves", "--amplitudes", "0,1", "--a", "2"):
+        "error: unrecognized arguments: --a 2",
+    ("table", "--trial", "3"): "error: unrecognized arguments: --trial 3",
+    ("check", "--measure", "gini", "--criterion", "d1"):
+        "error: argument --criterion: invalid choice: 'd1'",
+    ("table", "--seed", "abc"): "error: argument --seed: invalid int value: 'abc'",
+}
+
+
 class TestBadArguments:
     """Out-of-range or malformed arguments exit 2 with an error line."""
 
@@ -441,35 +452,30 @@ class TestBadArguments:
              "--format", "structured"),
             ("experiment", "--name", "contribution-curves", "--amplitudes", "1e200"),
             ("experiment", "--name", "contribution-curves", "--amplitudes", "1e-310"),
+            *USAGE_ERRORS,
         ],
         ids=["check-trials-0", "table-trials-0", "sizes", "grid-range", "grid-list",
              "lambda-800", "check-seed", "experiment-seed", "grid-inf", "grid-nan",
              "grid-count-overflow", "grid-too-many-points", "grid-one-past-the-limit",
              "huge-sample-n", "huge-size", "huge-repeats", "amplitude-nan",
-             "amplitude-inf", "term-overflow", "term-overflow-near-zero"],
+             "amplitude-inf", "term-overflow", "term-overflow-near-zero",
+             "a-for-amplitudes", "trial-for-trials", "invalid-choice", "seed-not-an-int"],
     )
     def test_exit_2(self, capsys, argv):
         assert run_cli(*argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error: ")
+        assert captured.err.startswith(USAGE_ERRORS.get(argv, "error: "))
+        if argv in USAGE_ERRORS:  # argparse's errors too: one line, no usage block
+            assert captured.err.count("\n") == 1
 
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ("experiment", "--name", "contribution-curves", "--amplitudes", "0,1", "--a", "2"),
-            ("table", "--trial", "3"),
-        ],
-        ids=["a-for-amplitudes", "trial-for-trials"],
-    )
-    def test_abbreviated_option_exits_2(self, capsys, argv):
-        # argparse reports a usage error itself, before any command runs
+    @pytest.mark.parametrize("argv", [("--help",), ("table", "--help"), ("--version",)])
+    def test_help_and_version_exit_0(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
             run_cli(*argv)
-        assert exc.value.code == 2
+        assert exc.value.code == 0
         captured = capsys.readouterr()
-        assert captured.out == ""
-        assert f"error: unrecognized arguments: {' '.join(argv[-2:])}" in captured.err
+        assert captured.out and captured.err == ""
 
     def test_grid_point_limit(self):
         assert len(_parse_grid(f"0:{MAX_GRID_POINTS - 1}:1")) == MAX_GRID_POINTS

@@ -143,6 +143,15 @@ class TestCheckCell:
         assert a.trials == b.trials and a.violated == b.violated
         assert a.witness.before == b.witness.before
 
+    def test_one_streams_call_per_block(self, monkeypatch):
+        calls = []
+        real = compliance.streams
+        monkeypatch.setattr(compliance, "streams", lambda keys: calls.append(keys) or real(keys))
+        v = check_cell(MeasureSpec(Measure.GINI), Criterion.D4, trials=1000, seed=0)
+        assert not v.violated and v.trials == 1000
+        assert len(calls) == 16 == -(-1000 // compliance.BLOCK_TRIALS)
+        assert [k for keys in calls for k in keys] == [(0, 14, 3, t) for t in range(1000)]
+
     def test_monotone_confidence(self):
         # NoViolationFound at T stays NoViolationFound at smaller T, same seed
         big = check_cell(MeasureSpec(Measure.GINI), Criterion.D1, trials=120, seed=5)

@@ -390,13 +390,13 @@ class TestStudyBlocks:
     def test_a_degenerate_draw_mid_block_is_the_only_one_redrawn(self, monkeypatch):
         run, specs, points, seed = STUDIES["bernoulli-n4"]
         keys = []
-        real = experiments.stream
-        monkeypatch.setattr(experiments, "stream", lambda key: keys.append(key) or real(key))
+        real = experiments.streams
+        monkeypatch.setattr(experiments, "streams", lambda ks: keys.extend(ks) or real(ks))
         result = run(50)
         assert 50 * 4 <= experiments.BLOCK_VALUES  # each sweep point is one block
 
         def first_values(i, r):
-            vec = sample_vector(points[i][0], 4, real((seed, i, r, 0)))
+            vec = sample_vector(points[i][0], 4, stream((seed, i, r, 0)))
             try:
                 return {m: evaluate(spec, vec).hex() for m, spec in specs().items()}
             except DegenerateInput:

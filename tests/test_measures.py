@@ -61,6 +61,20 @@ class TestCoefficientVector:
         assert not v.values.flags.writeable and not v.sorted_values.flags.writeable
         assert not np.shares_memory(v.values, arr)
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, 1e-300, -1e300])
+            | st.floats(allow_nan=False, allow_infinity=False),
+            min_size=1,
+            max_size=64,
+        )
+    )
+    def test_sorted_values_match_a_stable_sort_bit_for_bit(self, xs):
+        got = CoefficientVector(xs).sorted_values
+        want = np.sort(np.abs(np.array(xs, dtype=np.float64)), kind="stable")
+        assert got.tobytes() == want.tobytes()
+
 
 class TestCountMeasures:
     def test_l0_counts_zeros(self):

@@ -8,6 +8,7 @@ import pytest
 from sparsemetrics import (
     CoefficientVector,
     Criterion,
+    InvalidParams,
     InvalidTransform,
     Relation,
     TrialConfig,
@@ -28,6 +29,7 @@ from sparsemetrics.transforms import (
     TICK,
     draw_trial,
     stream,
+    streams,
 )
 
 
@@ -249,3 +251,52 @@ class TestProbes:
                     assert beta == 10 * (l1 + c.max() - c[i])
                 else:
                     assert beta == max(TICK, round(P1_BETA_SWEEP[k - 1] * l1 / TICK) * TICK)
+
+
+def _reference(key):
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(key)))
+
+
+def _assert_same_stream(rng, key):
+    ref = _reference(key)
+    assert rng.bit_generator.state == ref.bit_generator.state
+    assert rng.random(64).tobytes() == ref.random(64).tobytes()
+    assert rng.integers(0, 2**20, 64).tolist() == ref.integers(0, 2**20, 64).tolist()
+
+
+# seeds of one to three words, and (seed, measure, criterion, trial) keys with
+# trial indices up to 2**32 + 1
+STREAM_KEYS = [
+    0, 1, 2**32 - 1, 2**32, 2**64 + 3,
+    (0, 0, 0, 0), (7, 14, 5, 999), (2**32 - 1, 3, 2, 2**32 - 1), (1, 3, 2, 2**32),
+    (2**64 + 3, 3, 2, 2**32 + 1),
+]
+
+
+class TestStreams:
+    """``streams`` derives exactly numpy's Generator(PCG64(SeedSequence(key)))."""
+
+    @pytest.mark.parametrize("key", STREAM_KEYS, ids=str)
+    def test_stream_matches_seed_sequence(self, key):
+        _assert_same_stream(stream(key), key)
+
+    @pytest.mark.parametrize("seed", [0, 5, 2**32, 2**64 + 3])
+    def test_bare_int_and_one_tuple_agree(self, seed):
+        _assert_same_stream(stream(seed), (seed,))
+        _assert_same_stream(stream((seed,)), seed)
+
+    def test_keys_of_different_word_counts_in_one_call(self):
+        keys = [*STREAM_KEYS, (3,), *[(1499, 3, 2, t) for t in range(64)], (1, 2, 3, 4, 5, 6)]
+        for key, rng in zip(keys, streams(keys), strict=True):
+            _assert_same_stream(rng, key)
+
+    def test_one_generator_reseeded_in_place(self):
+        first, second = streams([1, 2])
+        assert first is second
+
+    @pytest.mark.parametrize("key", [-4, (-4,), (-4, 0, 0, 0)])
+    def test_negative_seed(self, key):
+        with pytest.raises(InvalidParams, match=r"^seed must be non-negative, got -4$"):
+            stream(key)
+        with pytest.raises(InvalidParams, match=r"^seed must be non-negative, got -4$"):
+            streams([0, key])
