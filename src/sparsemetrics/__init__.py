@@ -27,7 +27,6 @@ from .transforms import (
     Criterion,
     CriterionTrial,
     Relation,
-    TrialConfig,
     babies,
     bill_gates,
     clone,
@@ -36,6 +35,7 @@ from .transforms import (
     robin_hood,
     sample_trial,
     scale,
+    trial_ticks,
 )
 from .compliance import (
     CATALOG_PAIRS,

@@ -80,10 +80,17 @@ class _EnvSeed(str):
 class _Parser(argparse.ArgumentParser):
     """An argument parser whose usage errors are InputErrors, so they take
     the one exit path: a single ``error:`` line and exit code 2.  Subparsers
-    are built from the same class."""
+    are built from the same class, so each reports its own leftover
+    arguments and points at its own help."""
 
     def error(self, message: str):
         raise InputError(f"{message} (see '{self.prog} --help' for usage)")
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
 
 
 def _read_text(path: str) -> str:

@@ -38,10 +38,10 @@ from .transforms import (
     Criterion,
     CriterionTrial,
     Relation,
-    TrialConfig,
     TrialGroup,
     draw_trial,
     streams,
+    trial_ticks,
 )
 
 __all__ = [
@@ -367,8 +367,7 @@ def check_cell(
     """
     if trials < 1:
         raise InvalidParams(f"trials must be >= 1, got {trials}")
-    d = MEASURES[spec.id]
-    config = TrialConfig(d.strictly_positive, d.value_cap(spec) if d.value_cap else None)
+    ticks = trial_ticks(spec)
     m_idx = MEASURE_ORDER.index(spec.id)
     c_idx = CRITERION_ORDER.index(criterion)
     skipped = 0
@@ -377,7 +376,7 @@ def check_cell(
         block = range(start, min(start + BLOCK_TRIALS, trials))
         for rng in streams([(seed, m_idx, c_idx, t) for t in block]):
             try:
-                draws.append(draw_trial(criterion, config, rng))
+                draws.append(draw_trial(criterion, ticks, rng))
             except SparsemetricsError as exc:
                 failure = exc  # raised only if no earlier draw is a witness
                 break

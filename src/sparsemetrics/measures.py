@@ -167,8 +167,9 @@ class MeasureDef:
     * ``maximum(n)`` is the attainable maximum over length-``n`` vectors, or
       None without a finite scale-free maximum; the compliance engine skips
       strict-increase trials that start saturated.
-    * ``strictly_positive`` and ``value_cap(spec)`` bound the draws of the
-      compliance engine's random trials (see ``transforms.TrialConfig``).
+    * ``strictly_positive`` and ``value_cap(spec)`` bound the compliance
+      engine's random trials; ``transforms.trial_ticks`` turns them into the
+      grid ticks the trials are drawn from.
     * ``term`` is the additive per-component term, or None for the ratio and
       order-statistic measures.
     """
@@ -266,6 +267,13 @@ def _ratio(form: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray], **f
     return MeasureDef(kernel, NONZERO, **fields)
 
 
+def _no_underflow(sq: np.ndarray) -> np.ndarray:
+    """Nonzero rows' sums of squares, none of which may underflow to 0."""
+    if 0.0 in sq.tolist():
+        raise FloatingPointError("its squares sum to 0")
+    return sq
+
+
 def _kappa4(rows: np.ndarray, l1: np.ndarray, sq: np.ndarray) -> np.ndarray:
     s4 = np.add.reduce(rows**4, axis=1).tolist()
     # where (sum c^2)^2 passes the float64 range, divide by sum c^2 twice
@@ -284,10 +292,7 @@ def _hoyer(rows: np.ndarray, l1: np.ndarray, sq: np.ndarray) -> np.ndarray:
 def _hs(spec: MeasureSpec, rows: np.ndarray) -> np.ndarray:
     """hs-prime of the normalized energies c^2 / ||c||_2^2."""
     sq = rows * rows
-    total = np.add.reduce(sq, axis=1)
-    if 0.0 in total.tolist():  # a nonzero row whose squares underflow
-        raise FloatingPointError("its squares sum to 0")
-    return _hs_prime(spec, sq / total[:, None])
+    return _hs_prime(spec, sq / _no_underflow(np.add.reduce(sq, axis=1))[:, None])
 
 
 def _u_theta(spec: MeasureSpec, rows: np.ndarray) -> np.ndarray:
@@ -360,7 +365,9 @@ MEASURES: dict[Measure, MeasureDef] = {
         validate=lambda spec: _require(spec, spec.p_neg < 0, "p < 0", spec.p_neg),
         strictly_positive=True,  # c^p blows up near zero
     ),
-    Measure.L2_OVER_L1: _ratio(lambda rows, l1, sq: np.sqrt(sq) / l1, maximum=lambda n: 1.0),
+    Measure.L2_OVER_L1: _ratio(
+        lambda rows, l1, sq: np.sqrt(_no_underflow(sq)) / l1, maximum=lambda n: 1.0
+    ),
     Measure.KAPPA4: _ratio(_kappa4, maximum=lambda n: 1.0),
     Measure.U_THETA: MeasureDef(
         kernel=_u_theta,

@@ -6,10 +6,11 @@ vectors.  ``CRITERIA`` defines each criterion once: its relation, its
 constructor and its random draw.  ``draw_trial`` draws the groups of
 trials the compliance engine tests on one seeded draw.
 
-The generator draws coefficients on a dyadic grid (multiples of 2**-20)
-and snaps transfer amounts to the same grid.  Sums of such values up to
-the configured ranges are exact in float64, so Robin Hood and Babies
-conserve the l1 mass bit-exactly under any summation order.
+Draws reason in integer grid ticks (multiples of ``TICK`` = 2**-20) from
+the range ``trial_ticks`` gives, and turn them into float64 once, where
+each builds its ``TrialGroup``.  Sums of grid values up to VALUE_MAX are
+exact in float64, so Robin Hood and Babies conserve the l1 mass bit-exactly
+under any summation order.
 
 Everything here is pure construction; random state is caller-supplied and
 never shared, so independent seeds are safe to use concurrently.
@@ -26,7 +27,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple
 import numpy as np
 
 from .errors import GenerationFailure, InvalidParams, InvalidTransform
-from .measures import CoefficientVector
+from .measures import MEASURES, CoefficientVector, MeasureSpec
 
 __all__ = [
     "Criterion",
@@ -35,7 +36,7 @@ __all__ = [
     "CRITERIA",
     "CriterionTrial",
     "TrialGroup",
-    "TrialConfig",
+    "trial_ticks",
     "robin_hood",
     "scale",
     "rising_tide",
@@ -56,6 +57,8 @@ _TICKS_PER_UNIT = 2**20
 
 N_MIN, N_MAX = 2, 64
 VALUE_MAX = 10.0
+#: The default trial ticks: 0 through VALUE_MAX.
+VALUE_TICKS = range(round(VALUE_MAX * _TICKS_PER_UNIT) + 1)
 ZERO_PROB = 0.2
 POSITIVE_FLOOR = 0.01
 #: Smallest Robin Hood pair gap, and smallest rising-tide spread, as a
@@ -226,20 +229,14 @@ def reapply(trial: CriterionTrial) -> CoefficientVector:
     return CRITERIA[trial.criterion].transform(trial.before, **trial.params).after
 
 
-@dataclass(frozen=True)
-class TrialConfig:
-    """The domain a measure's random trials are drawn from.
-
-    By default lengths run N_MIN..N_MAX and values are uniform on a dyadic
-    grid over (0, VALUE_MAX], each entry zeroed with probability ZERO_PROB.
-    ``strictly_positive`` disables zeroing and keeps values at or above
-    POSITIVE_FLOOR (for measures with zero singularities).  ``value_cap``
-    lowers the amplitude range (for the tanh measure, which is numerically
-    flat far from zero).
-    """
-
-    strictly_positive: bool = False
-    value_cap: float | None = None
+def trial_ticks(spec: MeasureSpec) -> range:
+    """The grid ticks ``spec``'s trial entries are drawn from: 0 through the lower
+    of VALUE_MAX and the measure's ``value_cap``, starting instead at POSITIVE_FLOOR
+    (so no entry is zeroed) for a ``strictly_positive`` measure."""
+    d = MEASURES[spec.id]
+    top = min(VALUE_MAX, d.value_cap(spec)) if d.value_cap else VALUE_MAX
+    start = math.ceil(POSITIVE_FLOOR * _TICKS_PER_UNIT) if d.strictly_positive else 0
+    return range(start, round(top * _TICKS_PER_UNIT) + 1)
 
 
 #: O'Neill's seed_seq hash as numpy's SeedSequence runs it: pool words, and
@@ -351,85 +348,76 @@ def stream(key) -> np.random.Generator:
     return next(streams([key]))
 
 
-def draw_vector(config: TrialConfig, rng: np.random.Generator) -> np.ndarray:
-    """Draw one vector of magnitudes on the dyadic grid, as plain float64."""
+def draw_vector(ticks: range, rng: np.random.Generator) -> np.ndarray:
+    """Draw N_MIN..N_MAX entries from ``ticks``, as int64 grid ticks; when 0 is
+    in the range, each entry is zeroed with probability ZERO_PROB."""
     n = int(rng.integers(N_MIN, N_MAX + 1))
-    top = VALUE_MAX if config.value_cap is None else min(VALUE_MAX, config.value_cap)
-    hi = int(round(top * _TICKS_PER_UNIT))
-    if config.strictly_positive:
-        lo = max(1, int(math.ceil(POSITIVE_FLOOR * _TICKS_PER_UNIT)))
-        ticks = rng.integers(lo, hi + 1, size=n)
-    else:
-        ticks = rng.integers(0, hi + 1, size=n)
-        ticks[rng.random(n) < ZERO_PROB] = 0
-    return ticks.astype(np.float64) * TICK
+    v = rng.integers(ticks.start, ticks.stop, size=n)
+    if 0 in ticks:
+        v[rng.random(n) < ZERO_PROB] = 0
+    return v
 
 
-def _min_gap_ticks(values: np.ndarray) -> int:
-    max_ticks = int(round(float(values.max()) * _TICKS_PER_UNIT))
-    return max(3, int(math.ceil(MIN_GAP_FRAC * max_ticks)))
+def _min_gap(top: int) -> int:
+    return max(3, math.ceil(MIN_GAP_FRAC * top))
 
 
-def _draw_robin_hood(config: TrialConfig, rng: np.random.Generator) -> TrialGroup | None:
-    v = draw_vector(config, rng)
-    gap = _min_gap_ticks(v) * TICK if v.max() > 0 else None
-    if gap is None:
-        return None
-    receivers = np.flatnonzero(v <= v.max() - gap)
-    if receivers.size == 0:
+def _draw_robin_hood(ticks: range, rng: np.random.Generator) -> TrialGroup | None:
+    v = draw_vector(ticks, rng)
+    min_gap = _min_gap(int(v.max()))
+    receivers = np.flatnonzero(v <= v.max() - min_gap)
+    if receivers.size == 0:  # also the all-zero vector
         return None
     # x[rng.integers(x.size)] draws what rng.choice(x) draws, at a quarter of the cost
     j = int(receivers[rng.integers(receivers.size)])
-    donors = np.flatnonzero(v >= v[j] + gap)
+    donors = np.flatnonzero(v >= v[j] + min_gap)
     i = int(donors[rng.integers(donors.size)])
-    gap_ticks = int(round((v[i] - v[j]) * _TICKS_PER_UNIT))
-    alpha_ticks = int(round(rng.uniform(0.2, 0.8) * gap_ticks / 2))
-    alpha_ticks = min(max(alpha_ticks, 1), (gap_ticks - 1) // 2)
-    return _robin_hood(v, i, j, alpha_ticks * TICK)
+    gap = int(v[i] - v[j])
+    alpha = min(max(round(rng.uniform(0.2, 0.8) * gap / 2), 1), (gap - 1) // 2)
+    return _robin_hood(v * TICK, i, j, alpha * TICK)
 
 
-def _draw_rising_tide(config: TrialConfig, rng: np.random.Generator) -> TrialGroup | None:
-    v = draw_vector(config, rng)
-    if v.max() == 0 or (v.max() - v.min()) < _min_gap_ticks(v) * TICK:
+def _draw_rising_tide(ticks: range, rng: np.random.Generator) -> TrialGroup | None:
+    v = draw_vector(ticks, rng)
+    top = int(v.max())
+    if top - int(v.min()) < _min_gap(top):  # also the all-zero vector
         return None
-    alpha_ticks = max(
-        1, int(round((rng.uniform(0.05, 0.5) * float(v.max()) + 0.01) * _TICKS_PER_UNIT))
-    )
-    return _rising_tide(v, alpha_ticks * TICK)
+    alpha = max(1, round(rng.uniform(0.05, 0.5) * top + 0.01 * _TICKS_PER_UNIT))
+    return _rising_tide(v * TICK, alpha * TICK)
 
 
-def _draw_scale(config: TrialConfig, rng: np.random.Generator) -> TrialGroup:
-    v = draw_vector(config, rng)
+def _draw_scale(ticks: range, rng: np.random.Generator) -> TrialGroup:
+    v = draw_vector(ticks, rng) * TICK
     while True:
         alpha = math.exp(rng.uniform(math.log(0.1), math.log(10.0)))
         if abs(alpha - 1.0) > 0.01:
             return _scale(v, alpha)
 
 
-def _draw_bill_gates(config: TrialConfig, rng: np.random.Generator) -> TrialGroup | None:
+def _draw_bill_gates(ticks: range, rng: np.random.Generator) -> TrialGroup | None:
     """The policy beta's group, then the ``P1_BETA_SWEEP`` groups, each with the
     ``P1_ALPHA_MULTIPLIERS`` alphas; None for an all-zero vector.  The policy beta,
     10 * (l1 + max - c_i), makes the grown coefficient dominate the vector."""
-    v = draw_vector(config, rng)
-    ticks = np.round(v * _TICKS_PER_UNIT).astype(np.int64)
-    l1 = int(ticks.sum())
+    v = draw_vector(ticks, rng)
+    l1 = int(v.sum())
     if l1 == 0:
         return None
-    i = int(rng.integers(ticks.size))
+    i = int(rng.integers(v.size))
     alphas = [max(1, int(round(m * l1))) * TICK for m in P1_ALPHA_MULTIPLIERS]
-    betas = [10 * (l1 + int(ticks.max()) - int(ticks[i]))]
+    betas = [10 * (l1 + int(v.max()) - int(v[i]))]
     betas += [max(1, int(round(m * l1))) for m in P1_BETA_SWEEP]
-    groups = (_bill_gates(v, i, beta_ticks * TICK, alphas) for beta_ticks in betas)
+    before = v * TICK
+    groups = (_bill_gates(before, i, beta * TICK, alphas) for beta in betas)
     return next(groups)._replace(later=groups)
 
 
-def _draw_clone(config: TrialConfig, rng: np.random.Generator) -> TrialGroup:
-    return _clone(draw_vector(config, rng), int(rng.integers(2, 5)))
+def _draw_clone(ticks: range, rng: np.random.Generator) -> TrialGroup:
+    return _clone(draw_vector(ticks, rng) * TICK, int(rng.integers(2, 5)))
 
 
-def _draw_babies(config: TrialConfig, rng: np.random.Generator) -> TrialGroup | None:
-    v = draw_vector(config, rng)
-    return _babies(v, int(rng.integers(1, 4))) if v.any() else None
+def _draw_babies(ticks: range, rng: np.random.Generator) -> TrialGroup | None:
+    v = draw_vector(ticks, rng)
+    return _babies(v * TICK, int(rng.integers(1, 4))) if v.any() else None
 
 
 @dataclass(frozen=True)
@@ -437,13 +425,13 @@ class CriterionDef:
     """Everything specific to one criterion.
 
     ``transform(before, **params)`` builds the trial that ``params`` record;
-    ``draw(config, rng)`` draws one random ``TrialGroup``, or None when the
-    drawn vector is ineligible and must be redrawn.
+    ``draw(ticks, rng)`` draws one random ``TrialGroup`` from a tick range, or
+    None when the drawn vector is ineligible and must be redrawn.
     """
 
     relation: Relation
     transform: Callable[..., CriterionTrial]
-    draw: Callable[[TrialConfig, np.random.Generator], TrialGroup | None]
+    draw: Callable[[range, np.random.Generator], TrialGroup | None]
 
 
 CRITERIA: dict[Criterion, CriterionDef] = {
@@ -456,9 +444,7 @@ CRITERIA: dict[Criterion, CriterionDef] = {
 }
 
 
-def draw_trial(
-    criterion: Criterion, config: TrialConfig, rng: np.random.Generator
-) -> TrialGroup:
+def draw_trial(criterion: Criterion, ticks: range, rng: np.random.Generator) -> TrialGroup:
     """Draw the groups of trials one seeded draw tests, redrawing ineligible
     vectors: the first group, holding the others lazily in ``later``.
 
@@ -470,7 +456,7 @@ def draw_trial(
     """
     draw = CRITERIA[criterion].draw
     for _ in range(MAX_RETRIES):
-        group = draw(config, rng)
+        group = draw(ticks, rng)
         if group is not None:
             return group
     raise GenerationFailure(
@@ -479,10 +465,10 @@ def draw_trial(
 
 
 def sample_trial(
-    criterion: Criterion, config: TrialConfig | None = None, seed: int = 0
+    criterion: Criterion, ticks: range = VALUE_TICKS, seed: int = 0
 ) -> CriterionTrial:
     """One seeded trial of :func:`draw_trial`'s group (for P1, a random alpha)."""
     rng = stream(seed)
-    group = draw_trial(criterion, config or TrialConfig(), rng)
+    group = draw_trial(criterion, ticks, rng)
     k = int(rng.choice(len(group.afters))) if len(group.afters) > 1 else 0
     return group.trial(criterion, k)

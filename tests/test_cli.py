@@ -221,10 +221,11 @@ class TestFloat64Range:
             ("1e160,1e159,1\n", ("measure", "--measure", "hoyer")),
             (HUGE, ("lorenz",)),
             (TINY, ("measure", "--measure", "hs")),
+            (TINY, ("measure", "--measure", "l2-over-l1")),
         ],
         ids=[
             "kappa4-tiny", "hoyer-tiny", "gini-huge", "hs-huge", "hoyer-wide", "lorenz-huge",
-            "hs-tiny",
+            "hs-tiny", "l2-over-l1-tiny",
         ],
     )
     def test_exit_2(self, tmp_path, capsys, values, command):
@@ -238,8 +239,8 @@ class TestFloat64Range:
     @pytest.mark.parametrize(
         "values, degenerate",
         [
-            # hs's squares underflow to zero: degenerate before this change too
-            (TINY, {"kappa4", "hoyer", "hs"}),
+            # the squares underflow to zero
+            (TINY, {"l2-over-l1", "kappa4", "hoyer", "hs"}),
             (
                 HUGE,
                 {"neg-l1", "neg-lp", "l2-over-l1", "neg-log", "kappa4", "u-theta", "hs",
@@ -419,6 +420,11 @@ USAGE_ERRORS = {
     ("check", "--measure", "gini", "--criterion", "d1"):
         "error: argument --criterion: invalid choice: 'd1'",
     ("table", "--seed", "abc"): "error: argument --seed: invalid int value: 'abc'",
+    # an unknown option is reported by the parser it follows, with its help
+    ("table", "--bogus"):
+        "error: unrecognized arguments: --bogus (see 'sparsemetrics table --help' for usage)",
+    ("--bogus", "table"):
+        "error: unrecognized arguments: --bogus (see 'sparsemetrics --help' for usage)",
 }
 
 
@@ -452,6 +458,12 @@ class TestBadArguments:
              "--format", "structured"),
             ("experiment", "--name", "contribution-curves", "--amplitudes", "1e200"),
             ("experiment", "--name", "contribution-curves", "--amplitudes", "1e-310"),
+            ("experiment", "--name", "contribution-curves", "--amplitudes", "0:1"),
+            ("experiment", "--name", "contribution-curves", "--amplitudes", "0:1:0"),
+            ("experiment", "--name", "bernoulli-sweep", "--n", "1"),
+            # the cap 4 / a rounds to the one-tick range {0}: no vector is eligible
+            ("check", "--measure", "neg-tanh", "--criterion", "D1", "--a", "1e9",
+             "--trials", "5"),
             *USAGE_ERRORS,
         ],
         ids=["check-trials-0", "table-trials-0", "sizes", "grid-range", "grid-list",
@@ -459,7 +471,10 @@ class TestBadArguments:
              "grid-count-overflow", "grid-too-many-points", "grid-one-past-the-limit",
              "huge-sample-n", "huge-size", "huge-repeats", "amplitude-nan",
              "amplitude-inf", "term-overflow", "term-overflow-near-zero",
-             "a-for-amplitudes", "trial-for-trials", "invalid-choice", "seed-not-an-int"],
+             "amplitudes-two-fields", "amplitudes-zero-step", "bernoulli-n-1",
+             "neg-tanh-no-eligible-draw",
+             "a-for-amplitudes", "trial-for-trials", "invalid-choice", "seed-not-an-int",
+             "unknown-after-subcommand", "unknown-before-subcommand"],
     )
     def test_exit_2(self, capsys, argv):
         assert run_cli(*argv) == 2
@@ -468,6 +483,23 @@ class TestBadArguments:
         assert captured.err.startswith(USAGE_ERRORS.get(argv, "error: "))
         if argv in USAGE_ERRORS:  # argparse's errors too: one line, no usage block
             assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "text, argv, error",
+        [
+            ("1,2,3\n", ("measure", "--measure", "gini", "--complex"),
+             "line 1, column 1: complex mode expects 're,im' pairs, got 3 value(s)"),
+            ("0,0,0\n", ("lorenz",), "lorenz curve is undefined for the all-zero vector"),
+        ],
+        ids=["complex-odd-line", "lorenz-all-zero"],
+    )
+    def test_bad_input_exit_2(self, tmp_path, capsys, text, argv, error):
+        p = tmp_path / "v.txt"
+        p.write_text(text)
+        assert run_cli(*argv, "--input", str(p)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {error}\n"
 
     @pytest.mark.parametrize("argv", [("--help",), ("table", "--help"), ("--version",)])
     def test_help_and_version_exit_0(self, capsys, argv):

@@ -30,7 +30,7 @@ from sparsemetrics import (
 from sparsemetrics import compliance
 from sparsemetrics.compliance import _outcomes
 from sparsemetrics.errors import CatalogMiss, DegenerateInput, GenerationFailure, InvalidParams
-from sparsemetrics.transforms import TICK, TrialConfig, TrialGroup, draw_trial, stream
+from sparsemetrics.transforms import TICK, TrialGroup, draw_trial, stream, trial_ticks
 
 
 class TestRelationHolds:
@@ -332,11 +332,11 @@ def _sequential_skips(spec, criterion, trials, seed=0):
     group, or a start within the saturation margin of the maximum."""
     assert criterion in (C.P1, C.P2)
     d = MEASURES[spec.id]
-    config = TrialConfig(d.strictly_positive, d.value_cap(spec) if d.value_cap else None)
+    ticks = trial_ticks(spec)
     key = (seed, MEASURE_ORDER.index(spec.id), CRITERION_ORDER.index(criterion))
     flags = []
     for t in range(trials):
-        group = draw_trial(criterion, config, stream((*key, t)))
+        group = draw_trial(criterion, ticks, stream((*key, t)))
         trials_ = [group.trial(criterion, k) for k in range(len(group.afters))]
         try:
             vb = evaluate(spec, trials_[0].before)
@@ -497,6 +497,12 @@ class TestTheoremConsistency:
         mutated = dict(EXPECTED_TRUE)
         mutated[Measure.GINI] = frozenset(EXPECTED_TRUE[Measure.GINI] - {Criterion.P2})
         assert not theorem_consistency(mutated)
+
+    @pytest.mark.parametrize(
+        "row", [{C.D1, C.D2}, {C.D1, C.D2, C.D4, C.P1}], ids=["without-P1", "D4-without-P2"]
+    )
+    def test_an_implied_criterion_missing_fails(self, row):
+        assert not theorem_consistency({M.HOYER: frozenset(row)})
 
     def test_all_false_is_vacuously_consistent(self):
         assert theorem_consistency({m: frozenset() for m in Measure})

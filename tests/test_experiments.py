@@ -45,6 +45,8 @@ class TestDistributionSpec:
             DistributionSpec.exponential(0.0)
         with pytest.raises(InvalidParams):
             DistributionSpec("weibull")
+        with pytest.raises(InvalidParams, match="bernoulli01 requires 0 <= p <= 1"):
+            DistributionSpec("bernoulli01", p=1.5)
 
     @pytest.mark.parametrize("lam", [745.0, 800.0, 1e9])
     def test_poisson_lam_beyond_the_float64_range(self, lam):
@@ -92,6 +94,13 @@ class TestMinmaxNormalize:
 
     def test_constant_maps_to_zeros(self):
         assert minmax_normalize([5, 5, 5]).tolist() == [0.0, 0.0, 0.0]
+
+    @pytest.mark.parametrize(
+        "series, error", [([], "an empty series"), ([1.0, math.nan], "non-finite values")]
+    )
+    def test_rejected(self, series, error):
+        with pytest.raises(InvalidParams, match=error):
+            minmax_normalize(series)
 
     @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=50))
     @settings(max_examples=200, deadline=None)

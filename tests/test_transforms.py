@@ -10,8 +10,9 @@ from sparsemetrics import (
     Criterion,
     InvalidParams,
     InvalidTransform,
+    Measure,
+    MeasureSpec,
     Relation,
-    TrialConfig,
     babies,
     bill_gates,
     clone,
@@ -21,13 +22,16 @@ from sparsemetrics import (
     robin_hood,
     sample_trial,
     scale,
+    trial_ticks,
 )
 from sparsemetrics.transforms import (
     P1_ALPHA_MULTIPLIERS,
     P1_BETA_SWEEP,
     POSITIVE_FLOOR,
     TICK,
+    VALUE_TICKS,
     draw_trial,
+    draw_vector,
     stream,
     streams,
 )
@@ -187,27 +191,26 @@ class TestSampler:
                 np.testing.assert_allclose(ratios, t.params["alpha"], rtol=1e-12)
 
     def test_strictly_positive_mode(self):
-        config = TrialConfig(strictly_positive=True)
+        ticks = trial_ticks(MeasureSpec(Measure.HG))
         rng = np.random.default_rng(0)
         for _ in range(200):
-            t = draw_trial(Criterion.D1, config, rng)
+            t = draw_trial(Criterion.D1, ticks, rng)
             assert np.all(t.before >= POSITIVE_FLOOR)
 
     def test_value_cap_mode(self):
-        config = TrialConfig(value_cap=4.0)
+        ticks = range(round(4.0 / TICK) + 1)
         rng = np.random.default_rng(0)
         for _ in range(200):
-            t = draw_trial(Criterion.D3, config, rng)
+            t = draw_trial(Criterion.D3, ticks, rng)
             assert np.all(t.before <= 4.0)
 
     @pytest.mark.parametrize("criterion", list(Criterion))
     def test_preconditions_hold_on_10k_draws(self, criterion):
         # constructor validation would raise on any precondition breach, so
         # surviving construction is the assertion; spot-check key properties
-        config = TrialConfig()
         rng = np.random.default_rng(7)
         for _ in range(10_000):
-            t = draw_trial(criterion, config, rng)
+            t = draw_trial(criterion, VALUE_TICKS, rng)
             if criterion is Criterion.D1:
                 p = t.params[0]
                 gap = t.before[p["i"]] - t.before[p["j"]]
@@ -216,11 +219,53 @@ class TestSampler:
                 assert t.before.any()
 
 
+# the default trial ticks, 0 through 10; hg and neg-lp-neg start at 0.01,
+# neg-tanh stops at its cap 4^(1/b) / a
+FULL, POSITIVE = range(0, 10485761), range(10486, 10485761)
+TRIAL_TICKS = {
+    **{m: FULL for m in Measure},
+    Measure.HG: POSITIVE,
+    Measure.NEG_LP_NEG: POSITIVE,
+    Measure.NEG_TANH: range(0, 4194305),
+}
+
+
+class TestTrialTicks:
+    @pytest.mark.parametrize("measure", list(Measure), ids=lambda m: m.value)
+    def test_default_parameters(self, measure):
+        assert trial_ticks(MeasureSpec(measure)) == TRIAL_TICKS[measure]
+
+    def test_default_is_value_ticks(self):
+        assert VALUE_TICKS == FULL == range(round(10 / TICK) + 1)
+        assert POSITIVE.start == math.ceil(POSITIVE_FLOOR / TICK)
+
+    @pytest.mark.parametrize(
+        "params, ticks",
+        # the cap rounds to no tick above 0; the cap overflows to inf
+        [({"a": 1e9}, range(0, 1)), ({"b": 1e-300}, FULL)],
+        ids=["a-1e9", "b-1e-300"],
+    )
+    def test_neg_tanh_cap(self, params, ticks):
+        assert trial_ticks(MeasureSpec(Measure.NEG_TANH, **params)) == ticks
+
+    @pytest.mark.parametrize("ticks", [FULL, POSITIVE, range(0, 4194305), range(0, 1)], ids=str)
+    def test_draw_vector_ticks(self, ticks):
+        rng = np.random.default_rng(3)
+        zeros = 0
+        for _ in range(200):
+            v = draw_vector(ticks, rng)
+            assert v.dtype == np.int64
+            assert ticks.start <= v.min() and v.max() < ticks.stop
+            zeros += int((v == 0).sum())
+        # zeroed with probability ZERO_PROB when 0 is in the range, else never
+        assert (zeros > 0) == (ticks.start == 0)
+
+
 class TestProbes:
     @pytest.mark.parametrize("criterion", [c for c in Criterion if c is not Criterion.P1])
     def test_one_group_of_the_drawn_trial(self, criterion):
         for seed in range(20):
-            first = draw_trial(criterion, TrialConfig(), stream(seed))
+            first = draw_trial(criterion, VALUE_TICKS, stream(seed))
             groups = [first, *first.later]
             t = sample_trial(criterion, seed=seed)
             assert len(groups) == 1 and len(groups[0].afters) == 1
@@ -229,7 +274,7 @@ class TestProbes:
 
     def test_bill_gates_groups_share_before_and_sweep_beta(self):
         for seed in range(20):
-            first = draw_trial(Criterion.P1, TrialConfig(), stream(seed))
+            first = draw_trial(Criterion.P1, VALUE_TICKS, stream(seed))
             groups = [
                 [g.trial(Criterion.P1, k) for k in range(len(g.afters))]
                 for g in (first, *first.later)
