@@ -372,8 +372,12 @@ def _parse_grid(text: str) -> list[float]:
         count = int(round(steps))
         if count + 1 > MAX_GRID_POINTS:
             raise InputError(f"grid range {text!r} has more than {MAX_GRID_POINTS} points")
-        return [start + k * step for k in range(count + 1) if start + k * step <= stop + 1e-12]
-    return [_number(p) for p in text.split(",") if p.strip()]
+        points = [start + k * step for k in range(count + 1) if start + k * step <= stop + 1e-12]
+    else:
+        points = [_number(p) for p in text.split(",") if p.strip()]
+    if not points:
+        raise InputError(f"grid {text!r} holds no points")
+    return points
 
 
 def _check_study_size(option: str, lengths, points: int, repeats: int) -> None:
@@ -416,13 +420,12 @@ def _cmd_experiment(args) -> Report:
         return Report({}, lambda: gini, lambda: _csv(rows, ("field", "value", "")))
 
     if args.name == "poisson-convergence":
-        sizes = [_number(s, int) for s in args.sizes.split(",")] if args.sizes else None
-        sizes = sizes or DEFAULT_SIZES  # an empty list too
+        sizes = [_number(s, int) for s in args.sizes.split(",")] if args.sizes else DEFAULT_SIZES
         repeats = DEFAULT_POISSON_REPEATS if args.repeats is None else args.repeats
         _check_study_size("each --sizes entry", sizes, len(sizes), repeats)
         result = poisson_convergence(lam=args.lam, sizes=sizes, repeats=repeats, seed=args.seed)
     else:
-        grid = (_parse_grid(args.grid) if args.grid else None) or DEFAULT_BERNOULLI_GRID
+        grid = _parse_grid(args.grid) if args.grid else DEFAULT_BERNOULLI_GRID
         repeats = DEFAULT_BERNOULLI_REPEATS if args.repeats is None else args.repeats
         _check_study_size("--n", [args.n], len(grid), repeats)
         result = bernoulli_sweep(grid=grid, n=args.n, repeats=repeats, seed=args.seed)

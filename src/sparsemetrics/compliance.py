@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import islice
-from typing import AbstractSet, Mapping
+from typing import AbstractSet, Iterable, Mapping
 
 import numpy as np
 
@@ -351,55 +351,63 @@ def _outcomes(spec: MeasureSpec, criterion: Criterion, groups: list[TrialGroup])
         yield _group_outcome(spec, criterion, g, list(islice(values, 1 + len(g.afters))))
 
 
-def check_cell(
-    spec: MeasureSpec, criterion: Criterion, trials: int = 1000, seed: int = 0
-) -> CellVerdict:
-    """Randomized search for a counter-witness over ``trials`` seeded draws.
-
-    Each draw (``transforms.draw_trial``) is a first group of trials and its
-    ``later`` groups.  The first group decides whether the draw is skipped;
-    the draw holds when that group or any later one holds, where a later
-    group that skips counts as failing.  Otherwise the witness is the first
-    group's first failure.  First groups are evaluated ``BLOCK_TRIALS``
-    draws at a time, and all later groups of a failing draw together.
-    Verdicts are decided in trial order, so the block size changes none,
-    and an error after the witness never surfaces.
-    """
-    if trials < 1:
-        raise InvalidParams(f"trials must be >= 1, got {trials}")
-    ticks = trial_ticks(spec)
-    m_idx = MEASURE_ORDER.index(spec.id)
-    c_idx = CRITERION_ORDER.index(criterion)
-    skipped = 0
-    for start in range(0, trials, BLOCK_TRIALS):
-        draws, failure = [], None
-        block = range(start, min(start + BLOCK_TRIALS, trials))
-        for rng in streams([(seed, m_idx, c_idx, t) for t in block]):
-            try:
-                draws.append(draw_trial(criterion, ticks, rng))
-            except SparsemetricsError as exc:
-                failure = exc  # raised only if no earlier draw is a witness
-                break
-        for t, (first, outcome) in enumerate(zip(draws, _outcomes(spec, criterion, draws)), start):
+def _decide(spec: MeasureSpec, criterion: Criterion, draws: Iterable) -> CellVerdict:
+    """The verdict on ``draws``: ``TrialGroup``s from any source, maybe ended by
+    the ``SparsemetricsError`` that stopped it.  Each draw is a first group and
+    its ``later`` groups.  The first group decides a skip; the draw holds when
+    that group or a later one holds (a later skip counts as failing), else the
+    first group's first failure is the witness.  Draws are evaluated
+    ``BLOCK_TRIALS`` at a time (a failing draw's later groups together) and
+    decided in order, so the block size changes no verdict, and the error
+    surfaces only if no earlier draw is a witness."""
+    draws, trials, skipped = iter(draws), 0, 0
+    while block := list(islice(draws, BLOCK_TRIALS)):
+        failure = block.pop() if isinstance(block[-1], SparsemetricsError) else None
+        for first, outcome in zip(block, _outcomes(spec, criterion, block)):
+            trials += 1
             if outcome == "skip":
                 skipped += 1
             elif outcome is not None and None not in _outcomes(spec, criterion, [*first.later]):
                 k, vb, va = outcome
                 return CellVerdict(
-                    spec.id, criterion, True, t + 1, skipped, first.trial(criterion, k), vb, va
+                    spec.id, criterion, True, trials, skipped, first.trial(criterion, k), vb, va
                 )
         if failure is not None:
             raise failure
     return CellVerdict(spec.id, criterion, False, trials, skipped)
 
 
-def catalog_verdict(spec: MeasureSpec, criterion: Criterion) -> CellVerdict:
-    """Evaluate the catalog pair mapped to this cell.
+def check_cell(
+    spec: MeasureSpec, criterion: Criterion, trials: int = 1000, seed: int = 0
+) -> CellVerdict:
+    """Randomized search for a witness: ``_decide`` over ``trials`` seeded draws."""
+    if trials < 1:
+        raise InvalidParams(f"trials must be >= 1, got {trials}")
+    ticks = trial_ticks(spec)
+    if ticks == range(1):
+        p = " ".join(f"{k}={v:g}" for k, v in vars(spec).items() if v != getattr(MeasureSpec, k, v))
+        raise InvalidParams(f"{spec.id.value} ({p}) draws every trial entry as 0")
+    key = (seed, MEASURE_ORDER.index(spec.id), CRITERION_ORDER.index(criterion))
 
-    Raises CatalogMiss when no pair is mapped.  The returned verdict is
-    ``violated`` only when the pair actually breaks the required relation;
-    a non-discriminating pair yields a compliant verdict that callers
-    should treat as "unresolved, fall back to search".
+    def seeded():
+        try:
+            for start in range(0, trials, BLOCK_TRIALS):
+                block = range(start, min(start + BLOCK_TRIALS, trials))
+                for rng in streams([(*key, t) for t in block]):
+                    yield draw_trial(criterion, ticks, rng)
+        except SparsemetricsError as exc:
+            yield exc  # and stop; _decide raises it unless an earlier draw is a witness
+
+    return _decide(spec, criterion, seeded())
+
+
+def catalog_verdict(spec: MeasureSpec, criterion: Criterion) -> CellVerdict:
+    """Evaluate the catalog pair mapped to this cell; CatalogMiss if none is.
+
+    The verdict is ``violated`` only when the pair breaks the required relation;
+    a compliant one means "unresolved, fall back to search".  It is decided by
+    ``relation_holds`` alone, not by ``_decide``, whose rule would skip pair U2
+    (``u-theta``/P2) as a start at the measure's maximum and change the table.
     """
     name = TABLE4_WITNESSES.get((spec.id, criterion))
     if name is None:

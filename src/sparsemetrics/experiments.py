@@ -235,6 +235,8 @@ def _study(
     Draw r's first attempt comes from ``stream((seed, i, r, 0))``, so no
     value depends on the block size.
     """
+    if not points:
+        raise InvalidParams("a study needs at least one sweep point")
     raw = {m: np.empty((len(points), repeats)) for m in specs}
     for i, (dist, n) in enumerate(points):
         step = max(1, BLOCK_VALUES // n)

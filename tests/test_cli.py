@@ -372,6 +372,14 @@ class TestExperimentCommand:
         assert lines[0] == "p,measure,mean,std,normalized"
         assert len(lines) == 1 + 2 * 15
 
+    def test_an_empty_grid_option_keeps_the_default(self, capsys):
+        argv = ("experiment", "--name", "bernoulli-sweep", "--n", "10", "--repeats", "2")
+        assert run_cli(*argv) == 0
+        default = capsys.readouterr().out
+        assert run_cli(*argv, "--grid", "") == 0
+        assert capsys.readouterr().out == default
+        assert len(default.strip().splitlines()) == 1 + 19 * 15
+
     def test_poisson_raw_rows(self, capsys):
         code = run_cli(
             "experiment", "--name", "poisson-convergence",
@@ -461,9 +469,22 @@ class TestBadArguments:
             ("experiment", "--name", "contribution-curves", "--amplitudes", "0:1"),
             ("experiment", "--name", "contribution-curves", "--amplitudes", "0:1:0"),
             ("experiment", "--name", "bernoulli-sweep", "--n", "1"),
-            # the cap 4 / a rounds to the one-tick range {0}: no vector is eligible
+            # the cap 4 / a rounds to the one-tick range {0}, which is rejected
+            # before any draw, for every criterion
             ("check", "--measure", "neg-tanh", "--criterion", "D1", "--a", "1e9",
              "--trials", "5"),
+            ("check", "--measure", "neg-tanh", "--criterion", "D2", "--a", "1e9",
+             "--trials", "200"),
+            ("check", "--measure", "neg-tanh", "--criterion", "D4", "--a", "1e9",
+             "--trials", "200"),
+            # the range {0, 1 tick}: no D1 vector is eligible (GenerationFailure)
+            ("check", "--measure", "neg-tanh", "--criterion", "D1", "--a", "5e6",
+             "--trials", "5"),
+            ("experiment", "--name", "bernoulli-sweep", "--grid", "0.9:0.1:0.1", "--n", "10",
+             "--repeats", "2"),
+            ("experiment", "--name", "bernoulli-sweep", "--grid", ",", "--n", "10",
+             "--repeats", "2"),
+            ("experiment", "--name", "contribution-curves", "--amplitudes", "0.9:0.1:0.1"),
             *USAGE_ERRORS,
         ],
         ids=["check-trials-0", "table-trials-0", "sizes", "grid-range", "grid-list",
@@ -472,7 +493,9 @@ class TestBadArguments:
              "huge-sample-n", "huge-size", "huge-repeats", "amplitude-nan",
              "amplitude-inf", "term-overflow", "term-overflow-near-zero",
              "amplitudes-two-fields", "amplitudes-zero-step", "bernoulli-n-1",
-             "neg-tanh-no-eligible-draw",
+             "neg-tanh-no-eligible-draw", "neg-tanh-zero-range-D2", "neg-tanh-zero-range-D4",
+             "neg-tanh-one-tick-range", "grid-empty-range", "grid-empty-list",
+             "amplitudes-empty-range",
              "a-for-amplitudes", "trial-for-trials", "invalid-choice", "seed-not-an-int",
              "unknown-after-subcommand", "unknown-before-subcommand"],
     )
@@ -508,6 +531,11 @@ class TestBadArguments:
         assert exc.value.code == 0
         captured = capsys.readouterr()
         assert captured.out and captured.err == ""
+
+    @pytest.mark.parametrize("text", ["0.9:0.1:0.1", ",", " , "])
+    def test_grid_without_points(self, text):
+        with pytest.raises(InputError, match="holds no points"):
+            _parse_grid(text)
 
     def test_grid_point_limit(self):
         assert len(_parse_grid(f"0:{MAX_GRID_POINTS - 1}:1")) == MAX_GRID_POINTS

@@ -28,7 +28,7 @@ from sparsemetrics import (
     theorem_consistency,
 )
 from sparsemetrics import compliance
-from sparsemetrics.compliance import _outcomes
+from sparsemetrics.compliance import _decide, _outcomes
 from sparsemetrics.errors import CatalogMiss, DegenerateInput, GenerationFailure, InvalidParams
 from sparsemetrics.transforms import TICK, TrialGroup, draw_trial, stream, trial_ticks
 
@@ -151,6 +151,16 @@ class TestCheckCell:
         assert not v.violated and v.trials == 1000
         assert len(calls) == 16 == -(-1000 // compliance.BLOCK_TRIALS)
         assert [k for keys in calls for k in keys] == [(0, 14, 3, t) for t in range(1000)]
+
+    @pytest.mark.parametrize("criterion", CRITERION_ORDER)
+    def test_a_range_of_only_zero_is_invalid(self, monkeypatch, criterion):
+        # neg-tanh's cap 4 / a rounds to no tick above 0: rejected before any draw
+        monkeypatch.setattr(compliance, "streams", lambda keys: pytest.fail("drew"))
+        spec = MeasureSpec(Measure.NEG_TANH, a=1e9)
+        assert trial_ticks(spec) == range(1)
+        error = r"^neg-tanh \(a=1e\+09\) draws every trial entry as 0$"
+        with pytest.raises(InvalidParams, match=error):
+            check_cell(spec, criterion, trials=200)
 
     def test_monotone_confidence(self):
         # NoViolationFound at T stays NoViolationFound at smaller T, same seed
@@ -300,6 +310,116 @@ class TestGroupRule:
         v = check_cell(self.GINI, C.D2, trials=1, seed=0)
         assert (v.violated, v.skipped) == (False, 0)
         assert calls == [2, 4]  # rows per call: the first group's, then both later ones'
+
+
+def _draw(first, *later):
+    """A draw: the group ``first``, then the groups ``later``."""
+    return first._replace(later=later)
+
+
+class TestDecide:
+    """``_decide`` on hand-built sources: lists of draws, maybe ended by an error."""
+
+    GINI = MeasureSpec(M.GINI)
+
+    # the five search witnesses of the seed-0 table, at their shortest: two
+    # entries on the grid {0, 1/4, ..., 4} (Robin Hood on a 1/8 grid), as an
+    # exhaustive search over sorted vectors of length <= 4 finds them:
+    # (measure, criterion, before, after)
+    MINIMAL_WITNESSES = [
+        (M.L0_EPS, C.D1, [0, 0.5], [0.125, 0.375]),
+        (M.L0_EPS, C.D3, [0, 0.25], [0.25, 0.5]),
+        (M.U_THETA, C.D3, [0, 0.25], [0.25, 0.5]),
+        (M.HG, C.D4, [0, 0.25], [0, 0.25, 0, 0.25]),
+        (M.HS_PRIME, C.D4, [0, 0.25], [0, 0.25, 0, 0.25]),
+    ]
+
+    @pytest.mark.parametrize(
+        "measure, criterion, before, after",
+        MINIMAL_WITNESSES,
+        ids=[f"{m.value}-{c.value}" for m, c, *_ in MINIMAL_WITNESSES],
+    )
+    def test_minimal_witnesses(self, measure, criterion, before, after):
+        group = _group(before, after)
+        v = _decide(MeasureSpec(measure), criterion, [group])
+        assert (v.violated, v.trials, v.skipped, v.source) == (True, 1, 0, "search")
+        assert v.witness == group.trial(criterion)
+        assert not relation_holds(criterion, v.value_before, v.value_after)
+
+    @pytest.mark.parametrize("block", [1, 64])
+    def test_an_error_after_the_witness_does_not_surface(self, monkeypatch, block):
+        monkeypatch.setattr(compliance, "BLOCK_TRIALS", block)
+        v = _decide(self.GINI, C.D2, [HOLDS, FAILS, GenerationFailure("after")])
+        assert (v.violated, v.trials, v.skipped) == (True, 2, 0)
+        assert v.witness == FAILS.trial(C.D2)
+
+    @pytest.mark.parametrize("block", [1, 64])
+    @pytest.mark.parametrize("held", [0, 2])
+    def test_an_error_before_any_witness_surfaces(self, monkeypatch, block, held):
+        monkeypatch.setattr(compliance, "BLOCK_TRIALS", block)
+        with pytest.raises(GenerationFailure, match="stopped"):
+            _decide(self.GINI, C.D2, [HOLDS] * held + [GenerationFailure("stopped")])
+
+    @pytest.mark.parametrize("block", [1, 7, 64])
+    def test_block_size_does_not_matter(self, monkeypatch, block):
+        monkeypatch.setattr(compliance, "BLOCK_TRIALS", block)
+        # draws 11-13 hold through a later group; draw 15 fails, its later group skipping
+        draws = [DEGENERATE, HOLDS] * 5 + [_draw(FAILS, FAILS, HOLDS)] * 3 + [DEGENERATE]
+        v = _decide(self.GINI, C.D2, [*draws, _draw(FAILS, DEGENERATE), HOLDS])
+        assert (v.violated, v.trials, v.skipped) == (True, 15, 6)
+        assert v.witness == FAILS.trial(C.D2)
+        v = _decide(self.GINI, C.D2, iter([*draws, HOLDS]))  # any iterable
+        assert (v.violated, v.trials, v.skipped, v.witness) == (False, 15, 6, None)
+
+    def test_p1_later_groups_that_hold_leave_no_witness(self):
+        # gini under Bill Gates: [1, 2] -> [1, 2] is no increase, -> [1, 5] is one
+        first, later = _group([1, 2], [1, 2]), _group([1, 2], [1, 2], [1, 5])
+        assert _decide(self.GINI, C.P1, [first]).violated
+        assert _decide(self.GINI, C.P1, [_draw(first, later)]).violated  # [1, 2] again
+        v = _decide(self.GINI, C.P1, [_draw(first, later, _group([1, 2], [1, 5]))])
+        assert (v.violated, v.trials, v.skipped) == (False, 1, 0)
+
+
+class TestConventionFindings:
+    """Two verdicts that rest on a convention of the engine, not of the measure
+    alone; the table is the same either way."""
+
+    HG = MeasureSpec(M.HG)
+
+    @pytest.mark.parametrize(
+        "criterion, before, after, values",
+        [
+            (C.D1, [0, 0.5], [0.125, 0.375], (1.386, 6.121)),
+            (C.D3, [0, 0.25], [0.25, 0.5], (2.773, 4.159)),
+        ],
+    )
+    def test_hg_d1_d3_rest_on_a_range_without_zero(self, criterion, before, after, values):
+        # hg leaves zeros out of its sum, so a zero that turns positive adds a
+        # term: where 0 is a trial entry, both criteria fail
+        v = _decide(self.HG, criterion, [_group(before, after)])
+        assert (v.violated, v.trials) == (True, 1)
+        assert (v.value_before, v.value_after) == pytest.approx(values, abs=1e-3)
+        # the table's trials start at the floor 0.01 instead, and find nothing
+        assert trial_ticks(self.HG) == range(10486, 10485761)
+        assert not check_cell(self.HG, criterion, trials=100, seed=0).violated
+
+    def test_u2_is_a_tie_at_the_maximum(self):
+        # the catalog decides U2 by relation_holds alone: no increase, so a
+        # violation; the search rule skips a start already at the maximum
+        spec, pair = MeasureSpec(M.U_THETA), CATALOG_PAIRS["U2"]
+        catalog = catalog_verdict(spec, C.P2)
+        assert catalog.violated and catalog.witness.params == {"catalog": "U2"}
+        assert (catalog.value_before, catalog.value_after) == (1.0, 1.0)
+        v = _decide(spec, C.P2, [_group(pair.before, pair.after)])
+        assert (v.violated, v.trials, v.skipped) == (False, 1, 1)
+
+    @pytest.mark.parametrize("seed, trial", [(0, 3), (7, 1), (201, 2)])
+    def test_u_theta_p2_search_finds_unsaturated_witnesses(self, seed, trial):
+        spec = MeasureSpec(M.U_THETA)
+        v = check_cell(spec, C.P2, trials=1000, seed=seed)
+        assert (v.violated, v.trials, v.skipped) == (True, trial, 0)
+        headroom = MEASURES[M.U_THETA].maximum(len(v.witness.after)) - v.value_before
+        assert headroom > compliance.SATURATION_MARGIN
 
 
 # check_cell(trials=1000, seed=0) witnesses found by search: (measure,

@@ -136,6 +136,10 @@ class TestPoissonConvergence:
         with pytest.raises(InvalidParams):
             poisson_convergence(sizes=(10, 30), repeats=1)
 
+    def test_empty_sweep_rejected(self):
+        with pytest.raises(InvalidParams, match="at least one sweep point"):
+            poisson_convergence(sizes=[], repeats=2)
+
 
 @pytest.fixture(scope="module")
 def bernoulli_small():
@@ -167,6 +171,10 @@ class TestBernoulliSweep:
         for repeats in (-1, 0, 1):  # a std needs two draws
             with pytest.raises(InvalidParams, match="repeats must be >= 2"):
                 bernoulli_sweep(grid=(0.5,), n=10, repeats=repeats)
+
+    def test_empty_grid_rejected(self):
+        with pytest.raises(InvalidParams, match="at least one sweep point"):
+            bernoulli_sweep(grid=[], n=10, repeats=2)
 
 
 class TestContributionCurves:
