@@ -357,9 +357,10 @@ def _number(token: str, kind=float):
         raise InputError(f"not a valid {kind.__name__}: {token!r}") from exc
 
 
-def _parse_grid(text: str) -> list[float]:
-    """Parse '0.05:0.95:0.05' ranges or comma-separated lists."""
-    if ":" in text:
+def _parse_grid(text: str, kind=float) -> list:
+    """Parse comma-separated lists of ``kind``, skipping blank entries, or
+    (of floats) '0.05:0.95:0.05' ranges."""
+    if kind is float and ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
             raise InputError(f"grid ranges need start:stop:step, got {text!r}")
@@ -374,7 +375,7 @@ def _parse_grid(text: str) -> list[float]:
             raise InputError(f"grid range {text!r} has more than {MAX_GRID_POINTS} points")
         points = [start + k * step for k in range(count + 1) if start + k * step <= stop + 1e-12]
     else:
-        points = [_number(p) for p in text.split(",") if p.strip()]
+        points = [_number(p, kind) for p in text.split(",") if p.strip()]
     if not points:
         raise InputError(f"grid {text!r} holds no points")
     return points
@@ -420,7 +421,7 @@ def _cmd_experiment(args) -> Report:
         return Report({}, lambda: gini, lambda: _csv(rows, ("field", "value", "")))
 
     if args.name == "poisson-convergence":
-        sizes = [_number(s, int) for s in args.sizes.split(",")] if args.sizes else DEFAULT_SIZES
+        sizes = _parse_grid(args.sizes, int) if args.sizes else DEFAULT_SIZES
         repeats = DEFAULT_POISSON_REPEATS if args.repeats is None else args.repeats
         _check_study_size("each --sizes entry", sizes, len(sizes), repeats)
         result = poisson_convergence(lam=args.lam, sizes=sizes, repeats=repeats, seed=args.seed)

@@ -239,102 +239,40 @@ def trial_ticks(spec: MeasureSpec) -> range:
     return range(start, round(top * _TICKS_PER_UNIT) + 1)
 
 
-#: O'Neill's seed_seq hash as numpy's SeedSequence runs it: pool words, and
-#: the constants of its two hash multipliers and of its mix.
-_POOL_WORDS = 4
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
-#: PCG64's 128-bit LCG multiplier.
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-
-
-def _words(key) -> list[int]:
-    """The uint32 words SeedSequence reads from ``key``: each int in turn,
-    least significant word first, 0 as one word."""
-    ints = key if isinstance(key, tuple) else (key,)
-    if ints[0] < 0:
-        raise InvalidParams(f"seed must be non-negative, got {ints[0]}")
-    words = []
-    for n in map(operator.index, ints):
-        if n < 0:
-            raise ValueError(f"stream key entries must be non-negative, got {n}")
-        words.append(n & _MASK32)
-        while n := n >> 32:
-            words.append(n & _MASK32)
-    return words
-
-
-def _hasher(mult: int, step: int):
-    """seed_seq's hashmix: a uint32 array hash whose multiplier advances by
-    ``step`` on each call, whatever the values."""
-
-    def hashmix(x):
-        nonlocal mult
-        x = x ^ mult
-        mult = mult * step & _MASK32
-        x = x * mult
-        return x ^ (x >> 16)
-
-    return hashmix
-
-
-def _mix(x, y):
-    r = x * _MIX_L - y * _MIX_R
-    return r ^ (r >> 16)
-
-
-def _state_words(entropy: np.ndarray) -> np.ndarray:
-    """SeedSequence(key).generate_state(4, np.uint64) for each row of a
-    (B, words) uint32 block of keys' words, as a (B, 4) uint64 array."""
-    hashmix = _hasher(_INIT_A, _MULT_A)
-    cols = list(entropy.T)
-    zero = np.zeros(len(entropy), np.uint32)
-    pool = [hashmix(cols[i] if i < len(cols) else zero) for i in range(_POOL_WORDS)]
-    for src in range(_POOL_WORDS):
-        for dst in range(_POOL_WORDS):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
-    for col in cols[_POOL_WORDS:]:
-        for dst in range(_POOL_WORDS):
-            pool[dst] = _mix(pool[dst], hashmix(col))
-    out = _hasher(_INIT_B, _MULT_B)
-    words = [out(pool[k % _POOL_WORDS]) for k in range(2 * _POOL_WORDS)]
-    return np.stack(words, axis=1).astype("<u4").view("<u8")
+def _philox_words(key) -> tuple[list[int], list[int]]:
+    """Philox's counter and key words for ``key``, least significant first: the
+    seed is the key, the tuple's further ints are counter words 1-3, and word 0
+    is left to count the generator's own blocks, so no two keys' streams overlap."""
+    seed, *rest = map(operator.index, key if isinstance(key, tuple) else (key,))
+    if seed < 0:
+        raise InvalidParams(f"seed must be non-negative, got {seed}")
+    if seed >= 2**128:
+        raise InvalidParams(f"seed must be below 2**128, got {seed}")
+    if len(rest) > 3 or not all(0 <= n < 2**64 for n in rest):
+        raise ValueError(f"a stream key is a seed and up to three ints in [0, 2**64), got {key}")
+    return [0, *rest] + [0] * (3 - len(rest)), [seed % 2**64, seed >> 64]
 
 
 def streams(keys) -> Iterator[np.random.Generator]:
-    """The stream of :func:`stream` for each of ``keys`` in turn, bit for bit,
-    derived for all of them in one pass.
+    """The stream of :func:`stream` for each of ``keys`` in turn.
 
-    Each yielded generator is one ``Generator`` reseeded in place, so it is
-    valid only until the next one is taken.  A negative seed raises here,
-    before anything is yielded.
+    Each yielded generator is one ``Generator`` set in place, so it is valid
+    only until the next one is taken.  A bad key raises here, before anything
+    is yielded.
     """
-    words = [_words(key) for key in keys]
-    by_count: dict[int, list[int]] = {}
-    for k, w in enumerate(words):
-        by_count.setdefault(len(w), []).append(k)
-    seeds: list = [None] * len(words)
-    with np.errstate(over="ignore"):
-        for picks in by_count.values():
-            block = np.array([words[k] for k in picks], dtype=np.uint32)
-            for k, row in zip(picks, _state_words(block).tolist()):
-                seeds[k] = row
-    rng = np.random.Generator(np.random.PCG64(0))
-    return _reseeded(rng, seeds)
+    words = [_philox_words(key) for key in keys]
+    return _reseeded(np.random.Generator(np.random.Philox(0)), words)
 
 
-def _reseeded(rng: np.random.Generator, seeds: list) -> Iterator[np.random.Generator]:
-    """``rng`` set, for each of ``seeds`` in turn, to the state PCG64 seeds
-    from those four words: one LCG step from 0, add the seed, one more."""
-    for s_hi, s_lo, i_hi, i_lo in seeds:
-        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
-        state = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128
+def _reseeded(rng: np.random.Generator, words: list) -> Iterator[np.random.Generator]:
+    """``rng`` set, for each (counter, key) of ``words`` in turn, to the state
+    ``Philox(counter=counter, key=key)`` starts in."""
+    for counter, key in words:
         rng.bit_generator.state = {
-            "bit_generator": "PCG64",
-            "state": {"state": state, "inc": inc},
+            "bit_generator": "Philox",
+            "state": {"counter": counter, "key": key},
+            "buffer": [0] * 4,
+            "buffer_pos": 4,
             "has_uint32": 0,
             "uinteger": 0,
         }
@@ -342,9 +280,13 @@ def _reseeded(rng: np.random.Generator, seeds: list) -> Iterator[np.random.Gener
 
 
 def stream(key) -> np.random.Generator:
-    """The random stream for ``key``, a seed or a tuple of ints that starts
-    with the seed; every seeded draw in the package starts from one.  It is
-    ``Generator(PCG64(SeedSequence(key)))``, derived by :func:`streams`."""
+    """The random stream for ``key``, a seed in [0, 2**128) or a tuple of a
+    seed and up to three ints in [0, 2**64); every seeded draw in the package
+    starts from one.  A key and a counter name a Philox stream directly, with
+    no hash (Salmon et al., "Parallel Random Numbers: As Easy as 1, 2, 3",
+    SC'11): ``stream((seed, a, b, c))`` is
+    ``Generator(Philox(counter=(0, a, b, c), key=seed))``, and trailing zeros
+    name the same stream."""
     return next(streams([key]))
 
 

@@ -380,6 +380,23 @@ class TestExperimentCommand:
         assert capsys.readouterr().out == default
         assert len(default.strip().splitlines()) == 1 + 19 * 15
 
+    @pytest.mark.parametrize("sizes", ["10,30,", "10,,30", " 10 , 30 "])
+    def test_blank_sizes_entries_are_skipped(self, capsys, sizes):
+        argv = ("experiment", "--name", "poisson-convergence", "--repeats", "2", "--raw")
+        assert run_cli(*argv, "--sizes", "10,30") == 0
+        expected = capsys.readouterr().out
+        assert run_cli(*argv, "--sizes", sizes) == 0
+        assert capsys.readouterr().out == expected
+
+    @pytest.mark.parametrize(
+        "sizes, error",
+        [(",", "grid ',' holds no points"), ("10,abc", "not a valid int: 'abc'"),
+         ("10:30:10", "not a valid int: '10:30:10'")],
+    )
+    def test_bad_sizes(self, capsys, sizes, error):
+        assert run_cli("experiment", "--name", "poisson-convergence", "--sizes", sizes) == 2
+        assert capsys.readouterr().err == f"error: {error}\n"
+
     def test_poisson_raw_rows(self, capsys):
         code = run_cli(
             "experiment", "--name", "poisson-convergence",
@@ -485,6 +502,9 @@ class TestBadArguments:
             ("experiment", "--name", "bernoulli-sweep", "--grid", ",", "--n", "10",
              "--repeats", "2"),
             ("experiment", "--name", "contribution-curves", "--amplitudes", "0.9:0.1:0.1"),
+            ("experiment", "--name", "poisson-convergence", "--sizes", ","),
+            # a seed is Philox's 128-bit key
+            ("check", "--measure", "gini", "--criterion", "D1", "--seed", str(2**128)),
             *USAGE_ERRORS,
         ],
         ids=["check-trials-0", "table-trials-0", "sizes", "grid-range", "grid-list",
@@ -495,7 +515,7 @@ class TestBadArguments:
              "amplitudes-two-fields", "amplitudes-zero-step", "bernoulli-n-1",
              "neg-tanh-no-eligible-draw", "neg-tanh-zero-range-D2", "neg-tanh-zero-range-D4",
              "neg-tanh-one-tick-range", "grid-empty-range", "grid-empty-list",
-             "amplitudes-empty-range",
+             "amplitudes-empty-range", "sizes-empty-list", "check-seed-2**128",
              "a-for-amplitudes", "trial-for-trials", "invalid-choice", "seed-not-an-int",
              "unknown-after-subcommand", "unknown-before-subcommand"],
     )
@@ -504,8 +524,8 @@ class TestBadArguments:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(USAGE_ERRORS.get(argv, "error: "))
-        if argv in USAGE_ERRORS:  # argparse's errors too: one line, no usage block
-            assert captured.err.count("\n") == 1
+        # argparse's errors too: one line, no usage block
+        assert captured.err.count("\n") == 1
 
     @pytest.mark.parametrize(
         "text, argv, error",

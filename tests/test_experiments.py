@@ -309,27 +309,27 @@ class TestConvergenceOrdering:
             assert inversions <= 1, (m, s.tolist())
 
 
-#: sha256 of each study's raw arrays, concatenated in measure order, as the
-#: one-draw-at-a-time engine computed them; any change to a draw, a resample
-#: or a kernel bit changes them.
+#: sha256 of each study's raw arrays, concatenated in measure order, as
+#: ``_one_at_a_time`` computes them too; any change to a stream, a draw, a
+#: resample or a kernel bit changes them.
 PINNED_STUDIES = {
     "poisson-default": (
         lambda: poisson_convergence(seed=0),
-        "f9b60c91c7ec2d1519a8a8d6b806988888e51000c15f3e52698a7d86bcf11c26",
+        "d5dbfffe9f1b3befa32191d53da83c89c3661d62bc432d9e9851f9596e644668",
     ),
     "bernoulli-default": (
         lambda: bernoulli_sweep(seed=0),
-        "4f91c8d6b28bb47e4e7c7a2a900e1dbaa54390fc34fa6e72df5e9ac28ac10eb4",
+        "26c3277db27b770e029cb11e1114ad1fbfe2210e79733d4bc55187363c820f43",
     ),
-    # 30 of the 100 draws are resampled
+    # 16 of the 100 draws are resampled, 23 times in all
     "bernoulli-n4": (
         lambda: bernoulli_sweep(grid=(0.5, 0.7), n=4, repeats=50, seed=4),
-        "cf50fcd61bcb66c5f787f32151cf68839dd7a73b6843346a5ecd3bdf8763f2d5",
+        "7b32885d55b1a1ec9c78d8080a3695e604f54a0f65f035df178e08af6c291696",
     ),
-    # 32 of the 900 draws are resampled
+    # 34 of the 900 draws are resampled, 37 times in all
     "poisson-small": (
         lambda: poisson_convergence(lam=1, sizes=(3, 5, 8), repeats=300, seed=2),
-        "5e0d0b264976714dc8a615bac46d70c9b0c25c25a897f8a7936d6d8c3eddf1ed",
+        "d037860139a9f533889fddb479644f2ed246fe875d2cbc7df7a39c9412044bc7",
     ),
 }
 
@@ -466,7 +466,7 @@ class TestStudyBlocks:
         with pytest.raises(DegenerateInput) as got:
             poisson_convergence(lam=0.1, sizes=(2, 3, 4), repeats=50, seed=0)
         assert str(got.value) == str(expected.value)
-        assert str(got.value) == "draw for (0, 0, 46) stayed degenerate after 20 resamples"
+        assert str(got.value) == "draw for (0, 0, 5) stayed degenerate after 20 resamples"
 
 
 def test_poisson_table_built_once_and_read_only():

@@ -299,18 +299,26 @@ class TestProbes:
 
 
 def _reference(key):
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(key)))
+    """numpy's own generator for ``key``: the seed is Philox's key, and the
+    further ints are counter words 1-3."""
+    seed, *rest = key if isinstance(key, tuple) else (key,)
+    counter = sum(n << 64 * k for k, n in enumerate(rest, 1))
+    return np.random.Generator(np.random.Philox(counter=counter, key=seed))
 
 
 def _assert_same_stream(rng, key):
     ref = _reference(key)
-    assert rng.bit_generator.state == ref.bit_generator.state
+    got, want = rng.bit_generator.state, ref.bit_generator.state
+    assert got["bit_generator"] == want["bit_generator"] == "Philox"
+    for word in ("counter", "key"):
+        assert got["state"][word].tolist() == want["state"][word].tolist()
+    assert got["buffer_pos"] == want["buffer_pos"]
     assert rng.random(64).tobytes() == ref.random(64).tobytes()
     assert rng.integers(0, 2**20, 64).tolist() == ref.integers(0, 2**20, 64).tolist()
 
 
-# seeds of one to three words, and (seed, measure, criterion, trial) keys with
-# trial indices up to 2**32 + 1
+# seeds on both sides of 2**32 and 2**64, and (seed, measure, criterion,
+# trial) keys with trial indices up to 2**32 + 1
 STREAM_KEYS = [
     0, 1, 2**32 - 1, 2**32, 2**64 + 3,
     (0, 0, 0, 0), (7, 14, 5, 999), (2**32 - 1, 3, 2, 2**32 - 1), (1, 3, 2, 2**32),
@@ -319,10 +327,10 @@ STREAM_KEYS = [
 
 
 class TestStreams:
-    """``streams`` derives exactly numpy's Generator(PCG64(SeedSequence(key)))."""
+    """``streams`` derives exactly numpy's Generator(Philox(counter, key))."""
 
     @pytest.mark.parametrize("key", STREAM_KEYS, ids=str)
-    def test_stream_matches_seed_sequence(self, key):
+    def test_stream_matches_philox(self, key):
         _assert_same_stream(stream(key), key)
 
     @pytest.mark.parametrize("seed", [0, 5, 2**32, 2**64 + 3])
@@ -331,9 +339,20 @@ class TestStreams:
         _assert_same_stream(stream((seed,)), seed)
 
     def test_keys_of_different_word_counts_in_one_call(self):
-        keys = [*STREAM_KEYS, (3,), *[(1499, 3, 2, t) for t in range(64)], (1, 2, 3, 4, 5, 6)]
+        keys = [*STREAM_KEYS, (3,), (3, 1), (3, 1, 2), *[(1499, 3, 2, t) for t in range(64)]]
         for key, rng in zip(keys, streams(keys), strict=True):
             _assert_same_stream(rng, key)
+
+    def test_the_widest_key(self):
+        key = (2**128 - 1, 2**64 - 1, 2**64 - 1, 2**64 - 1)
+        _assert_same_stream(stream(key), key)
+        _assert_same_stream(stream(2**128 - 1), 2**128 - 1)
+
+    def test_the_counter_leaves_word_0_to_the_generator(self):
+        # a stream's 2**64 blocks never reach the next key's counter words
+        rng = stream((9, 1, 2, 3))
+        rng.random(10)
+        assert rng.bit_generator.state["state"]["counter"].tolist() == [3, 1, 2, 3]
 
     def test_one_generator_reseeded_in_place(self):
         first, second = streams([1, 2])
@@ -345,3 +364,23 @@ class TestStreams:
             stream(key)
         with pytest.raises(InvalidParams, match=r"^seed must be non-negative, got -4$"):
             streams([0, key])
+
+    @pytest.mark.parametrize("key", [2**128, (2**128,), (2**128, 0, 0, 0)])
+    def test_seed_of_129_bits(self, key):
+        message = rf"^seed must be below 2\*\*128, got {2**128}$"
+        with pytest.raises(InvalidParams, match=message):
+            stream(key)
+        with pytest.raises(InvalidParams, match=message):
+            streams([0, key])
+
+    @pytest.mark.parametrize(
+        "key",
+        [(0, 1, 2, 3, 4), (0, 2**64), (0, 0, 0, 2**64), (0, -1), (0, 0, -1, 0), ()],
+        ids=["fifth-int", "word-of-65-bits", "last-word-of-65-bits", "negative-entry",
+             "negative-middle-entry", "empty"],
+    )
+    def test_a_bad_key_raises_before_any_stream(self, key):
+        taken = []
+        with pytest.raises(ValueError):
+            taken.extend(streams([0, key]))
+        assert taken == []
