@@ -308,7 +308,7 @@ def _cmd_lorenz(args) -> Report:
 
 def _cmd_check(args) -> Report:
     spec = _spec_from_args(Measure(args.measure), args)
-    criterion = Criterion(args.criterion.upper())
+    criterion = Criterion(args.criterion)
     cell = check_cell(spec, criterion, trials=args.trials, seed=args.seed).to_dict()
     return Report(
         {"params": _spec_params(spec)},

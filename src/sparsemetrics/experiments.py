@@ -226,15 +226,17 @@ def _draws(specs: dict[Measure, MeasureSpec], dist, n: int, keys: list) -> dict[
     return values
 
 
-def _study(
-    specs: dict[Measure, MeasureSpec], points, repeats: int, seed: int
-) -> dict[Measure, np.ndarray]:
-    """``raw[m][i, r]``: measure ``m`` on draw ``r`` at sweep point ``i``,
-    where ``points[i]`` is a (distribution, n) pair.
+def _study(name, sweep_name, sweep_values, points, specs, repeats: int, seed: int, **extra):
+    """The ``ExperimentResult`` of every measure in ``specs`` on ``repeats``
+    draws from each (distribution, n) pair ``points[i]``, at sweep value
+    ``sweep_values[i]``: ``raw[m][i, r]`` is measure ``m`` on draw ``r`` at
+    point ``i``.  Its metadata is ``extra``, repeats, seed and parameters.
 
     Draw r's first attempt comes from ``stream((seed, i, r, 0))``, so no
     value depends on the block size.
     """
+    if repeats < 2:
+        raise InvalidParams("repeats must be >= 2")
     if not points:
         raise InvalidParams("a study needs at least one sweep point")
     raw = {m: np.empty((len(points), repeats)) for m in specs}
@@ -244,7 +246,9 @@ def _study(
             block = range(start, min(start + step, repeats))
             for m, v in _draws(specs, dist, n, [(seed, i, r, 0) for r in block]).items():
                 raw[m][i, block.start : block.stop] = v
-    return raw
+    params = {m.value: vars(s) for m, s in specs.items()}
+    metadata = {**extra, "repeats": repeats, "seed": seed, "measure_params": params}
+    return ExperimentResult(name, sweep_name, sweep_values, list(specs), raw, metadata)
 
 
 DEFAULT_SIZES = (10, 30, 100, 300, 1000, 3000)
@@ -257,27 +261,15 @@ def poisson_convergence(
     repeats: int = DEFAULT_POISSON_REPEATS,
     seed: int = 0,
 ) -> ExperimentResult:
-    """All fifteen measures on Poisson draws, as a function of set size."""
+    """All fifteen measures on Poisson draws, as a function of set size;
+    ``_study`` checks ``repeats``."""
     sizes = [int(n) for n in sizes]
     if any(n < 2 for n in sizes) or sorted(sizes) != sizes:
         raise InvalidParams("sizes must be ascending and each >= 2")
-    if repeats < 2:
-        raise InvalidParams("repeats must be >= 2")
-    specs = default_specs()
     dist = DistributionSpec.poisson(lam)
-    raw = _study(specs, [(dist, n) for n in sizes], repeats, seed)
-    return ExperimentResult(
-        name="poisson-convergence",
-        sweep_name="n",
-        sweep_values=[float(n) for n in sizes],
-        measures=list(specs),
-        raw=raw,
-        metadata={
-            "lam": lam,
-            "repeats": repeats,
-            "seed": seed,
-            "measure_params": {m.value: vars(s) for m, s in specs.items()},
-        },
+    return _study(
+        "poisson-convergence", "n", [float(n) for n in sizes], [(dist, n) for n in sizes],
+        default_specs(), repeats, seed, lam=lam,
     )
 
 
@@ -296,28 +288,16 @@ def bernoulli_sweep(
     repeats: int = DEFAULT_BERNOULLI_REPEATS,
     seed: int = 0,
 ) -> ExperimentResult:
-    """All fifteen measures on 0/1 draws as the zero-probability p sweeps."""
+    """All fifteen measures on 0/1 draws as the zero-probability p sweeps;
+    ``_study`` checks ``repeats``."""
     grid = [float(p) for p in grid]
     if any(not 0 < p < 1 for p in grid):
         raise InvalidParams("grid values must lie strictly inside (0, 1)")
     if n < 2:
         raise InvalidParams("n must be >= 2")
-    if repeats < 2:
-        raise InvalidParams("repeats must be >= 2")
-    specs = default_specs(epsilon=BERNOULLI_EPSILON)
-    raw = _study(specs, [(DistributionSpec.bernoulli01(p), n) for p in grid], repeats, seed)
-    return ExperimentResult(
-        name="bernoulli-sweep",
-        sweep_name="p",
-        sweep_values=grid,
-        measures=list(specs),
-        raw=raw,
-        metadata={
-            "n": n,
-            "repeats": repeats,
-            "seed": seed,
-            "measure_params": {m.value: vars(s) for m, s in specs.items()},
-        },
+    return _study(
+        "bernoulli-sweep", "p", grid, [(DistributionSpec.bernoulli01(p), n) for p in grid],
+        default_specs(epsilon=BERNOULLI_EPSILON), repeats, seed, n=n,
     )
 
 

@@ -545,6 +545,14 @@ class TestBlockBoundaries:
         assert (v.violated, v.trials, v.skipped) == (True, 1, 0)
         assert v.witness == FAILS.trial(C.D2)
 
+    def test_a_bad_row_with_no_earlier_witness_surfaces(self, monkeypatch):
+        # the same block, but the first draw holds: nothing decides the
+        # cell before the second draw's row, so its error is raised
+        draws = iter([HOLDS, _group([1, 2], [1, np.inf])])
+        monkeypatch.setattr(compliance, "draw_trial", lambda *args: next(draws))
+        with pytest.raises(InvalidParams, match="coefficient magnitudes must be finite"):
+            check_cell(MeasureSpec(M.GINI), C.D2, trials=2, seed=0)
+
     def test_u_theta_p1_skips_match_sequential(self, monkeypatch):
         spec = MeasureSpec(M.U_THETA)
         flags = _sequential_skips(spec, C.P1, 1000)

@@ -208,6 +208,9 @@ class TestGini:
         assert gini(CoefficientVector([1, 1, 1, 1])) == 0.0
         assert gini(CoefficientVector([0, 0, 0, 0, 1])) == pytest.approx(0.8, abs=1e-15)
         assert gini(CoefficientVector([0, 1, 3, 5])) == pytest.approx(17 / 36, abs=1e-15)
+        # a plain sequence is converted to a CoefficientVector first
+        assert gini([0, 1, 3, 5]) == gini(CoefficientVector([0, 1, 3, 5]))
+        assert evaluate(MeasureSpec(Measure.GINI), (5, 0, 3, 1)) == gini([0, 1, 3, 5])
 
     def test_constant_exactly_zero_any_value(self):
         for c in (0.1, 0.3, 7.77, 1e-4):
@@ -246,6 +249,8 @@ class TestLorenzCurve:
         curve = lorenz_curve(CoefficientVector([1, 1]))
         np.testing.assert_allclose(curve.points, [[0, 0], [0.5, 0.5], [1, 1]])
         assert curve.twice_area_above() == pytest.approx(0.0, abs=1e-15)
+        # a plain sequence is converted to a CoefficientVector first
+        np.testing.assert_array_equal(lorenz_curve([1, 1]).points, curve.points)
 
     def test_below_diagonal(self):
         curve = lorenz_curve(CoefficientVector([1, 1, 2, 3, 10]))

@@ -143,6 +143,10 @@ class TestBabies:
         with pytest.raises(InvalidTransform):
             babies(vec(0, 0), k=1)
 
+    def test_no_zeros_rejected(self):
+        with pytest.raises(InvalidTransform, match="integer k >= 1, got 0"):
+            babies(vec(1, 2), 0)
+
 
 class TestRoundTripAndConservation:
     def test_reapply_reproduces_after_bit_exactly(self):
