@@ -22,7 +22,7 @@ class GenerationFailure(SparsemetricsError):
 
 
 class CatalogMiss(SparsemetricsError):
-    """An expected-false cell has neither a catalog witness nor a search hit."""
+    """No catalog pair is mapped to the requested (measure, criterion) cell."""
 
 
 class NonSeparableMeasure(SparsemetricsError):

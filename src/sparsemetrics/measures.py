@@ -170,8 +170,9 @@ class MeasureDef:
     * ``strictly_positive`` and ``value_cap(spec)`` bound the compliance
       engine's random trials; ``transforms.trial_ticks`` turns them into the
       grid ticks the trials are drawn from.
-    * ``term`` is the additive per-component term, or None for the ratio and
-      order-statistic measures.
+    * ``term`` is the per-component term, 0 at a zero the formula leaves out,
+      or None for the ratio and order-statistic measures.  The kernel sums it
+      over every sorted entry (``_sum``); ``neg-lp`` takes the root of that sum.
     """
 
     kernel: Callable[[MeasureSpec, np.ndarray], np.ndarray]
@@ -196,42 +197,25 @@ def _sum(terms: np.ndarray) -> np.ndarray:
     return -np.add.reduce(-terms, axis=1, initial=-0.0)
 
 
-def _nonzero_rows(rows: np.ndarray, fn) -> np.ndarray:
-    """``fn`` on each row's magnitudes after its leading zeros, one call per zero count."""
-    zeros = np.add.reduce(rows == 0.0, axis=1)
-    counts = set(zeros.tolist())
-    if len(counts) == 1:
-        return fn(rows[:, counts.pop() :])
-    out = np.empty(len(rows))
-    for z in counts:
-        pick = zeros == z
-        out[pick] = fn(rows[pick, z:])
-    return out
-
-
 def _zero_at_zero(term: Term) -> Term:
+    """``term`` where x > 0 and 0.0 at a zero (``term`` sees 1 there instead)."""
+
     def extended(spec: MeasureSpec, x: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(x)
-        out[x > 0] = term(spec, x[x > 0])
-        return out
+        nonzero = x > 0
+        return np.where(nonzero, term(spec, np.where(nonzero, x, 1.0)), 0.0)
 
     return extended
 
 
 def _separable(term: Term, domain: Domain | None = None, **fields) -> MeasureDef:
-    """A measure whose kernel sums ``term`` over the sorted magnitudes.
+    """A measure whose kernel sums ``term`` over every sorted magnitude.
 
-    A term singular at zero (``domain=NONZERO``) sums over the nonzero
-    magnitudes only, as the formula does (summing extra zeros would regroup
-    numpy's pairwise sum).
+    A term singular at zero (``domain=NONZERO``) is extended by 0 there, so a
+    zero adds nothing, as in the formula's sum over nonzero magnitudes.
     """
-
-    def kernel(spec: MeasureSpec, rows: np.ndarray) -> np.ndarray:
-        if domain is None:
-            return _sum(term(spec, rows))
-        return _nonzero_rows(rows, lambda nz: _sum(term(spec, nz)))
-
-    return MeasureDef(kernel, domain, term=_zero_at_zero(term) if domain else term, **fields)
+    if domain is not None:
+        term = _zero_at_zero(term)
+    return MeasureDef(lambda spec, rows: _sum(term(spec, rows)), domain, term=term, **fields)
 
 
 def _neg_tanh_term(spec: MeasureSpec, x: np.ndarray) -> np.ndarray:
@@ -248,13 +232,12 @@ def _neg_tanh_cap(spec: MeasureSpec) -> float:
         return math.exp(log_cap) if log_cap < 700.0 else math.inf
 
 
-def _hs_prime_term(spec: MeasureSpec, nz: np.ndarray) -> np.ndarray:
-    return -2.0 * (nz * np.log(nz))
+_hs_prime_term = _zero_at_zero(lambda spec, nz: -2.0 * (nz * np.log(nz)))
 
 
 def _hs_prime(spec: MeasureSpec, rows: np.ndarray) -> np.ndarray:
     # an all-zero vector has entropy 0, and +0.0 turns a -0.0 total into 0
-    return _nonzero_rows(rows, lambda nz: _sum(_hs_prime_term(spec, nz)) + 0.0)
+    return _sum(_hs_prime_term(spec, rows)) + 0.0
 
 
 def _ratio(form: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray], **fields):
@@ -313,20 +296,23 @@ def _varies(spec: MeasureSpec, rows: np.ndarray) -> np.ndarray:
 
 def _gini(spec: MeasureSpec, rows: np.ndarray) -> np.ndarray:
     n = rows.shape[1]
-    # a memoryview yields a row's Python floats one at a time: no list of N floats
-    totals = [math.fsum(memoryview(r)) for r in rows]
-    weights = 2.0 * np.arange(1, n + 1) - (n + 1)
-    sums = [math.fsum(memoryview(r)) for r in rows * weights]
-    return np.array([s / (n * t) for s, t in zip(sums, totals)])
+    weights = np.arange(n - 1, 0, -2.0)  # N + 1 - 2k for k = 1 .. N // 2
+    half = weights.size
+    terms = rows[:, ::-1][:, :half] - rows[:, :half]  # s_(N+1-k) - s_(k) >= 0
+    terms *= weights
+    # no term is -0.0, so plain row sums have _sum's bits without its negated copies
+    return np.add.reduce(terms, axis=1) / (n * np.add.reduce(rows, axis=1))
 
 
 def gini(c: CoefficientVector) -> float:
     """Gini index of the sorted coefficients, in [0, 1 - 1/N].
 
-    Evaluates ``sum(c_(k) * (2k - N - 1)) / (N * ||c||_1)``, an exact
-    rearrangement of the usual ``1 - 2 sum(...)`` form.  The antisymmetric
-    integer weights make constant vectors come out exactly zero under
-    ``math.fsum``.  Raises ``DegenerateInput`` as ``evaluate`` does.
+    Evaluates ``sum_{k <= N/2} (c_(N+1-k) - c_(k)) (N+1-2k) / (N ||c||_1)``,
+    an exact rearrangement of the usual ``1 - 2 sum(...)`` form that pairs
+    the antisymmetric weights ``2k - N - 1``.  Every term is non-negative,
+    so both pairwise sums stay accurate, and a constant vector's gaps are
+    exactly 0, so it comes out exactly zero.  Raises ``DegenerateInput`` as
+    ``evaluate`` does.
     """
     return evaluate(MeasureSpec(Measure.GINI), c)
 
@@ -358,7 +344,7 @@ MEASURES: dict[Measure, MeasureDef] = {
     Measure.NEG_LOG: _separable(lambda spec, x: -np.log1p(x * x)),
     # log blows up near zero
     Measure.HG: _separable(lambda spec, nz: -2.0 * np.log(nz), NONZERO, strictly_positive=True),
-    Measure.HS_PRIME: MeasureDef(kernel=_hs_prime, term=_zero_at_zero(_hs_prime_term)),
+    Measure.HS_PRIME: MeasureDef(kernel=_hs_prime, term=_hs_prime_term),
     Measure.NEG_LP_NEG: _separable(
         lambda spec, nz: -(nz**spec.p_neg),
         NONZERO,

@@ -3,7 +3,6 @@
 import io
 import json
 import re
-import subprocess
 import sys
 
 import pytest
@@ -656,20 +655,15 @@ class TestSeedEnvVar:
 
 
 class TestConsoleEntryPoint:
-    def test_installed_script(self, vec_file):
-        proc = subprocess.run(
-            [sys.executable, "-m", "sparsemetrics.cli", "measure",
-             "--measure", "gini", "--input", vec_file],
-            capture_output=True, text=True,
+    def test_installed_script(self, vec_file, run_python):
+        proc = run_python(
+            "-m", "sparsemetrics.cli", "measure", "--measure", "gini", "--input", vec_file
         )
         assert proc.returncode == 0
         assert proc.stdout == "0.472222\n"
 
-    def test_unknown_flag_usage_error(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "sparsemetrics.cli", "table", "--bogus"],
-            capture_output=True, text=True,
-        )
+    def test_unknown_flag_usage_error(self, run_python):
+        proc = run_python("-m", "sparsemetrics.cli", "table", "--bogus")
         assert proc.returncode == 2
         assert "usage" in proc.stderr.lower()
 

@@ -30,7 +30,9 @@ from sparsemetrics import (
 from sparsemetrics import compliance
 from sparsemetrics.compliance import _decide, _outcomes
 from sparsemetrics.errors import CatalogMiss, DegenerateInput, GenerationFailure, InvalidParams
-from sparsemetrics.transforms import TICK, TrialGroup, draw_trial, stream, trial_ticks
+from sparsemetrics.transforms import (
+    TICK, VALUE_TICKS, TrialGroup, draw_trial, stream, streams, trial_ticks,
+)
 
 
 class TestRelationHolds:
@@ -381,8 +383,9 @@ class TestDecide:
 
 
 class TestConventionFindings:
-    """Two verdicts that rest on a convention of the engine, not of the measure
-    alone; the table is the same either way."""
+    """Verdicts that rest on a convention of the engine (its trial range, its
+    tolerance, its catalog), not of the measure alone; the table is the same
+    either way."""
 
     HG = MeasureSpec(M.HG)
 
@@ -402,6 +405,38 @@ class TestConventionFindings:
         # the table's trials start at the floor 0.01 instead, and find nothing
         assert trial_ticks(self.HG) == range(10486, 10485761)
         assert not check_cell(self.HG, criterion, trials=100, seed=0).violated
+
+    def test_neg_tanh_d1_rests_on_its_value_cap(self):
+        # past the cap, tanh is flat: a Robin Hood transfer lowers neg-tanh,
+        # the required direction, but by 1.31e-9, under the 2e-9 tolerance,
+        # so it counts as a violation (a tolerance artefact)
+        spec = MeasureSpec(M.NEG_TANH)
+        v = _decide(spec, C.D1, [_group([9.5, 10], [9.625, 9.875])])
+        assert (v.violated, v.trials) == (True, 1)
+        assert (v.value_before, v.value_after) == (-1.9999999846720997, -1.9999999859799282)
+        assert 1.3e-9 < v.value_before - v.value_after < 2e-9
+        # the table's trials stop at the cap 4^(1/b) / a = 4 instead
+        assert trial_ticks(spec) == range(4 * 2**20 + 1)
+
+    @pytest.mark.parametrize(
+        "m, criterion, found",
+        [
+            (M.NEG_TANH, C.D1, (True, 7, 0, -21.33658329255161, -21.336583295221327)),
+            (M.NEG_TANH, C.D3, (False, 1000, 0, None, None)),
+            (M.NEG_LP_NEG, C.P1, (False, 1000, 0, None, None)),
+        ],
+    )
+    def test_search_on_the_uncapped_value_range(self, m, criterion, found):
+        # check_cell's seeded draws at seed 0, from VALUE_TICKS (0 through 10)
+        # instead of the measure's trial_ticks: only (neg-tanh, D1) breaks
+        spec = MeasureSpec(m)
+        key = (0, MEASURE_ORDER.index(m), CRITERION_ORDER.index(criterion))
+        draws = (
+            draw_trial(criterion, VALUE_TICKS, rng)
+            for rng in streams([(*key, t) for t in range(1000)])
+        )
+        v = _decide(spec, criterion, draws)
+        assert (v.violated, v.trials, v.skipped, v.value_before, v.value_after) == found
 
     def test_u2_is_a_tie_at_the_maximum(self):
         # the catalog decides U2 by relation_holds alone: no increase, so a

@@ -3,8 +3,6 @@
 import dataclasses
 import hashlib
 import math
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -281,7 +279,7 @@ class TestDistributionalGini:
             assert err <= 2.0 / math.sqrt(n)
 
 
-def test_runtime_needs_no_scipy():
+def test_runtime_needs_no_scipy(run_python):
     """The package imports no scipy, and the quadrature Gini runs with scipy
     made unimportable."""
     script = (
@@ -295,7 +293,7 @@ def test_runtime_needs_no_scipy():
         "sys.exit(parse_and_dispatch(['experiment', '--name', 'distributional-gini',\n"
         "                             '--dist', 'exponential', '--sample-n', '1000']))\n"
     )
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    proc = run_python("-c", script)
     assert proc.returncode == 0, proc.stderr
     assert "quadrature_gini" in proc.stdout
 
@@ -315,11 +313,11 @@ class TestConvergenceOrdering:
 PINNED_STUDIES = {
     "poisson-default": (
         lambda: poisson_convergence(seed=0),
-        "d5dbfffe9f1b3befa32191d53da83c89c3661d62bc432d9e9851f9596e644668",
+        "cef3035fa2feb8431e000d7025a0de685a01df352e2dcc1c7ba739bd9c927ddb",
     ),
     "bernoulli-default": (
         lambda: bernoulli_sweep(seed=0),
-        "26c3277db27b770e029cb11e1114ad1fbfe2210e79733d4bc55187363c820f43",
+        "e29954d1c9723582e875ab07661a8aad7c1dfeba11ddd4d61d588c3984ff49a2",
     ),
     # 16 of the 100 draws are resampled, 23 times in all
     "bernoulli-n4": (
@@ -329,7 +327,7 @@ PINNED_STUDIES = {
     # 34 of the 900 draws are resampled, 37 times in all
     "poisson-small": (
         lambda: poisson_convergence(lam=1, sizes=(3, 5, 8), repeats=300, seed=2),
-        "d037860139a9f533889fddb479644f2ed246fe875d2cbc7df7a39c9412044bc7",
+        "caf428f45f49b4d3784d86cb0c5dd50854feaeb8c412ad11dd3386cc32867a02",
     ),
 }
 
