@@ -8,10 +8,11 @@ any catalog pair that turns out not to discriminate) falls back to seeded
 randomized trial search.  Randomized testing can only falsify: a
 ``NoViolationFound`` verdict is evidence of compliance, never proof.
 
-Per-trial random streams are derived from (seed, measure index, criterion
-index, trial index), so verdicts are independent of execution order and a
-``NoViolationFound`` at T trials is stable under any smaller T with the
-same seed.
+Each search draw has its own random words: attempt a of trial t is words
+[t * SLOTS, (t + 1) * SLOTS) of the stream keyed (seed, measure index,
+criterion index, a).  So verdicts are independent of execution order and
+block size, and a ``NoViolationFound`` at T trials is stable under any
+smaller T with the same seed.
 """
 
 from __future__ import annotations
@@ -39,9 +40,9 @@ from .transforms import (
     CriterionTrial,
     Relation,
     TrialGroup,
-    draw_trial,
-    streams,
+    draw_block,
     trial_ticks,
+    trial_words,
 )
 
 __all__ = [
@@ -377,6 +378,22 @@ def _decide(spec: MeasureSpec, criterion: Criterion, draws: Iterable) -> CellVer
     return CellVerdict(spec.id, criterion, False, trials, skipped)
 
 
+def _seeded(criterion: Criterion, ticks: range, key: tuple, trials: int):
+    """``check_cell``'s source: ``trials`` draws from ``ticks``, attempt a of
+    draw t from ``trial_words((*key, a), t, ...)``, ``BLOCK_TRIALS`` draws per
+    ``draw_block`` call, ended by the first draw that is an error (a
+    ``GenerationFailure``), which ``_decide`` raises unless an earlier draw
+    is a witness."""
+    for start in range(0, trials, BLOCK_TRIALS):
+        rows = min(BLOCK_TRIALS, trials - start)
+        for draw in draw_block(
+            criterion, ticks, lambda a: trial_words((*key, a), start, rows), rows
+        ):
+            yield draw
+            if isinstance(draw, SparsemetricsError):
+                return
+
+
 def check_cell(
     spec: MeasureSpec, criterion: Criterion, trials: int = 1000, seed: int = 0
 ) -> CellVerdict:
@@ -388,17 +405,7 @@ def check_cell(
         p = " ".join(f"{k}={v:g}" for k, v in vars(spec).items() if v != getattr(MeasureSpec, k, v))
         raise InvalidParams(f"{spec.id.value} ({p}) draws every trial entry as 0")
     key = (seed, MEASURE_ORDER.index(spec.id), CRITERION_ORDER.index(criterion))
-
-    def seeded():
-        try:
-            for start in range(0, trials, BLOCK_TRIALS):
-                block = range(start, min(start + BLOCK_TRIALS, trials))
-                for rng in streams([(*key, t) for t in block]):
-                    yield draw_trial(criterion, ticks, rng)
-        except SparsemetricsError as exc:
-            yield exc  # and stop; _decide raises it unless an earlier draw is a witness
-
-    return _decide(spec, criterion, seeded())
+    return _decide(spec, criterion, _seeded(criterion, ticks, key, trials))
 
 
 def catalog_verdict(spec: MeasureSpec, criterion: Criterion) -> CellVerdict:

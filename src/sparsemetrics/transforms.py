@@ -3,8 +3,17 @@
 Each constructor validates its preconditions, records the parameters used,
 and states the relation a compliant measure must exhibit between the two
 vectors.  ``CRITERIA`` defines each criterion once: its relation, its
-constructor and its random draw.  ``draw_trial`` draws the groups of
-trials the compliance engine tests on one seeded draw.
+constructor and its random draw.
+
+A draw is an array program over a block of draws: each attempt at a draw
+takes SLOTS raw 64-bit words, and each criterion's ``draw`` turns a
+(rows, SLOTS) block of them into one ``TrialGroup`` per row (None for an
+ineligible vector), with integers and uniforms taken from the words by exact
+integer rules.  ``draw_block`` redraws only the ineligible rows, from the
+next attempt's words; the search reads attempt a of draw t as words
+[t * SLOTS, (t + 1) * SLOTS) of one stream per attempt (``trial_words``),
+and ``draw_trial`` and ``draw_vector`` are one row of a generator's next
+words.
 
 Draws reason in integer grid ticks (multiples of ``TICK`` = 2**-20) from
 the range ``trial_ticks`` gives, and turn them into float64 once, where
@@ -46,7 +55,9 @@ __all__ = [
     "reapply",
     "sample_trial",
     "draw_trial",
+    "draw_block",
     "draw_vector",
+    "trial_words",
     "stream",
     "streams",
 ]
@@ -67,6 +78,12 @@ POSITIVE_FLOOR = 0.01
 MIN_GAP_FRAC = 0.01
 #: Attempts at an eligible draw before GenerationFailure.
 MAX_RETRIES = 200
+#: Raw 64-bit words one draw attempt takes, 33 of Philox's 4-word blocks:
+#: the length, N_MAX entries and N_MAX zero-mask words, then from word _OWN
+#: the criterion's own (D1's receiver, donor and transfer; the one
+#: parameter of the others).
+_OWN = 1 + 2 * N_MAX
+SLOTS = _OWN + 3
 #: Bill Gates alphas, as multiples of the vector's l1 mass.
 P1_ALPHA_MULTIPLIERS = (1e-3, 1.0, 1e3)
 #: Bill Gates betas probed, as multiples of the l1 mass, when the policy
@@ -290,76 +307,133 @@ def stream(key) -> np.random.Generator:
     return next(streams([key]))
 
 
-def draw_vector(ticks: range, rng: np.random.Generator) -> np.ndarray:
-    """Draw N_MIN..N_MAX entries from ``ticks``, as int64 grid ticks; when 0 is
-    in the range, each entry is zeroed with probability ZERO_PROB."""
-    n = int(rng.integers(N_MIN, N_MAX + 1))
-    v = rng.integers(ticks.start, ticks.stop, size=n)
+def trial_words(key, start: int, rows: int) -> np.ndarray:
+    """Draws ``start`` to ``start + rows - 1`` of ``stream(key)`` as a
+    (rows, SLOTS) array of raw words: draw t is the stream's words
+    [t * SLOTS, (t + 1) * SLOTS), reached by advancing its counter, so a
+    draw's words do not depend on the block they are read in."""
+    bits = stream(key).bit_generator
+    bits.advance(start * SLOTS // 4)  # Philox counts 4-word blocks
+    return bits.random_raw((rows, SLOTS))
+
+
+def _below(words: np.ndarray, size) -> np.ndarray:
+    """``floor(w * size / 2**64)`` for each word w, exactly, in uint64
+    arithmetic: an int64 in [0, size) for each size in [1, 2**32]."""
+    size = np.asarray(size, dtype=np.uint64)
+    low = ((words & np.uint64(0xFFFFFFFF)) * size) >> np.uint64(32)
+    return (((words >> np.uint64(32)) * size + low) >> np.uint64(32)).astype(np.int64)
+
+
+def _uniform(words: np.ndarray) -> np.ndarray:
+    """A float64 in [0, 1) from each word's top 53 bits."""
+    return (words >> np.uint64(11)) * 2.0**-53
+
+
+def _vectors(ticks: range, words: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each row's vector, as int64 grid ticks padded with 0 to N_MAX entries,
+    its length and the mask of its entries: N_MIN..N_MAX entries from
+    ``ticks``, each zeroed with probability ZERO_PROB when 0 is in the range."""
+    n = N_MIN + _below(words[:, 0], N_MAX - N_MIN + 1)
+    v = ticks.start + _below(words[:, 1 : 1 + N_MAX], len(ticks))
+    entry = np.arange(N_MAX) < n[:, None]
+    zero = ~entry
     if 0 in ticks:
-        v[rng.random(n) < ZERO_PROB] = 0
-    return v
+        zero |= _uniform(words[:, 1 + N_MAX : _OWN]) < ZERO_PROB
+    v[zero] = 0
+    return v, n, entry
 
 
-def _min_gap(top: int) -> int:
-    return max(3, math.ceil(MIN_GAP_FRAC * top))
+def draw_vector(ticks: range, rng: np.random.Generator) -> np.ndarray:
+    """Draw N_MIN..N_MAX entries from ``ticks``, as int64 grid ticks, from the
+    next SLOTS raw words of ``rng``; when 0 is in the range, each entry is
+    zeroed with probability ZERO_PROB."""
+    v, n, _ = _vectors(ticks, rng.bit_generator.random_raw((1, SLOTS)))
+    return v[0, : n[0]]
 
 
-def _draw_robin_hood(ticks: range, rng: np.random.Generator) -> TrialGroup | None:
-    v = draw_vector(ticks, rng)
-    min_gap = _min_gap(int(v.max()))
-    receivers = np.flatnonzero(v <= v.max() - min_gap)
-    if receivers.size == 0:  # also the all-zero vector
-        return None
-    # x[rng.integers(x.size)] draws what rng.choice(x) draws, at a quarter of the cost
-    j = int(receivers[rng.integers(receivers.size)])
-    donors = np.flatnonzero(v >= v[j] + min_gap)
-    i = int(donors[rng.integers(donors.size)])
-    gap = int(v[i] - v[j])
-    alpha = min(max(round(rng.uniform(0.2, 0.8) * gap / 2), 1), (gap - 1) // 2)
-    return _robin_hood(v * TICK, i, j, alpha * TICK)
+def _min_gap(top):
+    return np.maximum(3, np.ceil(MIN_GAP_FRAC * top).astype(np.int64))
 
 
-def _draw_rising_tide(ticks: range, rng: np.random.Generator) -> TrialGroup | None:
-    v = draw_vector(ticks, rng)
-    top = int(v.max())
-    if top - int(v.min()) < _min_gap(top):  # also the all-zero vector
-        return None
-    alpha = max(1, round(rng.uniform(0.05, 0.5) * top + 0.01 * _TICKS_PER_UNIT))
-    return _rising_tide(v * TICK, alpha * TICK)
+def _pick(mask: np.ndarray, words: np.ndarray) -> np.ndarray:
+    """Each row's column of a True entry of ``mask``, the k-th for k below the
+    row's count of them (column 0 in a row without one)."""
+    k = _below(words, np.maximum(mask.sum(1), 1))
+    return np.argmax(mask & (np.cumsum(mask, 1) == k[:, None] + 1), axis=1)
 
 
-def _draw_scale(ticks: range, rng: np.random.Generator) -> TrialGroup:
-    v = draw_vector(ticks, rng) * TICK
-    while True:
-        alpha = math.exp(rng.uniform(math.log(0.1), math.log(10.0)))
-        if abs(alpha - 1.0) > 0.01:
-            return _scale(v, alpha)
+def _rows(build, v: np.ndarray, n: np.ndarray, ok, *params) -> list:
+    """``build(row, *the row's params)`` for each row of ``v`` cut to its length
+    ``n`` and turned into float64, or None where ``ok`` (if given) is False."""
+    ok = [True] * len(n) if ok is None else ok.tolist()
+    v, cols = v * TICK, [p.tolist() for p in params]
+    return [
+        build(v[r, :k], *(c[r] for c in cols)) if good else None
+        for r, (k, good) in enumerate(zip(n.tolist(), ok))
+    ]
 
 
-def _draw_bill_gates(ticks: range, rng: np.random.Generator) -> TrialGroup | None:
+def _draw_robin_hood(ticks: range, words: np.ndarray) -> list:
+    v, n, entry = _vectors(ticks, words)
+    own, rows = words[:, _OWN:], np.arange(len(v))
+    min_gap = _min_gap(v.max(1))[:, None]
+    receivers = entry & (v <= v.max(1, keepdims=True) - min_gap)  # none in an all-zero vector
+    j = _pick(receivers, own[:, 0])
+    i = _pick(entry & (v >= v[rows, j][:, None] + min_gap), own[:, 1])
+    gap = v[rows, i] - v[rows, j]
+    alpha = np.rint((0.2 + 0.6 * _uniform(own[:, 2])) * gap / 2).astype(np.int64)
+    alpha = np.minimum(np.maximum(alpha, 1), (gap - 1) // 2)
+    return _rows(_robin_hood, v, n, receivers.any(1), i, j, alpha * TICK)
+
+
+def _draw_rising_tide(ticks: range, words: np.ndarray) -> list:
+    v, n, entry = _vectors(ticks, words)
+    top = v.max(1)
+    spread = top - np.where(entry, v, top[:, None]).min(1)  # 0 for the all-zero vector
+    alpha = np.rint((0.05 + 0.45 * _uniform(words[:, _OWN])) * top + 0.01 * _TICKS_PER_UNIT)
+    alpha = np.maximum(alpha.astype(np.int64), 1)
+    return _rows(_rising_tide, v, n, spread >= _min_gap(top), alpha * TICK)
+
+
+#: D2's alphas are log-uniform on [0.1, 10] without [0.99, 1.01]: these logs
+#: bound the two intervals.
+_LOG_ALPHAS = (math.log(0.1), math.log(0.99), math.log(1.01), math.log(10.0))
+
+
+def _draw_scale(ticks: range, words: np.ndarray) -> list:
+    v, n, _ = _vectors(ticks, words)
+    low, gap_low, gap_high, high = _LOG_ALPHAS
+    x = low + _uniform(words[:, _OWN]) * (gap_low - low + high - gap_high)
+    return _rows(_scale, v, n, None, np.exp(np.where(x < gap_low, x, x + gap_high - gap_low)))
+
+
+def _bill_gates_groups(before: np.ndarray, i: int, l1: int, top: int, at_i: int) -> TrialGroup:
     """The policy beta's group, then the ``P1_BETA_SWEEP`` groups, each with the
-    ``P1_ALPHA_MULTIPLIERS`` alphas; None for an all-zero vector.  The policy beta,
+    ``P1_ALPHA_MULTIPLIERS`` alphas, for a vector of l1 mass ``l1``, largest
+    entry ``top`` and entry ``at_i`` at i, in ticks.  The policy beta,
     10 * (l1 + max - c_i), makes the grown coefficient dominate the vector."""
-    v = draw_vector(ticks, rng)
-    l1 = int(v.sum())
-    if l1 == 0:
-        return None
-    i = int(rng.integers(v.size))
-    alphas = [max(1, int(round(m * l1))) * TICK for m in P1_ALPHA_MULTIPLIERS]
-    betas = [10 * (l1 + int(v.max()) - int(v[i]))]
-    betas += [max(1, int(round(m * l1))) for m in P1_BETA_SWEEP]
-    before = v * TICK
+    alphas = [max(1, round(m * l1)) * TICK for m in P1_ALPHA_MULTIPLIERS]
+    betas = [10 * (l1 + top - at_i)] + [max(1, round(m * l1)) for m in P1_BETA_SWEEP]
     groups = (_bill_gates(before, i, beta * TICK, alphas) for beta in betas)
     return next(groups)._replace(later=groups)
 
 
-def _draw_clone(ticks: range, rng: np.random.Generator) -> TrialGroup:
-    return _clone(draw_vector(ticks, rng) * TICK, int(rng.integers(2, 5)))
+def _draw_bill_gates(ticks: range, words: np.ndarray) -> list:
+    v, n, _ = _vectors(ticks, words)
+    i, l1 = _below(words[:, _OWN], n), v.sum(1)
+    at_i = v[np.arange(len(v)), i]
+    return _rows(_bill_gates_groups, v, n, l1 > 0, i, l1, v.max(1), at_i)
 
 
-def _draw_babies(ticks: range, rng: np.random.Generator) -> TrialGroup | None:
-    v = draw_vector(ticks, rng)
-    return _babies(v * TICK, int(rng.integers(1, 4))) if v.any() else None
+def _draw_clone(ticks: range, words: np.ndarray) -> list:
+    v, n, _ = _vectors(ticks, words)
+    return _rows(_clone, v, n, None, 2 + _below(words[:, _OWN], 3))
+
+
+def _draw_babies(ticks: range, words: np.ndarray) -> list:
+    v, n, _ = _vectors(ticks, words)
+    return _rows(_babies, v, n, v.any(1), 1 + _below(words[:, _OWN], 3))
 
 
 @dataclass(frozen=True)
@@ -367,13 +441,14 @@ class CriterionDef:
     """Everything specific to one criterion.
 
     ``transform(before, **params)`` builds the trial that ``params`` record;
-    ``draw(ticks, rng)`` draws one random ``TrialGroup`` from a tick range, or
-    None when the drawn vector is ineligible and must be redrawn.
+    ``draw(ticks, words)`` draws, from each row of a (rows, SLOTS) array of raw
+    words, a random ``TrialGroup`` from a tick range, or None when the row's
+    vector is ineligible and must be redrawn.
     """
 
     relation: Relation
     transform: Callable[..., CriterionTrial]
-    draw: Callable[[range, np.random.Generator], TrialGroup | None]
+    draw: Callable[[range, np.ndarray], list[TrialGroup | None]]
 
 
 CRITERIA: dict[Criterion, CriterionDef] = {
@@ -386,9 +461,32 @@ CRITERIA: dict[Criterion, CriterionDef] = {
 }
 
 
+def draw_block(
+    criterion: Criterion, ticks: range, words_of: Callable[[int], np.ndarray], rows: int
+) -> list[TrialGroup | GenerationFailure]:
+    """The first group of each of ``rows`` draws of :func:`draw_trial`, in one
+    array program per attempt.  ``words_of(a)`` gives attempt a's words, one
+    (rows, SLOTS) row per draw; only the draws still ineligible are redrawn,
+    from the next attempt's rows.  A draw ineligible in all MAX_RETRIES
+    attempts gets a ``GenerationFailure`` in its place."""
+    draw, out = CRITERIA[criterion].draw, [None] * rows
+    todo = np.arange(rows)
+    for attempt in range(MAX_RETRIES):
+        for r, group in zip(todo.tolist(), draw(ticks, words_of(attempt)[todo])):
+            out[r] = group
+        todo = np.flatnonzero([group is None for group in out])
+        if todo.size == 0:
+            return out
+    failure = GenerationFailure(
+        f"could not draw an eligible {criterion} trial in {MAX_RETRIES} attempts"
+    )
+    return [failure if group is None else group for group in out]
+
+
 def draw_trial(criterion: Criterion, ticks: range, rng: np.random.Generator) -> TrialGroup:
-    """Draw the groups of trials one seeded draw tests, redrawing ineligible
-    vectors: the first group, holding the others lazily in ``later``.
+    """Draw the groups of trials one seeded draw tests, each attempt from the
+    next SLOTS raw words of ``rng``, redrawing ineligible vectors: the first
+    group, holding the others lazily in ``later``.
 
     The criterion holds on the draw when every trial of some group holds.
     Every criterion but P1 draws one group of one trial.  P1 ("for some
@@ -396,14 +494,12 @@ def draw_trial(criterion: Criterion, ticks: range, rng: np.random.Generator) -> 
     first and then ``P1_BETA_SWEEP``, each with the ``P1_ALPHA_MULTIPLIERS``
     alphas.
     """
-    draw = CRITERIA[criterion].draw
-    for _ in range(MAX_RETRIES):
-        group = draw(ticks, rng)
-        if group is not None:
-            return group
-    raise GenerationFailure(
-        f"could not draw an eligible {criterion} trial in {MAX_RETRIES} attempts"
+    (group,) = draw_block(
+        criterion, ticks, lambda _: rng.bit_generator.random_raw((1, SLOTS)), 1
     )
+    if isinstance(group, GenerationFailure):
+        raise group
+    return group
 
 
 def sample_trial(

@@ -1,6 +1,7 @@
 """Unit tests for the compliance engine: relations, catalog, search, table."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -28,10 +29,10 @@ from sparsemetrics import (
     theorem_consistency,
 )
 from sparsemetrics import compliance
-from sparsemetrics.compliance import _decide, _outcomes
+from sparsemetrics.compliance import _decide, _outcomes, _seeded
 from sparsemetrics.errors import CatalogMiss, DegenerateInput, GenerationFailure, InvalidParams
 from sparsemetrics.transforms import (
-    TICK, VALUE_TICKS, TrialGroup, draw_trial, stream, streams, trial_ticks,
+    CRITERIA, MAX_RETRIES, TICK, VALUE_TICKS, TrialGroup, draw_block, trial_ticks, trial_words,
 )
 
 
@@ -146,18 +147,20 @@ class TestCheckCell:
         assert a.witness.before == b.witness.before
 
     def test_one_streams_call_per_block(self, monkeypatch):
+        # one word block per block attempt; a D4 draw is never redrawn, so
+        # every block is read from attempt 0's stream (0, 14, 3, 0)
         calls = []
-        real = compliance.streams
-        monkeypatch.setattr(compliance, "streams", lambda keys: calls.append(keys) or real(keys))
+        real = compliance.trial_words
+        monkeypatch.setattr(compliance, "trial_words", lambda *a: calls.append(a) or real(*a))
         v = check_cell(MeasureSpec(Measure.GINI), Criterion.D4, trials=1000, seed=0)
         assert not v.violated and v.trials == 1000
         assert len(calls) == 16 == -(-1000 // compliance.BLOCK_TRIALS)
-        assert [k for keys in calls for k in keys] == [(0, 14, 3, t) for t in range(1000)]
+        assert calls == [((0, 14, 3, 0), t, min(64, 1000 - t)) for t in range(0, 1000, 64)]
 
     @pytest.mark.parametrize("criterion", CRITERION_ORDER)
     def test_a_range_of_only_zero_is_invalid(self, monkeypatch, criterion):
         # neg-tanh's cap 4 / a rounds to no tick above 0: rejected before any draw
-        monkeypatch.setattr(compliance, "streams", lambda keys: pytest.fail("drew"))
+        monkeypatch.setattr(compliance, "trial_words", lambda *args: pytest.fail("drew"))
         spec = MeasureSpec(Measure.NEG_TANH, a=1e9)
         assert trial_ticks(spec) == range(1)
         error = r"^neg-tanh \(a=1e\+09\) draws every trial entry as 0$"
@@ -177,35 +180,35 @@ M, C = Measure, Criterion
 # table resolves from the catalog: (measure, criterion, violated, trials,
 # skipped, witness params)
 PINNED_SEARCH = [
-    (M.L0, C.P1, True, 1, 0, {'i': 1, 'beta': 1556.3701152801514, 'alpha': 0.14800643920898438}),
+    (M.L0, C.P1, True, 1, 0, {'i': 2, 'beta': 1862.5307273864746, 'alpha': 0.17952919006347656}),
     (M.L0, C.P2, False, 1000, 0, None),
-    (M.L0_EPS, C.P1, True, 1, 0, {'i': 44, 'beta': 2731.8749046325684, 'alpha': 0.2647848129272461}),
+    (M.L0_EPS, C.P1, True, 1, 0, {'i': 2, 'beta': 995.9561157226562, 'alpha': 0.09959602355957031}),
     (M.L0_EPS, C.P2, False, 1000, 0, None),
-    (M.NEG_L1, C.P1, True, 1, 0, {'i': 22, 'beta': 1439.046745300293, 'alpha': 0.13753795623779297}),
-    (M.NEG_L1, C.P2, True, 1, 0, {'k': 3}),
-    (M.NEG_LP, C.P1, True, 1, 0, {'i': 0, 'beta': 815.3281307220459, 'alpha': 0.07171344757080078}),
+    (M.NEG_L1, C.P1, True, 1, 0, {'i': 9, 'beta': 2196.797914505005, 'alpha': 0.21016407012939453}),
+    (M.NEG_L1, C.P2, True, 1, 0, {'k': 2}),
+    (M.NEG_LP, C.P1, True, 1, 0, {'i': 12, 'beta': 1056.2095642089844, 'alpha': 0.09683895111083984}),
     (M.NEG_LP, C.P2, True, 1, 0, {'k': 3}),
-    (M.L2_OVER_L1, C.P1, False, 1000, 2, None),
+    (M.L2_OVER_L1, C.P1, False, 1000, 3, None),
     (M.L2_OVER_L1, C.P2, True, 1, 0, {'k': 2}),
-    (M.NEG_TANH, C.P1, True, 1, 0, {'i': 0, 'beta': 39.02697563171387, 'alpha': 0.003902435302734375}),
-    (M.NEG_TANH, C.P2, True, 1, 0, {'k': 2}),
-    (M.NEG_LOG, C.P1, True, 1, 0, {'i': 18, 'beta': 3117.9506969451904, 'alpha': 0.3018817901611328}),
-    (M.NEG_LOG, C.P2, True, 1, 0, {'k': 1}),
-    (M.KAPPA4, C.P1, False, 1000, 3, None),
+    (M.NEG_TANH, C.P1, True, 1, 0, {'i': 27, 'beta': 558.2168865203857, 'alpha': 0.055665016174316406}),
+    (M.NEG_TANH, C.P2, True, 1, 0, {'k': 3}),
+    (M.NEG_LOG, C.P1, True, 1, 0, {'i': 35, 'beta': 1855.7882976531982, 'alpha': 0.18020343780517578}),
+    (M.NEG_LOG, C.P2, True, 1, 0, {'k': 2}),
+    (M.KAPPA4, C.P1, False, 1000, 1, None),
     (M.KAPPA4, C.P2, True, 1, 0, {'k': 1}),
-    (M.U_THETA, C.P1, False, 1000, 22, None),
-    (M.U_THETA, C.P2, True, 1, 0, {'k': 1}),
+    (M.U_THETA, C.P1, False, 1000, 19, None),
+    (M.U_THETA, C.P2, True, 3, 0, {'k': 3}),
     (M.NEG_LP_NEG, C.P1, False, 1000, 0, None),
     (M.NEG_LP_NEG, C.P2, True, 1, 0, {'k': 1}),
-    (M.HG, C.P1, True, 1, 0, {'i': 3, 'beta': 249.6523952484131, 'alpha': 0.021584510803222656}),
-    (M.HG, C.P2, True, 1, 0, {'k': 1}),
-    (M.HS, C.P1, True, 1, 0, {'i': 6, 'beta': 388.7394142150879, 'alpha': 0.029130935668945312}),
-    (M.HS, C.P2, True, 1, 0, {'k': 1}),
-    (M.HS_PRIME, C.P1, True, 1, 0, {'i': 0, 'beta': 407.2550392150879, 'alpha': 0.03223896026611328}),
-    (M.HS_PRIME, C.P2, True, 1, 0, {'k': 3}),
+    (M.HG, C.P1, True, 1, 0, {'i': 12, 'beta': 1014.6547603607178, 'alpha': 0.09895515441894531}),
+    (M.HG, C.P2, True, 1, 0, {'k': 2}),
+    (M.HS, C.P1, True, 1, 0, {'i': 11, 'beta': 1331.5648651123047, 'alpha': 0.1324462890625}),
+    (M.HS, C.P2, True, 1, 0, {'k': 3}),
+    (M.HS_PRIME, C.P1, True, 1, 0, {'i': 6, 'beta': 333.32286834716797, 'alpha': 0.030727386474609375}),
+    (M.HS_PRIME, C.P2, True, 1, 0, {'k': 2}),
     (M.HOYER, C.P1, False, 1000, 3, None),
-    (M.HOYER, C.P2, False, 1000, 8, None),
-    (M.GINI, C.P1, False, 1000, 3, None),
+    (M.HOYER, C.P2, False, 1000, 10, None),
+    (M.GINI, C.P1, False, 1000, 4, None),
     (M.GINI, C.P2, False, 1000, 0, None),
 ]
 
@@ -290,7 +293,7 @@ class TestGroupRule:
     )
     def test_draw_verdict(self, monkeypatch, groups, violated, skipped):
         draw = groups[0]._replace(later=groups[1:])
-        monkeypatch.setattr(compliance, "draw_trial", lambda *args: draw)
+        monkeypatch.setattr(compliance, "draw_block", lambda *args: [draw] * args[-1])
         v = check_cell(self.GINI, C.D2, trials=2, seed=0)
         assert (v.violated, v.skipped) == (violated, skipped)
         if violated:
@@ -300,7 +303,7 @@ class TestGroupRule:
         # the first group fails, so both later groups are evaluated, in one
         # call: the first of them fails and the second holds
         monkeypatch.setattr(
-            compliance, "draw_trial", lambda *args: FAILS._replace(later=(FAILS, HOLDS))
+            compliance, "draw_block", lambda *args: [FAILS._replace(later=(FAILS, HOLDS))]
         )
         real, calls = compliance.evaluate_block, []
 
@@ -421,7 +424,7 @@ class TestConventionFindings:
     @pytest.mark.parametrize(
         "m, criterion, found",
         [
-            (M.NEG_TANH, C.D1, (True, 7, 0, -21.33658329255161, -21.336583295221327)),
+            (M.NEG_TANH, C.D1, (True, 2, 0, -16.03428786735461, -16.034287872888985)),
             (M.NEG_TANH, C.D3, (False, 1000, 0, None, None)),
             (M.NEG_LP_NEG, C.P1, (False, 1000, 0, None, None)),
         ],
@@ -431,11 +434,7 @@ class TestConventionFindings:
         # instead of the measure's trial_ticks: only (neg-tanh, D1) breaks
         spec = MeasureSpec(m)
         key = (0, MEASURE_ORDER.index(m), CRITERION_ORDER.index(criterion))
-        draws = (
-            draw_trial(criterion, VALUE_TICKS, rng)
-            for rng in streams([(*key, t) for t in range(1000)])
-        )
-        v = _decide(spec, criterion, draws)
+        v = _decide(spec, criterion, _seeded(criterion, VALUE_TICKS, key, 1000))
         assert (v.violated, v.trials, v.skipped, v.value_before, v.value_after) == found
 
     def test_u2_is_a_tie_at_the_maximum(self):
@@ -448,7 +447,7 @@ class TestConventionFindings:
         v = _decide(spec, C.P2, [_group(pair.before, pair.after)])
         assert (v.violated, v.trials, v.skipped) == (False, 1, 1)
 
-    @pytest.mark.parametrize("seed, trial, skipped", [(0, 1, 0), (7, 3, 0), (201, 10, 1)])
+    @pytest.mark.parametrize("seed, trial, skipped", [(0, 3, 0), (7, 2, 0), (201, 4, 0)])
     def test_u_theta_p2_search_finds_unsaturated_witnesses(self, seed, trial, skipped):
         spec = MeasureSpec(M.U_THETA)
         v = check_cell(spec, C.P2, trials=1000, seed=seed)
@@ -458,23 +457,23 @@ class TestConventionFindings:
 
 
 # check_cell(trials=1000, seed=0) witnesses found by search: (measure,
-# criterion, trial); the table's five search witnesses come first, and the
-# last three are every one found after trial 1
+# criterion, trial); the table's five search witnesses come first, then six
+# cells the table resolves from its catalog
 SEARCH_WITNESSES = [
     (M.L0_EPS, C.D1, 1),
-    (M.L0_EPS, C.D3, 37),
+    (M.L0_EPS, C.D3, 35),
     (M.U_THETA, C.D3, 1),
     (M.HG, C.D4, 1),
     (M.HS_PRIME, C.D4, 1),
-    (M.L0, C.D1, 1),
-    (M.NEG_LOG, C.D1, 1),
-    (M.KAPPA4, C.D1, 1),
-    (M.U_THETA, C.P2, 1),
-    (M.L0, C.D3, 98),
-    (M.HS_PRIME, C.D3, 833),
+    (M.L0, C.D1, 4),
+    (M.NEG_LOG, C.D1, 18),
+    (M.KAPPA4, C.D1, 13),
+    (M.U_THETA, C.P2, 3),
+    (M.L0, C.D3, 36),
+    (M.HS_PRIME, C.D3, 343),
 ]
 # two of them after trial 1, one in the first block and one in a later one
-LATE_WITNESSES = [(M.L0_EPS, C.D3, 37), (M.HS_PRIME, C.D3, 833)]
+LATE_WITNESSES = [(M.L0_EPS, C.D3, 35), (M.HS_PRIME, C.D3, 343)]
 
 
 def _found(v):
@@ -485,7 +484,8 @@ def _found(v):
 
 def _sequential_skips(spec, criterion, trials, seed=0):
     """Skip flags of a strict-increase criterion's first ``trials`` draws, one
-    draw at a time through ``evaluate``: a degenerate value in the first
+    draw at a time, each drawn as a block of one and decided through
+    ``evaluate``: a degenerate value in the first
     group, or a start within the saturation margin of the maximum."""
     assert criterion in (C.P1, C.P2)
     d = MEASURES[spec.id]
@@ -493,7 +493,7 @@ def _sequential_skips(spec, criterion, trials, seed=0):
     key = (seed, MEASURE_ORDER.index(spec.id), CRITERION_ORDER.index(criterion))
     flags = []
     for t in range(trials):
-        group = draw_trial(criterion, ticks, stream((*key, t)))
+        (group,) = draw_block(criterion, ticks, lambda a: trial_words((*key, a), t, 1), 1)
         trials_ = [group.trial(criterion, k) for k in range(len(group.afters))]
         try:
             vb = evaluate(spec, trials_[0].before)
@@ -511,17 +511,18 @@ def _sequential_skips(spec, criterion, trials, seed=0):
 
 @pytest.fixture
 def draws_fail_from(monkeypatch):
-    """``install(k)``: every draw from trial index k on raises GenerationFailure."""
+    """``install(k)``: every draw from trial index k on is a GenerationFailure."""
 
     def install(k):
-        real, calls = compliance.draw_trial, iter(range(10**9))
+        real, drawn = compliance.draw_block, [0]
 
-        def draw_trial(*args):
-            if next(calls) >= k:
-                raise GenerationFailure(f"draw {k} fails")
-            return real(*args)
+        def draw_block(*args):
+            draws, start = real(*args), drawn[0]
+            drawn[0] += len(draws)
+            fails = GenerationFailure(f"draw {k} fails")
+            return [fails if start + r >= k else d for r, d in enumerate(draws)]
 
-        monkeypatch.setattr(compliance, "draw_trial", draw_trial)
+        monkeypatch.setattr(compliance, "draw_block", draw_block)
 
     return install
 
@@ -531,6 +532,7 @@ class TestBlockBoundaries:
     changes a verdict, a witness or a skip count."""
 
     B = compliance.BLOCK_TRIALS
+    GINI = MeasureSpec(M.GINI)
 
     @pytest.mark.parametrize("measure, criterion, t", SEARCH_WITNESSES)
     def test_no_violation_before_the_witness(self, measure, criterion, t):
@@ -549,8 +551,10 @@ class TestBlockBoundaries:
         for trials in sorted(n for n in counts if n >= t):
             assert _found(check_cell(spec, criterion, trials=trials, seed=0)) == found, trials
 
-    # (l0-eps, D3)'s witness ends a block of 37 and starts the second of 36
-    @pytest.mark.parametrize("block", [1, 2, 7, 36, 37, 55, 56])
+    # (l0-eps, D3)'s witness at 35 ends a block of 35 and starts the second
+    # of 34, (l0, D3)'s at 36 ends one of 36 and starts the second of 35,
+    # and (hs-prime, D3)'s at 343 = 49 * 7 ends a block of 7
+    @pytest.mark.parametrize("block", [1, 2, 7, 34, 35, 36, 37, 55, 56])
     def test_block_size_does_not_matter(self, monkeypatch, block):
         expected = {
             (m, c): _found(check_cell(MeasureSpec(m), c, trials=900, seed=0))
@@ -564,8 +568,8 @@ class TestBlockBoundaries:
         # the first draw's all-zero after vector is outside gini's domain in
         # a block of both draws' rows (all of length 2): the first draw
         # skips, the second still fails
-        draws = iter([DEGENERATE, FAILS])
-        monkeypatch.setattr(compliance, "draw_trial", lambda *args: next(draws))
+        draws = [DEGENERATE, FAILS]
+        monkeypatch.setattr(compliance, "draw_block", lambda *args: draws)
         v = check_cell(MeasureSpec(M.GINI), C.D2, trials=2, seed=0)
         assert (v.violated, v.trials, v.skipped) == (True, 2, 1)
         assert v.witness == FAILS.trial(C.D2)
@@ -574,8 +578,8 @@ class TestBlockBoundaries:
         # the second draw's after vector is not finite, and its block is
         # evaluated together; decided in trial order, the first draw's
         # witness ends the search before that row's error is reached
-        draws = iter([FAILS, _group([1, 2], [1, np.inf])])
-        monkeypatch.setattr(compliance, "draw_trial", lambda *args: next(draws))
+        draws = [FAILS, _group([1, 2], [1, np.inf])]
+        monkeypatch.setattr(compliance, "draw_block", lambda *args: draws)
         v = check_cell(MeasureSpec(M.GINI), C.D2, trials=2, seed=0)
         assert (v.violated, v.trials, v.skipped) == (True, 1, 0)
         assert v.witness == FAILS.trial(C.D2)
@@ -583,20 +587,54 @@ class TestBlockBoundaries:
     def test_a_bad_row_with_no_earlier_witness_surfaces(self, monkeypatch):
         # the same block, but the first draw holds: nothing decides the
         # cell before the second draw's row, so its error is raised
-        draws = iter([HOLDS, _group([1, 2], [1, np.inf])])
-        monkeypatch.setattr(compliance, "draw_trial", lambda *args: next(draws))
+        draws = [HOLDS, _group([1, 2], [1, np.inf])]
+        monkeypatch.setattr(compliance, "draw_block", lambda *args: draws)
         with pytest.raises(InvalidParams, match="coefficient magnitudes must be finite"):
             check_cell(MeasureSpec(M.GINI), C.D2, trials=2, seed=0)
 
     def test_u_theta_p1_skips_match_sequential(self, monkeypatch):
         spec = MeasureSpec(M.U_THETA)
         flags = _sequential_skips(spec, C.P1, 1000)
-        assert sum(flags) == 22  # TestSearchPinned's count
+        assert sum(flags) == 19  # TestSearchPinned's count
         for trials in (self.B - 1, self.B, self.B + 1, 5 * self.B, 5 * self.B + 1, 1000):
             v = check_cell(spec, C.P1, trials=trials, seed=0)
             assert (v.violated, v.skipped) == (False, sum(flags[:trials])), trials
         monkeypatch.setattr(compliance, "BLOCK_TRIALS", 7)
-        assert check_cell(spec, C.P1, trials=1000, seed=0).skipped == 22
+        assert check_cell(spec, C.P1, trials=1000, seed=0).skipped == 19
+
+    def test_an_ineligible_draw_mid_block_is_the_only_one_redrawn(self, monkeypatch):
+        # on ticks 0..3 a D1 draw needs both a 0 and a 3 (the least gap is
+        # 3 ticks): draws 0, 48, 54 and 57 of the first block lack one at
+        # attempt 0, and have both at attempt 1
+        ticks, key = range(0, 4), (0, 0, 0)
+        draw = CRITERIA[C.D1].draw
+        first = draw(ticks, trial_words((*key, 0), 0, 64))
+        second = draw(ticks, trial_words((*key, 1), 0, 64))
+        redrawn = [r for r, g in enumerate(first) if g is None]
+        assert redrawn == [0, 48, 54, 57] and None not in [second[r] for r in redrawn]
+        calls = []
+        spy = lambda ticks, words: calls.append(words) or draw(ticks, words)  # noqa: E731
+        monkeypatch.setitem(CRITERIA, C.D1, replace(CRITERIA[C.D1], draw=spy))
+        got = list(_seeded(C.D1, ticks, key, 64))
+        assert [w.tolist() for w in calls] == [
+            trial_words((*key, 0), 0, 64).tolist(),
+            trial_words((*key, 1), 0, 64)[redrawn].tolist(),
+        ]
+        for r, g in enumerate(got):
+            want = second[r] if r in redrawn else first[r]
+            assert (g.before.tobytes(), g.params) == (want.before.tobytes(), want.params), r
+
+    def test_no_eligible_draw_fails_at_its_trial_after_max_retries(self, monkeypatch):
+        # every entry of ticks 5..5 is 5, so no D1 draw has a receiver
+        calls = []
+        real = compliance.trial_words
+        monkeypatch.setattr(compliance, "trial_words", lambda *a: calls.append(a) or real(*a))
+        (failure,) = _seeded(C.D1, range(5, 6), (0, 0, 0), 10)
+        assert isinstance(failure, GenerationFailure)
+        assert str(failure) == f"could not draw an eligible D1 trial in {MAX_RETRIES} attempts"
+        assert calls == [((0, 0, 0, a), 0, 10) for a in range(MAX_RETRIES)]
+        with pytest.raises(GenerationFailure, match=str(failure)):
+            _decide(self.GINI, C.D1, _seeded(C.D1, range(5, 6), (0, 0, 0), 10))
 
     @pytest.mark.parametrize("measure, criterion, t", LATE_WITNESSES)
     def test_failure_after_the_witness_does_not_surface(

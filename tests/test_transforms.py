@@ -25,15 +25,24 @@ from sparsemetrics import (
     trial_ticks,
 )
 from sparsemetrics.transforms import (
+    CRITERIA,
+    N_MAX,
+    N_MIN,
     P1_ALPHA_MULTIPLIERS,
     P1_BETA_SWEEP,
     POSITIVE_FLOOR,
+    SLOTS,
     TICK,
     VALUE_TICKS,
+    ZERO_PROB,
+    _below,
+    _min_gap,
+    draw_block,
     draw_trial,
     draw_vector,
     stream,
     streams,
+    trial_words,
 )
 
 
@@ -388,3 +397,123 @@ class TestStreams:
         with pytest.raises(ValueError):
             taken.extend(streams([0, key]))
         assert taken == []
+
+
+def _group_key(group):
+    """A ``TrialGroup`` and its later groups as comparable bytes and params."""
+    return [
+        (g.before.tobytes(), [a.tobytes() for a in g.afters], g.params)
+        for g in (group, *group.later)
+    ]
+
+
+def _block_draws(criterion, ticks, key, start, rows):
+    """``draw_block`` on draws start..start + rows - 1 of the streams of key + (attempt,)."""
+    return draw_block(criterion, ticks, lambda a: trial_words((*key, a), start, rows), rows)
+
+
+class TestCounterLayout:
+    """A draw's words, and so its groups, are named by (key, attempt, trial):
+    the block they are read in changes nothing."""
+
+    KEY = (11, 2, 5)
+
+    def test_words_are_the_streams_words_at_trial_times_slots(self):
+        assert SLOTS % 4 == 0  # whole Philox blocks, so a draw starts at a counter
+        words = trial_words((*self.KEY, 0), 0, 64)
+        assert words.shape == (64, SLOTS) and words.dtype == np.uint64
+        raw = stream((*self.KEY, 0)).bit_generator.random_raw(64 * SLOTS)
+        assert words.ravel().tolist() == raw.tolist()
+        for start, rows in [(37, 1), (37, 27), (1, 63), (63, 1)]:
+            assert (trial_words((*self.KEY, 0), start, rows) == words[start:start + rows]).all()
+
+    def test_attempts_take_disjoint_words(self):
+        first = set(trial_words((*self.KEY, 0), 0, 64).ravel().tolist())
+        second = set(trial_words((*self.KEY, 1), 0, 64).ravel().tolist())
+        assert len(first) == len(second) == 64 * SLOTS and first.isdisjoint(second)
+
+    @pytest.mark.parametrize("criterion", list(Criterion))
+    @pytest.mark.parametrize("ticks", [VALUE_TICKS, range(0, 4)], ids=["value-ticks", "0-3"])
+    def test_groups_do_not_depend_on_block_size_or_offset(self, criterion, ticks):
+        # on ticks 0..3 a few D1 and D3 draws are ineligible and redrawn
+        alone = [_group_key(_block_draws(criterion, ticks, self.KEY, t, 1)[0]) for t in range(130)]
+        for block in (1, 7, 37, 64):
+            for start in (0, 3, 64):
+                draws = _block_draws(criterion, ticks, self.KEY, start, min(block, 130 - start))
+                assert [_group_key(g) for g in draws] == alone[start:start + len(draws)], block
+
+    def test_draw_trial_and_draw_vector_are_one_row_of_the_generators_words(self):
+        for seed in range(5):
+            words = stream(seed).bit_generator.random_raw((1, SLOTS))
+            for criterion in Criterion:
+                (group,) = CRITERIA[criterion].draw(VALUE_TICKS, words)
+                assert group is not None  # eligible at the first attempt
+                got = draw_trial(criterion, VALUE_TICKS, stream(seed))
+                assert _group_key(got) == _group_key(group), (criterion, seed)
+            # D4 leaves its drawn vector as the before vector
+            (group,) = CRITERIA[Criterion.D4].draw(VALUE_TICKS, words)
+            v = draw_vector(VALUE_TICKS, stream(seed))
+            assert (v * TICK).tobytes() == group.before.tobytes()
+
+    @pytest.mark.parametrize("size", [1, 3, 63, 2**20, 10485761, 2**31 + 5, 2**32])
+    def test_below_is_exact(self, size):
+        rng = np.random.Generator(np.random.Philox(key=size))
+        words = np.concatenate([
+            rng.bit_generator.random_raw(4096),
+            np.array([0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 2, 2**64 - 1], dtype=np.uint64),
+        ])
+        got = _below(words, size)
+        assert got.tolist() == [w * size >> 64 for w in words.tolist()]
+        assert got.min() >= 0 and got.max() < size
+
+
+class TestDrawDistribution:
+    """10**4 block-drawn trials per criterion, so the search keeps its reach."""
+
+    TRIALS = 10_000
+
+    def _draws(self, criterion, ticks):
+        draws = _block_draws(criterion, ticks, (5, 0, 0), 0, self.TRIALS)
+        assert not any(isinstance(g, Exception) for g in draws)
+        return draws
+
+    @staticmethod
+    def _vector(criterion, group):
+        """The drawn vector, in ticks: P1's before vector carries +beta at i."""
+        v = np.round(group.before / TICK).astype(np.int64)
+        if criterion is Criterion.P1:
+            p = group.params[0]
+            v[p["i"]] -= round(p["beta"] / TICK)
+        return v
+
+    @pytest.mark.parametrize("criterion", list(Criterion))
+    def test_lengths_and_zero_share(self, criterion):
+        vectors = [self._vector(criterion, g) for g in self._draws(criterion, VALUE_TICKS)]
+        assert {v.size for v in vectors} == set(range(N_MIN, N_MAX + 1))
+        entries = sum(v.size for v in vectors)
+        share = sum(int((v == 0).sum()) for v in vectors) / entries
+        assert abs(share - ZERO_PROB) < 4 * math.sqrt(ZERO_PROB * (1 - ZERO_PROB) / entries)
+        assert max(int(v.max()) for v in vectors) < VALUE_TICKS.stop
+
+    @pytest.mark.parametrize("criterion", list(Criterion))
+    def test_a_strictly_positive_range_never_yields_0(self, criterion):
+        ticks = trial_ticks(MeasureSpec(Measure.HG))
+        for g in self._draws(criterion, ticks):
+            v = self._vector(criterion, g)
+            assert v.min() >= ticks.start and v.max() < ticks.stop
+
+    def test_parameters_stay_in_their_ranges(self):
+        for g in self._draws(Criterion.D1, VALUE_TICKS):
+            p, v = g.params[0], np.round(g.before / TICK).astype(np.int64)
+            gap = int(v[p["i"]] - v[p["j"]])
+            assert gap >= _min_gap(int(v.max())) and 0 < p["alpha"] < gap * TICK / 2
+        alphas = np.array([g.params[0]["alpha"] for g in self._draws(Criterion.D2, VALUE_TICKS)])
+        assert ((0.1 <= alphas) & (alphas <= 10) & (abs(alphas - 1) > 0.01)).all()
+        assert (alphas < 1).mean() == pytest.approx(0.5, abs=0.03)  # log-uniform about 1
+        for criterion, name, values in [(Criterion.D4, "m", {2, 3, 4}),
+                                        (Criterion.P2, "k", {1, 2, 3})]:
+            drawn = {g.params[0][name] for g in self._draws(criterion, VALUE_TICKS)}
+            assert drawn == values, criterion
+        picks = [(g.params[0]["i"], g.before.size) for g in self._draws(Criterion.P1, VALUE_TICKS)]
+        assert all(0 <= i < n for i, n in picks)
+        assert {0, 1} <= {n - 1 - i for i, n in picks}  # the last entries are picked too
