@@ -40,7 +40,7 @@ from .transforms import (
     CriterionTrial,
     Relation,
     TrialGroup,
-    draw_block,
+    draw_trial,
     trial_ticks,
     trial_words,
 )
@@ -381,12 +381,12 @@ def _decide(spec: MeasureSpec, criterion: Criterion, draws: Iterable) -> CellVer
 def _seeded(criterion: Criterion, ticks: range, key: tuple, trials: int):
     """``check_cell``'s source: ``trials`` draws from ``ticks``, attempt a of
     draw t from ``trial_words((*key, a), t, ...)``, ``BLOCK_TRIALS`` draws per
-    ``draw_block`` call, ended by the first draw that is an error (a
+    ``draw_trial`` call, ended by the first draw that is an error (a
     ``GenerationFailure``), which ``_decide`` raises unless an earlier draw
     is a witness."""
     for start in range(0, trials, BLOCK_TRIALS):
         rows = min(BLOCK_TRIALS, trials - start)
-        for draw in draw_block(
+        for draw in draw_trial(
             criterion, ticks, lambda a: trial_words((*key, a), start, rows), rows
         ):
             yield draw

@@ -9,11 +9,11 @@ A draw is an array program over a block of draws: each attempt at a draw
 takes SLOTS raw 64-bit words, and each criterion's ``draw`` turns a
 (rows, SLOTS) block of them into one ``TrialGroup`` per row (None for an
 ineligible vector), with integers and uniforms taken from the words by exact
-integer rules.  ``draw_block`` redraws only the ineligible rows, from the
-next attempt's words; the search reads attempt a of draw t as words
-[t * SLOTS, (t + 1) * SLOTS) of one stream per attempt (``trial_words``),
-and ``draw_trial`` and ``draw_vector`` are one row of a generator's next
-words.
+integer rules, its vectors by ``draw_vector``.  ``draw_trial`` draws a
+block of draws, redrawing only the ineligible rows from the next attempt's
+words, or one draw from a generator's next words; the search reads attempt
+a of draw t as words [t * SLOTS, (t + 1) * SLOTS) of one stream per attempt
+(``trial_words``).
 
 Draws reason in integer grid ticks (multiples of ``TICK`` = 2**-20) from
 the range ``trial_ticks`` gives, and turn them into float64 once, where
@@ -55,7 +55,6 @@ __all__ = [
     "reapply",
     "sample_trial",
     "draw_trial",
-    "draw_block",
     "draw_vector",
     "trial_words",
     "stream",
@@ -330,10 +329,22 @@ def _uniform(words: np.ndarray) -> np.ndarray:
     return (words >> np.uint64(11)) * 2.0**-53
 
 
-def _vectors(ticks: range, words: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Each row's vector, as int64 grid ticks padded with 0 to N_MAX entries,
-    its length and the mask of its entries: N_MIN..N_MAX entries from
-    ``ticks``, each zeroed with probability ZERO_PROB when 0 is in the range."""
+def draw_vector(
+    ticks: range, rng: np.random.Generator | np.ndarray, rows: int | None = None
+) -> np.ndarray | tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Draw N_MIN..N_MAX entries from ``ticks``, as int64 grid ticks, from the
+    next SLOTS raw words of the generator ``rng``; when 0 is in the range,
+    each entry is zeroed with probability ZERO_PROB.
+
+    Given ``rows``, ``rng`` is instead the raw words of ``rows`` draws, SLOTS
+    per draw, and their vectors are drawn as one array program: the ticks
+    padded with 0 to N_MAX entries, one row per draw, the lengths and the
+    mask of the entries.
+    """
+    if rows is None:
+        words = rng.bit_generator.random_raw((1, SLOTS))
+    else:
+        words = np.reshape(rng, (rows, SLOTS))
     n = N_MIN + _below(words[:, 0], N_MAX - N_MIN + 1)
     v = ticks.start + _below(words[:, 1 : 1 + N_MAX], len(ticks))
     entry = np.arange(N_MAX) < n[:, None]
@@ -341,15 +352,7 @@ def _vectors(ticks: range, words: np.ndarray) -> tuple[np.ndarray, np.ndarray, n
     if 0 in ticks:
         zero |= _uniform(words[:, 1 + N_MAX : _OWN]) < ZERO_PROB
     v[zero] = 0
-    return v, n, entry
-
-
-def draw_vector(ticks: range, rng: np.random.Generator) -> np.ndarray:
-    """Draw N_MIN..N_MAX entries from ``ticks``, as int64 grid ticks, from the
-    next SLOTS raw words of ``rng``; when 0 is in the range, each entry is
-    zeroed with probability ZERO_PROB."""
-    v, n, _ = _vectors(ticks, rng.bit_generator.random_raw((1, SLOTS)))
-    return v[0, : n[0]]
+    return v[0, : n[0]] if rows is None else (v, n, entry)
 
 
 def _min_gap(top):
@@ -375,7 +378,7 @@ def _rows(build, v: np.ndarray, n: np.ndarray, ok, *params) -> list:
 
 
 def _draw_robin_hood(ticks: range, words: np.ndarray) -> list:
-    v, n, entry = _vectors(ticks, words)
+    v, n, entry = draw_vector(ticks, words, len(words))
     own, rows = words[:, _OWN:], np.arange(len(v))
     min_gap = _min_gap(v.max(1))[:, None]
     receivers = entry & (v <= v.max(1, keepdims=True) - min_gap)  # none in an all-zero vector
@@ -388,7 +391,7 @@ def _draw_robin_hood(ticks: range, words: np.ndarray) -> list:
 
 
 def _draw_rising_tide(ticks: range, words: np.ndarray) -> list:
-    v, n, entry = _vectors(ticks, words)
+    v, n, entry = draw_vector(ticks, words, len(words))
     top = v.max(1)
     spread = top - np.where(entry, v, top[:, None]).min(1)  # 0 for the all-zero vector
     alpha = np.rint((0.05 + 0.45 * _uniform(words[:, _OWN])) * top + 0.01 * _TICKS_PER_UNIT)
@@ -402,7 +405,7 @@ _LOG_ALPHAS = (math.log(0.1), math.log(0.99), math.log(1.01), math.log(10.0))
 
 
 def _draw_scale(ticks: range, words: np.ndarray) -> list:
-    v, n, _ = _vectors(ticks, words)
+    v, n, _ = draw_vector(ticks, words, len(words))
     low, gap_low, gap_high, high = _LOG_ALPHAS
     x = low + _uniform(words[:, _OWN]) * (gap_low - low + high - gap_high)
     return _rows(_scale, v, n, None, np.exp(np.where(x < gap_low, x, x + gap_high - gap_low)))
@@ -420,19 +423,19 @@ def _bill_gates_groups(before: np.ndarray, i: int, l1: int, top: int, at_i: int)
 
 
 def _draw_bill_gates(ticks: range, words: np.ndarray) -> list:
-    v, n, _ = _vectors(ticks, words)
+    v, n, _ = draw_vector(ticks, words, len(words))
     i, l1 = _below(words[:, _OWN], n), v.sum(1)
     at_i = v[np.arange(len(v)), i]
     return _rows(_bill_gates_groups, v, n, l1 > 0, i, l1, v.max(1), at_i)
 
 
 def _draw_clone(ticks: range, words: np.ndarray) -> list:
-    v, n, _ = _vectors(ticks, words)
+    v, n, _ = draw_vector(ticks, words, len(words))
     return _rows(_clone, v, n, None, 2 + _below(words[:, _OWN], 3))
 
 
 def _draw_babies(ticks: range, words: np.ndarray) -> list:
-    v, n, _ = _vectors(ticks, words)
+    v, n, _ = draw_vector(ticks, words, len(words))
     return _rows(_babies, v, n, v.any(1), 1 + _below(words[:, _OWN], 3))
 
 
@@ -442,8 +445,8 @@ class CriterionDef:
 
     ``transform(before, **params)`` builds the trial that ``params`` record;
     ``draw(ticks, words)`` draws, from each row of a (rows, SLOTS) array of raw
-    words, a random ``TrialGroup`` from a tick range, or None when the row's
-    vector is ineligible and must be redrawn.
+    words, a random ``TrialGroup`` on the row's ``draw_vector`` vector from a
+    tick range, or None when that vector is ineligible and must be redrawn.
     """
 
     relation: Relation
@@ -461,45 +464,49 @@ CRITERIA: dict[Criterion, CriterionDef] = {
 }
 
 
-def draw_block(
-    criterion: Criterion, ticks: range, words_of: Callable[[int], np.ndarray], rows: int
-) -> list[TrialGroup | GenerationFailure]:
-    """The first group of each of ``rows`` draws of :func:`draw_trial`, in one
-    array program per attempt.  ``words_of(a)`` gives attempt a's words, one
-    (rows, SLOTS) row per draw; only the draws still ineligible are redrawn,
-    from the next attempt's rows.  A draw ineligible in all MAX_RETRIES
-    attempts gets a ``GenerationFailure`` in its place."""
-    draw, out = CRITERIA[criterion].draw, [None] * rows
-    todo = np.arange(rows)
-    for attempt in range(MAX_RETRIES):
-        for r, group in zip(todo.tolist(), draw(ticks, words_of(attempt)[todo])):
-            out[r] = group
-        todo = np.flatnonzero([group is None for group in out])
-        if todo.size == 0:
-            return out
-    failure = GenerationFailure(
-        f"could not draw an eligible {criterion} trial in {MAX_RETRIES} attempts"
-    )
-    return [failure if group is None else group for group in out]
-
-
-def draw_trial(criterion: Criterion, ticks: range, rng: np.random.Generator) -> TrialGroup:
+def draw_trial(
+    criterion: Criterion,
+    ticks: range,
+    rng: np.random.Generator | Callable[[int], np.ndarray],
+    rows: int | None = None,
+) -> TrialGroup | list[TrialGroup | GenerationFailure]:
     """Draw the groups of trials one seeded draw tests, each attempt from the
-    next SLOTS raw words of ``rng``, redrawing ineligible vectors: the first
-    group, holding the others lazily in ``later``.
+    next SLOTS raw words of the generator ``rng``, redrawing ineligible
+    vectors: the first group, holding the others lazily in ``later``.
 
     The criterion holds on the draw when every trial of some group holds.
     Every criterion but P1 draws one group of one trial.  P1 ("for some
     beta, for every alpha") draws one group per beta, the policy beta
     first and then ``P1_BETA_SWEEP``, each with the ``P1_ALPHA_MULTIPLIERS``
     alphas.
+
+    Given ``rows``, the first groups of ``rows`` draws are drawn as one array
+    program per attempt and returned as a list: ``rng(a)`` is then attempt
+    a's raw words, one (rows, SLOTS) row per draw, and only the draws still
+    ineligible are redrawn, from the next attempt's rows.  A draw ineligible
+    in all MAX_RETRIES attempts gets a ``GenerationFailure`` in its place,
+    where a single draw raises it.
     """
-    (group,) = draw_block(
-        criterion, ticks, lambda _: rng.bit_generator.random_raw((1, SLOTS)), 1
-    )
-    if isinstance(group, GenerationFailure):
-        raise group
-    return group
+    single = rows is None
+    words_of = (lambda _: rng.bit_generator.random_raw((1, SLOTS))) if single else rng
+    draw, out = CRITERIA[criterion].draw, [None] * (1 if single else rows)
+    todo = np.arange(len(out))
+    for attempt in range(MAX_RETRIES):
+        for r, group in zip(todo.tolist(), draw(ticks, words_of(attempt)[todo])):
+            out[r] = group
+        todo = np.flatnonzero([group is None for group in out])
+        if todo.size == 0:
+            break
+    else:
+        failure = GenerationFailure(
+            f"could not draw an eligible {criterion} trial in {MAX_RETRIES} attempts"
+        )
+        out = [failure if group is None else group for group in out]
+    if not single:
+        return out
+    if isinstance(out[0], GenerationFailure):
+        raise out[0]
+    return out[0]
 
 
 def sample_trial(

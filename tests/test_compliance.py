@@ -28,11 +28,11 @@ from sparsemetrics import (
     run_counterexamples,
     theorem_consistency,
 )
-from sparsemetrics import compliance
+from sparsemetrics import compliance, transforms
 from sparsemetrics.compliance import _decide, _outcomes, _seeded
 from sparsemetrics.errors import CatalogMiss, DegenerateInput, GenerationFailure, InvalidParams
 from sparsemetrics.transforms import (
-    CRITERIA, MAX_RETRIES, TICK, VALUE_TICKS, TrialGroup, draw_block, trial_ticks, trial_words,
+    CRITERIA, MAX_RETRIES, TICK, VALUE_TICKS, TrialGroup, draw_trial, trial_ticks, trial_words,
 )
 
 
@@ -293,7 +293,7 @@ class TestGroupRule:
     )
     def test_draw_verdict(self, monkeypatch, groups, violated, skipped):
         draw = groups[0]._replace(later=groups[1:])
-        monkeypatch.setattr(compliance, "draw_block", lambda *args: [draw] * args[-1])
+        monkeypatch.setattr(compliance, "draw_trial", lambda *args: [draw] * args[-1])
         v = check_cell(self.GINI, C.D2, trials=2, seed=0)
         assert (v.violated, v.skipped) == (violated, skipped)
         if violated:
@@ -303,7 +303,7 @@ class TestGroupRule:
         # the first group fails, so both later groups are evaluated, in one
         # call: the first of them fails and the second holds
         monkeypatch.setattr(
-            compliance, "draw_block", lambda *args: [FAILS._replace(later=(FAILS, HOLDS))]
+            compliance, "draw_trial", lambda *args: [FAILS._replace(later=(FAILS, HOLDS))]
         )
         real, calls = compliance.evaluate_block, []
 
@@ -493,7 +493,7 @@ def _sequential_skips(spec, criterion, trials, seed=0):
     key = (seed, MEASURE_ORDER.index(spec.id), CRITERION_ORDER.index(criterion))
     flags = []
     for t in range(trials):
-        (group,) = draw_block(criterion, ticks, lambda a: trial_words((*key, a), t, 1), 1)
+        (group,) = draw_trial(criterion, ticks, lambda a: trial_words((*key, a), t, 1), 1)
         trials_ = [group.trial(criterion, k) for k in range(len(group.afters))]
         try:
             vb = evaluate(spec, trials_[0].before)
@@ -514,15 +514,15 @@ def draws_fail_from(monkeypatch):
     """``install(k)``: every draw from trial index k on is a GenerationFailure."""
 
     def install(k):
-        real, drawn = compliance.draw_block, [0]
+        real, drawn = compliance.draw_trial, [0]
 
-        def draw_block(*args):
+        def draw_trial(*args):
             draws, start = real(*args), drawn[0]
             drawn[0] += len(draws)
             fails = GenerationFailure(f"draw {k} fails")
             return [fails if start + r >= k else d for r, d in enumerate(draws)]
 
-        monkeypatch.setattr(compliance, "draw_block", draw_block)
+        monkeypatch.setattr(compliance, "draw_trial", draw_trial)
 
     return install
 
@@ -569,7 +569,7 @@ class TestBlockBoundaries:
         # a block of both draws' rows (all of length 2): the first draw
         # skips, the second still fails
         draws = [DEGENERATE, FAILS]
-        monkeypatch.setattr(compliance, "draw_block", lambda *args: draws)
+        monkeypatch.setattr(compliance, "draw_trial", lambda *args: draws)
         v = check_cell(MeasureSpec(M.GINI), C.D2, trials=2, seed=0)
         assert (v.violated, v.trials, v.skipped) == (True, 2, 1)
         assert v.witness == FAILS.trial(C.D2)
@@ -579,7 +579,7 @@ class TestBlockBoundaries:
         # evaluated together; decided in trial order, the first draw's
         # witness ends the search before that row's error is reached
         draws = [FAILS, _group([1, 2], [1, np.inf])]
-        monkeypatch.setattr(compliance, "draw_block", lambda *args: draws)
+        monkeypatch.setattr(compliance, "draw_trial", lambda *args: draws)
         v = check_cell(MeasureSpec(M.GINI), C.D2, trials=2, seed=0)
         assert (v.violated, v.trials, v.skipped) == (True, 1, 0)
         assert v.witness == FAILS.trial(C.D2)
@@ -588,7 +588,7 @@ class TestBlockBoundaries:
         # the same block, but the first draw holds: nothing decides the
         # cell before the second draw's row, so its error is raised
         draws = [HOLDS, _group([1, 2], [1, np.inf])]
-        monkeypatch.setattr(compliance, "draw_block", lambda *args: draws)
+        monkeypatch.setattr(compliance, "draw_trial", lambda *args: draws)
         with pytest.raises(InvalidParams, match="coefficient magnitudes must be finite"):
             check_cell(MeasureSpec(M.GINI), C.D2, trials=2, seed=0)
 
@@ -623,6 +623,22 @@ class TestBlockBoundaries:
         for r, g in enumerate(got):
             want = second[r] if r in redrawn else first[r]
             assert (g.before.tobytes(), g.params) == (want.before.tobytes(), want.params), r
+
+    def test_one_draw_trial_call_per_block_and_draw_vector_call_per_attempt(self, monkeypatch):
+        # the search's draws go through these two names, per block and per
+        # block attempt; on ticks 0..3 four draws of the first block are
+        # redrawn (above)
+        blocks, attempts = [], []
+        real_trial, real_vector = compliance.draw_trial, transforms.draw_vector
+        monkeypatch.setattr(
+            compliance, "draw_trial", lambda *a: blocks.append(a[-1]) or real_trial(*a)
+        )
+        monkeypatch.setattr(
+            transforms, "draw_vector", lambda *a: attempts.append(a[-1]) or real_vector(*a)
+        )
+        assert len(list(_seeded(C.D1, range(0, 4), (0, 0, 0), 100))) == 100
+        assert blocks == [64, 36]
+        assert attempts == [64, 4, 36, 1]
 
     def test_no_eligible_draw_fails_at_its_trial_after_max_retries(self, monkeypatch):
         # every entry of ticks 5..5 is 5, so no D1 draw has a receiver

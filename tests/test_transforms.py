@@ -37,7 +37,6 @@ from sparsemetrics.transforms import (
     ZERO_PROB,
     _below,
     _min_gap,
-    draw_block,
     draw_trial,
     draw_vector,
     stream,
@@ -408,8 +407,8 @@ def _group_key(group):
 
 
 def _block_draws(criterion, ticks, key, start, rows):
-    """``draw_block`` on draws start..start + rows - 1 of the streams of key + (attempt,)."""
-    return draw_block(criterion, ticks, lambda a: trial_words((*key, a), start, rows), rows)
+    """``draw_trial`` on draws start..start + rows - 1 of the streams of key + (attempt,)."""
+    return draw_trial(criterion, ticks, lambda a: trial_words((*key, a), start, rows), rows)
 
 
 class TestCounterLayout:
