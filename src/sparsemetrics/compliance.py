@@ -18,7 +18,6 @@ smaller T with the same seed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import islice
 from typing import AbstractSet, Iterable, Mapping
 
 import numpy as np
@@ -39,8 +38,9 @@ from .transforms import (
     Criterion,
     CriterionTrial,
     Relation,
-    TrialGroup,
+    TrialBlock,
     draw_trial,
+    generation_failure,
     trial_ticks,
     trial_words,
 )
@@ -65,6 +65,16 @@ __all__ = [
 ]
 
 
+def _holds(relation: Relation, value_before, value_after):
+    """``relation_holds``'s formula for ``relation``, elementwise on arrays."""
+    tol = 1e-9 * np.maximum(1.0, np.maximum(np.abs(value_before), np.abs(value_after)))
+    if relation is Relation.EQUAL:
+        return np.abs(value_after - value_before) <= tol
+    if relation is Relation.AFTER_STRICTLY_LESS:
+        return value_after < value_before - tol
+    return value_after > value_before + tol
+
+
 def relation_holds(criterion: Criterion, value_before: float, value_after: float) -> bool:
     """Whether the criterion's required relation holds for this value pair.
 
@@ -73,13 +83,7 @@ def relation_holds(criterion: Criterion, value_before: float, value_after: float
     so an approximately-equal outcome counts as a violation of a strict
     criterion.  The tolerance is ``1e-9 * max(1, |before|, |after|)``.
     """
-    tol = 1e-9 * max(1.0, abs(value_before), abs(value_after))
-    rel = CRITERIA[criterion].relation
-    if rel is Relation.EQUAL:
-        return abs(value_after - value_before) <= tol
-    if rel is Relation.AFTER_STRICTLY_LESS:
-        return value_after < value_before - tol
-    return value_after > value_before + tol
+    return bool(_holds(CRITERIA[criterion].relation, value_before, value_after))
 
 
 # The reference compliance matrix this engine reproduces (rows in table
@@ -299,99 +303,106 @@ class CellVerdict:
 SATURATION_MARGIN = 1e-6
 
 
-#: Search draws evaluated together: more saves kernel calls, fewer saves memory.
-BLOCK_TRIALS = 64
+#: Search draws per block: more saves kernel calls, fewer save memory (the
+#: ``compliance-table`` benchmark's peak RSS bounds it).
+BLOCK_TRIALS = 192
+
+# the state of a draw's group of trials
+HOLD, FAIL, SKIP, ERROR = range(4)
 
 
-def _values(spec: MeasureSpec, rows: list[np.ndarray]) -> list:
-    """``evaluate`` on each row of magnitudes (non-negative): its value or its
-    error.  Rows of one length are sorted and go to ``evaluate_block`` as one
-    block."""
-    out: list = [None] * len(rows)
-    by_length: dict[int, list[int]] = {}
-    for k, row in enumerate(rows):
-        by_length.setdefault(row.size, []).append(k)
-    for picks in by_length.values():
-        block = np.array([rows[k] for k in picks], dtype=np.float64)
+def _values(spec: MeasureSpec, rows: np.ndarray, lengths: np.ndarray):
+    """``evaluate`` on each row of ``rows`` (magnitudes, non-negative) cut to
+    its length: the values, NaN where it raises, and those errors by row.
+    Rows of one length are sorted and go to ``evaluate_block`` as one block."""
+    values, errors = np.empty(len(rows)), {}
+    order = np.argsort(lengths, kind="stable")
+    for picks in np.split(order, np.flatnonzero(np.diff(lengths[order])) + 1):
+        block = rows[picks, : lengths[picks[0]]]
         block.sort(axis=1)
-        for k, value in zip(picks, evaluate_block(spec, block)):
-            out[k] = value
-    return out
+        out = evaluate_block(spec, block)
+        for k in [k for k, value in enumerate(out) if isinstance(value, SparsemetricsError)]:
+            errors[int(picks[k])], out[k] = out[k], np.nan
+        values[picks] = out
+    return values, errors
 
 
-def _group_outcome(spec: MeasureSpec, criterion: Criterion, group: TrialGroup, values):
-    """Decide one group of trials that share a before vector, from ``values``,
-    the ``_values`` of its before and after rows.
+def _outcomes(spec: MeasureSpec, criterion: Criterion, block: TrialBlock):
+    """Decide each draw's group of trials in ``block`` from one ``_values``
+    call on all its rows: (state, k, vb, va, errors).
 
-    Returns "skip" when the group says nothing about the criterion (a
-    degenerate value, or a strict-increase start already at the measure's
-    maximum), None when every trial holds, else the first failing
-    (k, value_before, value_after), k indexing ``group.afters``.
+    A group is SKIP when it says nothing about the criterion (a degenerate
+    value, or a strict-increase start already within SATURATION_MARGIN of
+    the measure's maximum at the after length), ERROR when a value raises
+    another error, HOLD when every trial holds, else FAIL, its first failing
+    trial k.  A draw's values are looked at in order: before, saturation,
+    then each after; the first of them that is odd decides, and ``errors``
+    maps each draw a raised value decides to that error.
     """
-    increase = CRITERIA[criterion].relation is Relation.AFTER_STRICTLY_GREATER
-    maximum = MEASURES[spec.id].maximum if increase else None
-    vb, first_fail = values[0], None
-    for k, value in enumerate(values):
-        if isinstance(value, DegenerateInput):
-            return "skip"
-        if isinstance(value, SparsemetricsError):
-            raise value
-        if k == 0:
-            if maximum and maximum(group.afters[0].size) - vb <= SATURATION_MARGIN:
-                return "skip"
-        elif not relation_holds(criterion, vb, value) and first_fail is None:
-            first_fail = (k - 1, vb, value)
-    return first_fail
+    rows, width = block.rows.shape[1], block.rows.shape[2]
+    values, errors = _values(spec, block.rows.reshape(-1, width), block.lengths.ravel())
+    values = values.reshape(len(block), rows)
+    vb, va = values[:, 0], values[:, 1:]
+    holds = _holds(CRITERIA[criterion].relation, vb[:, None], va)
+    state = np.where(holds.all(1), HOLD, FAIL)
+    maximum = MEASURES[spec.id].maximum
+    if maximum and CRITERIA[criterion].relation is Relation.AFTER_STRICTLY_GREATER:
+        state[maximum(block.lengths[:, 1]) - vb <= SATURATION_MARGIN] = SKIP
+    raised, seen = {}, set()
+    for row in sorted(errors):
+        r, at = divmod(row, rows)
+        if r in seen or (at and state[r] == SKIP):
+            continue
+        seen.add(r)
+        state[r] = SKIP if isinstance(errors[row], DegenerateInput) else ERROR
+        raised[r] = errors[row]
+    return state, holds.argmin(1), vb, va, raised
 
 
-def _outcomes(spec: MeasureSpec, criterion: Criterion, groups: list[TrialGroup]):
-    """``_group_outcome`` of each of ``groups`` in turn, lazily, after one
-    ``_values`` call on all their rows."""
-    values = iter(_values(spec, [row for g in groups for row in (g.before, *g.afters)]))
-    for g in groups:
-        yield _group_outcome(spec, criterion, g, list(islice(values, 1 + len(g.afters))))
-
-
-def _decide(spec: MeasureSpec, criterion: Criterion, draws: Iterable) -> CellVerdict:
-    """The verdict on ``draws``: ``TrialGroup``s from any source, maybe ended by
-    the ``SparsemetricsError`` that stopped it.  Each draw is a first group and
-    its ``later`` groups.  The first group decides a skip; the draw holds when
-    that group or a later one holds (a later skip counts as failing), else the
-    first group's first failure is the witness.  Draws are evaluated
-    ``BLOCK_TRIALS`` at a time (a failing draw's later groups together) and
-    decided in order, so the block size changes no verdict, and the error
-    surfaces only if no earlier draw is a witness."""
-    draws, trials, skipped = iter(draws), 0, 0
-    while block := list(islice(draws, BLOCK_TRIALS)):
-        failure = block.pop() if isinstance(block[-1], SparsemetricsError) else None
-        for first, outcome in zip(block, _outcomes(spec, criterion, block)):
-            trials += 1
-            if outcome == "skip":
-                skipped += 1
-            elif outcome is not None and None not in _outcomes(spec, criterion, [*first.later]):
-                k, vb, va = outcome
-                return CellVerdict(
-                    spec.id, criterion, True, trials, skipped, first.trial(criterion, k), vb, va
-                )
-        if failure is not None:
-            raise failure
+def _decide(spec: MeasureSpec, criterion: Criterion, blocks: Iterable[TrialBlock]) -> CellVerdict:
+    """The verdict on ``blocks``: ``TrialBlock``s from any source, decided in
+    order, each as one array program.  The first group decides a skip; a draw
+    holds when that group or a later one holds (a later skip counts as
+    failing), else the first group's first failure is the witness.  Later
+    groups are built and evaluated only for draws whose first group fails.
+    The first witness, error or draw that is not ``ok`` ends the search, so
+    the block sizes change no verdict, and an error surfaces only if no
+    earlier draw is a witness."""
+    trials = skipped = 0
+    for block in blocks:
+        state, k, vb, va, raised = _outcomes(spec, criterion, block)
+        picks = np.flatnonzero(state == FAIL)
+        if block.later is not None and picks.size:
+            later, _, _, _, later_raised = _outcomes(spec, criterion, block.later(picks))
+            later = later.reshape(picks.size, -1)
+            decisive = (later == HOLD) | (later == ERROR)  # the first of these decides
+            first = decisive.argmax(1)
+            for p in np.flatnonzero(decisive.any(1)).tolist():
+                state[picks[p]] = later[p, first[p]]
+                raised[picks[p]] = later_raised.get(p * later.shape[1] + first[p])
+        state[~block.ok] = ERROR
+        stops = np.flatnonzero((state == FAIL) | (state == ERROR))
+        end = int(stops[0]) if stops.size else len(block)
+        skipped += int((state[:end] == SKIP).sum())
+        if end == len(block):
+            trials += end
+            del block  # so no more than one block is held while the next is drawn
+            continue
+        if state[end] == ERROR:
+            raise raised[end] if block.ok[end] else generation_failure(criterion)
+        trial, values = block.trial(criterion, end, k[end]), (vb[end], va[end, k[end]])
+        trials += end + 1
+        return CellVerdict(spec.id, criterion, True, trials, skipped, trial, *map(float, values))
     return CellVerdict(spec.id, criterion, False, trials, skipped)
 
 
 def _seeded(criterion: Criterion, ticks: range, key: tuple, trials: int):
-    """``check_cell``'s source: ``trials`` draws from ``ticks``, attempt a of
-    draw t from ``trial_words((*key, a), t, ...)``, ``BLOCK_TRIALS`` draws per
-    ``draw_trial`` call, ended by the first draw that is an error (a
-    ``GenerationFailure``), which ``_decide`` raises unless an earlier draw
-    is a witness."""
+    """``check_cell``'s source: ``trials`` draws from ``ticks`` in blocks of
+    ``BLOCK_TRIALS``, one ``draw_trial`` call each, attempt a of draw t from
+    ``trial_words((*key, a), t, ...)``."""
     for start in range(0, trials, BLOCK_TRIALS):
         rows = min(BLOCK_TRIALS, trials - start)
-        for draw in draw_trial(
-            criterion, ticks, lambda a: trial_words((*key, a), start, rows), rows
-        ):
-            yield draw
-            if isinstance(draw, SparsemetricsError):
-                return
+        yield draw_trial(criterion, ticks, lambda a: trial_words((*key, a), start, rows))
 
 
 def check_cell(

@@ -1,25 +1,27 @@
 """The six criterion transformations as explicit (before, after) pairs.
 
-Each constructor validates its preconditions, records the parameters used,
-and states the relation a compliant measure must exhibit between the two
-vectors.  ``CRITERIA`` defines each criterion once: its relation, its
-constructor and its random draw.
+Each criterion is one array program (``CriterionDef.apply``) on a block of
+vectors padded to one width: it builds the before and after rows and states
+each precondition as one mask.  The public constructors run it on one row
+and raise ``InvalidTransform`` for a False precondition; the search runs it
+on a block of draws, and ``CRITERIA`` defines each criterion once: its
+relation, its program and its random draw.
 
 A draw is an array program over a block of draws: each attempt at a draw
 takes SLOTS raw 64-bit words, and each criterion's ``draw`` turns a
-(rows, SLOTS) block of them into one ``TrialGroup`` per row (None for an
-ineligible vector), with integers and uniforms taken from the words by exact
-integer rules, its vectors by ``draw_vector``.  ``draw_trial`` draws a
-block of draws, redrawing only the ineligible rows from the next attempt's
-words, or one draw from a generator's next words; the search reads attempt
-a of draw t as words [t * SLOTS, (t + 1) * SLOTS) of one stream per attempt
+(rows, SLOTS) block of them into ``Draws``: the vectors in grid ticks, their
+lengths, the parameters as arrays and an eligibility mask, with integers and
+uniforms taken from the words by exact integer rules, its vectors by
+``draw_vector``.  ``draw_trial`` draws a ``TrialBlock``, redrawing only the
+ineligible rows from the next attempt's words; the search reads attempt a of
+draw t as words [t * SLOTS, (t + 1) * SLOTS) of one stream per attempt
 (``trial_words``).
 
 Draws reason in integer grid ticks (multiples of ``TICK`` = 2**-20) from
 the range ``trial_ticks`` gives, and turn them into float64 once, where
-each builds its ``TrialGroup``.  Sums of grid values up to VALUE_MAX are
-exact in float64, so Robin Hood and Babies conserve the l1 mass bit-exactly
-under any summation order.
+their trials are built.  Sums of grid values up to VALUE_MAX are exact in
+float64, so Robin Hood and Babies conserve the l1 mass bit-exactly under
+any summation order.
 
 Everything here is pure construction; random state is caller-supplied and
 never shared, so independent seeds are safe to use concurrently.
@@ -31,7 +33,8 @@ import math
 import operator
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Iterable, Iterator, NamedTuple
+from functools import partial, reduce
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -44,7 +47,7 @@ __all__ = [
     "CriterionDef",
     "CRITERIA",
     "CriterionTrial",
-    "TrialGroup",
+    "TrialBlock",
     "trial_ticks",
     "robin_hood",
     "scale",
@@ -88,6 +91,8 @@ P1_ALPHA_MULTIPLIERS = (1e-3, 1.0, 1e3)
 #: Bill Gates betas probed, as multiples of the l1 mass, when the policy
 #: beta fails at some alpha.
 P1_BETA_SWEEP = (0.1, 1.0, 10.0, 100.0)
+#: Parameters that must be integers: indices and counts.
+_INTEGER_PARAMS = frozenset("ijmk")
 
 
 class Criterion(str, Enum):
@@ -131,108 +136,139 @@ class CriterionTrial:
         return CRITERIA[self.criterion].relation
 
 
-class TrialGroup(NamedTuple):
-    """Trials sharing a before vector, in plain float64: an after vector and its
-    params per trial; ``later`` lazily holds the draw's further groups (P1)."""
+@dataclass(frozen=True)
+class TrialBlock:
+    """The trials of a block of draws as arrays, one group per draw.
 
-    before: np.ndarray
-    afters: tuple[np.ndarray, ...]
-    params: tuple[dict, ...]
-    later: Iterable[TrialGroup] = ()
+    ``rows[r, 0, :lengths[r, 0]]`` is draw r's before vector and
+    ``rows[r, 1 + k, :lengths[r, 1 + k]]`` its k-th after vector; each of
+    ``params`` holds a value per draw, or per draw and k.  ``ok[r]`` is False
+    for a draw that was never eligible.  ``later(picks)``, if given, builds
+    the further groups of the draws ``picks`` (P1's beta sweep) as one block,
+    the same number per draw, draw by draw.
+    """
 
-    def trial(self, criterion: Criterion, k: int = 0) -> CriterionTrial:
-        before, after = CoefficientVector(self.before), CoefficientVector(self.afters[k])
-        return CriterionTrial(criterion, before, after, self.params[k])
+    rows: np.ndarray
+    lengths: np.ndarray
+    params: dict[str, np.ndarray]
+    ok: np.ndarray
+    later: Callable[[np.ndarray], TrialBlock] | None = None
 
+    def __len__(self) -> int:
+        return len(self.ok)
 
-def _robin_hood(v: np.ndarray, i: int, j: int, alpha: float) -> TrialGroup:
-    if not v[i] > v[j]:
-        raise InvalidTransform(f"robin hood requires c[i] > c[j], got {v[i]} <= {v[j]}")
-    if not 0 < alpha < (v[i] - v[j]) / 2:
-        raise InvalidTransform(
-            f"robin hood requires 0 < alpha < (c[i]-c[j])/2, got alpha={alpha}"
-        )
-    out = v.copy()
-    out[i] -= alpha
-    out[j] += alpha
-    return TrialGroup(v, (out,), ({"i": int(i), "j": int(j), "alpha": float(alpha)},))
-
-
-def _scale(v: np.ndarray, alpha: float) -> TrialGroup:
-    if not alpha > 0:
-        raise InvalidTransform(f"scaling requires alpha > 0, got {alpha}")
-    if alpha == 1.0:
-        raise InvalidTransform("scaling by exactly 1 is the trivial case")
-    return TrialGroup(v, (alpha * v,), ({"alpha": float(alpha)},))
+    def trial(self, criterion: Criterion, r: int = 0, k: int = 0) -> CriterionTrial:
+        """Draw r's trial against its after vector k."""
+        rows, lengths = self.rows[r], self.lengths[r]
+        before, after = (CoefficientVector(rows[j, : lengths[j]]) for j in (0, k + 1))
+        params = {name: p[r if p.ndim == 1 else (r, k)].item() for name, p in self.params.items()}
+        return CriterionTrial(criterion, before, after, params)
 
 
-def _rising_tide(v: np.ndarray, alpha: float) -> TrialGroup:
-    if not alpha > 0:
-        raise InvalidTransform(f"rising tide requires alpha > 0, got {alpha}")
-    if v.max() == v.min():
-        raise InvalidTransform("rising tide excludes constant vectors")
-    return TrialGroup(v, (v + alpha,), ({"alpha": float(alpha)},))
+def _at(v: np.ndarray, i: np.ndarray) -> np.ndarray:
+    return v[np.arange(len(v)), i]
 
 
-def _clone(v: np.ndarray, m: int) -> TrialGroup:
-    if not (isinstance(m, (int, np.integer)) and m >= 2):
-        raise InvalidTransform(f"cloning requires an integer m >= 2, got {m}")
-    return TrialGroup(v, (np.tile(v, int(m)),), ({"m": int(m)},))
+def _pair(v: np.ndarray, n: np.ndarray, after: np.ndarray, m: np.ndarray) -> tuple:
+    """The rows and lengths of a before block ``v`` and an after block, 0
+    past its width up to its lengths ``m``."""
+    rows = np.zeros((len(v), 2, max(v.shape[1], after.shape[1], int(m.max()))))
+    rows[:, 0, : v.shape[1]], rows[:, 1, : after.shape[1]] = v, after
+    return rows, np.column_stack([n, m])
 
 
-def _bill_gates(v: np.ndarray, i: int, beta: float, alphas) -> TrialGroup:
+def _robin_hood(v, n, i, j, alpha):
+    after, ci, cj = v.copy(), _at(v, i), _at(v, j)
+    after[np.arange(len(v)), i] -= alpha
+    after[np.arange(len(v)), j] += alpha
+    checks = {"c[i] > c[j]": ci > cj}
+    checks["0 < alpha < (c[i]-c[j])/2"] = (0 < alpha) & (alpha < (ci - cj) / 2)
+    return checks, *_pair(v, n, after, n)
+
+
+def _scale(v, n, alpha):
+    checks = {"alpha > 0": alpha > 0, "alpha != 1, the trivial case": alpha != 1.0}
+    return checks, *_pair(v, n, alpha[:, None] * v, n)
+
+
+def _rising_tide(v, n, alpha):
+    entry = np.arange(v.shape[1]) < n[:, None]
+    constant = np.where(entry, v, -np.inf).max(1) == np.where(entry, v, np.inf).min(1)
+    checks = {"alpha > 0": alpha > 0, "a non-constant vector": ~constant}
+    return checks, *_pair(v, n, v + alpha[:, None], n)
+
+
+def _clone(v, n, m):
+    copies = max(int(m.max()), 1)
+    rows = np.zeros((len(v), 2, (copies - 1) * int(n.max()) + v.shape[1]))
+    rows[:, 0, : v.shape[1]] = v
+    for c in range(copies):  # copy c starts at c * n, over the 0s past copy c - 1
+        np.put_along_axis(rows[:, 1], c * n[:, None] + np.arange(v.shape[1]), v, 1)
+    return {"m >= 2": m >= 2}, rows, np.column_stack([n, m * n])
+
+
+def _bill_gates(v, n, i, beta, alpha):
     """Coefficient ``i`` grown by beta, against grown by beta + each alpha."""
-    if not beta > 0:
-        raise InvalidTransform(f"bill gates requires beta > 0, got {beta}")
-    bv = v.copy()
-    bv[i] += beta
-    afters, params = [], []
-    for alpha in alphas:
-        if not alpha > 0:
-            raise InvalidTransform(f"bill gates requires alpha > 0, got {alpha}")
-        av = bv.copy()
-        av[i] += alpha
-        afters.append(av)
-        params.append({"i": int(i), "beta": float(beta), "alpha": float(alpha)})
-    return TrialGroup(bv, tuple(afters), tuple(params))
+    alpha = np.reshape(alpha, (len(v), -1))
+    rows = np.repeat(v[:, None], 1 + alpha.shape[1], 1)
+    rows[np.arange(len(v)), :, i] += beta[:, None]
+    rows[np.arange(len(v)), 1:, i] += alpha
+    checks = {"beta > 0": beta > 0, "alpha > 0": (alpha > 0).all(1)}
+    return checks, rows, np.repeat(n[:, None], 1 + alpha.shape[1], 1)
 
 
-def _babies(v: np.ndarray, k: int) -> TrialGroup:
-    if not (isinstance(k, (int, np.integer)) and k >= 1):
-        raise InvalidTransform(f"babies requires an integer k >= 1, got {k}")
-    if not v.any():
-        raise InvalidTransform("babies requires nonzero total mass")
-    return TrialGroup(v, (np.concatenate([v, np.zeros(int(k))]),), ({"k": int(k)},))
+def _babies(v, n, k):
+    # v is 0 past its length, and so is its after row past its width
+    return {"k >= 1": k >= 1, "nonzero total mass": v.any(1)}, *_pair(v, n, v, n + k)
+
+
+def _transform(criterion: Criterion, c: CoefficientVector, **params) -> CriterionTrial:
+    """``criterion``'s program on the one row ``c``: its trial, or the
+    ``InvalidTransform`` of its first False precondition."""
+    d = CRITERIA[criterion]
+    got = ", ".join(f"{name}={value}" for name, value in params.items())
+    for name, value in params.items():
+        if name in _INTEGER_PARAMS and not isinstance(value, (int, np.integer)):
+            raise InvalidTransform(f"{d.name} requires an integer {name}, got {got}")
+    arrays = {
+        name: np.array([value], dtype=np.int64 if name in _INTEGER_PARAMS else np.float64)
+        for name, value in params.items()
+    }
+    checks, rows, lengths = d.apply(c.values[None], np.array([len(c)]), **arrays)
+    for condition, holds in checks.items():
+        if not holds[0]:
+            raise InvalidTransform(f"{d.name} requires {condition}, got {got}")
+    return TrialBlock(rows, lengths, arrays, np.ones(1, bool)).trial(criterion)
 
 
 def robin_hood(c: CoefficientVector, i: int, j: int, alpha: float) -> CriterionTrial:
     """Move ``alpha`` from coefficient ``i`` to the smaller coefficient ``j``."""
-    return _robin_hood(c.values, i, j, alpha).trial(Criterion.D1)
+    return _transform(Criterion.D1, c, i=i, j=j, alpha=alpha)
 
 
 def scale(c: CoefficientVector, alpha: float) -> CriterionTrial:
     """Multiply every coefficient by ``alpha`` (positive, not the trivial 1)."""
-    return _scale(c.values, alpha).trial(Criterion.D2)
+    return _transform(Criterion.D2, c, alpha=alpha)
 
 
 def rising_tide(c: CoefficientVector, alpha: float) -> CriterionTrial:
     """Add ``alpha`` to every coefficient; constant vectors are excluded."""
-    return _rising_tide(c.values, alpha).trial(Criterion.D3)
+    return _transform(Criterion.D3, c, alpha=alpha)
 
 
 def clone(c: CoefficientVector, m: int) -> CriterionTrial:
     """Concatenate ``m`` copies of the vector (total length m*N)."""
-    return _clone(c.values, m).trial(Criterion.D4)
+    return _transform(Criterion.D4, c, m=m)
 
 
 def bill_gates(c: CoefficientVector, i: int, beta: float, alpha: float) -> CriterionTrial:
     """Compare coefficient ``i`` grown by beta against grown by beta + alpha."""
-    return _bill_gates(c.values, i, beta, (alpha,)).trial(Criterion.P1)
+    return _transform(Criterion.P1, c, i=i, beta=beta, alpha=alpha)
 
 
 def babies(c: CoefficientVector, k: int = 1) -> CriterionTrial:
     """Append ``k`` zero coefficients; requires nonzero total mass."""
-    return _babies(c.values, k).trial(Criterion.P2)
+    return _transform(Criterion.P2, c, k=k)
 
 
 def reapply(trial: CriterionTrial) -> CoefficientVector:
@@ -242,7 +278,7 @@ def reapply(trial: CriterionTrial) -> CoefficientVector:
         av = trial.before.values.copy()
         av[trial.params["i"]] += trial.params["alpha"]
         return CoefficientVector(av)
-    return CRITERIA[trial.criterion].transform(trial.before, **trial.params).after
+    return _transform(trial.criterion, trial.before, **trial.params).after
 
 
 def trial_ticks(spec: MeasureSpec) -> range:
@@ -310,8 +346,10 @@ def trial_words(key, start: int, rows: int) -> np.ndarray:
     """Draws ``start`` to ``start + rows - 1`` of ``stream(key)`` as a
     (rows, SLOTS) array of raw words: draw t is the stream's words
     [t * SLOTS, (t + 1) * SLOTS), reached by advancing its counter, so a
-    draw's words do not depend on the block they are read in."""
-    bits = stream(key).bit_generator
+    draw's words do not depend on the block they are read in.  The words
+    come from a bare ``Philox``, without the ``Generator`` around it."""
+    counter, key_words = _philox_words(key)
+    bits = np.random.Philox(counter=counter, key=key_words)
     bits.advance(start * SLOTS // 4)  # Philox counts 4-word blocks
     return bits.random_raw((rows, SLOTS))
 
@@ -329,22 +367,11 @@ def _uniform(words: np.ndarray) -> np.ndarray:
     return (words >> np.uint64(11)) * 2.0**-53
 
 
-def draw_vector(
-    ticks: range, rng: np.random.Generator | np.ndarray, rows: int | None = None
-) -> np.ndarray | tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Draw N_MIN..N_MAX entries from ``ticks``, as int64 grid ticks, from the
-    next SLOTS raw words of the generator ``rng``; when 0 is in the range,
-    each entry is zeroed with probability ZERO_PROB.
-
-    Given ``rows``, ``rng`` is instead the raw words of ``rows`` draws, SLOTS
-    per draw, and their vectors are drawn as one array program: the ticks
-    padded with 0 to N_MAX entries, one row per draw, the lengths and the
-    mask of the entries.
-    """
-    if rows is None:
-        words = rng.bit_generator.random_raw((1, SLOTS))
-    else:
-        words = np.reshape(rng, (rows, SLOTS))
+def draw_vector(ticks: range, words: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Draw N_MIN..N_MAX entries from ``ticks``, as int64 grid ticks, from each
+    row of SLOTS raw words; when 0 is in the range, each entry is zeroed with
+    probability ZERO_PROB.  Returns the ticks padded with 0 to N_MAX entries,
+    one row per draw, the lengths and the mask of the entries."""
     n = N_MIN + _below(words[:, 0], N_MAX - N_MIN + 1)
     v = ticks.start + _below(words[:, 1 : 1 + N_MAX], len(ticks))
     entry = np.arange(N_MAX) < n[:, None]
@@ -352,7 +379,17 @@ def draw_vector(
     if 0 in ticks:
         zero |= _uniform(words[:, 1 + N_MAX : _OWN]) < ZERO_PROB
     v[zero] = 0
-    return v[0, : n[0]] if rows is None else (v, n, entry)
+    return v, n, entry
+
+
+class Draws(NamedTuple):
+    """A block of draws: the vectors in grid ticks, 0 past each length ``n``,
+    the criterion's parameters, one array each, and which draws are eligible."""
+
+    v: np.ndarray
+    n: np.ndarray
+    params: dict[str, np.ndarray]
+    eligible: np.ndarray
 
 
 def _min_gap(top):
@@ -366,37 +403,26 @@ def _pick(mask: np.ndarray, words: np.ndarray) -> np.ndarray:
     return np.argmax(mask & (np.cumsum(mask, 1) == k[:, None] + 1), axis=1)
 
 
-def _rows(build, v: np.ndarray, n: np.ndarray, ok, *params) -> list:
-    """``build(row, *the row's params)`` for each row of ``v`` cut to its length
-    ``n`` and turned into float64, or None where ``ok`` (if given) is False."""
-    ok = [True] * len(n) if ok is None else ok.tolist()
-    v, cols = v * TICK, [p.tolist() for p in params]
-    return [
-        build(v[r, :k], *(c[r] for c in cols)) if good else None
-        for r, (k, good) in enumerate(zip(n.tolist(), ok))
-    ]
-
-
-def _draw_robin_hood(ticks: range, words: np.ndarray) -> list:
-    v, n, entry = draw_vector(ticks, words, len(words))
-    own, rows = words[:, _OWN:], np.arange(len(v))
+def _draw_robin_hood(ticks: range, words: np.ndarray) -> Draws:
+    v, n, entry = draw_vector(ticks, words)
+    own = words[:, _OWN:]
     min_gap = _min_gap(v.max(1))[:, None]
     receivers = entry & (v <= v.max(1, keepdims=True) - min_gap)  # none in an all-zero vector
     j = _pick(receivers, own[:, 0])
-    i = _pick(entry & (v >= v[rows, j][:, None] + min_gap), own[:, 1])
-    gap = v[rows, i] - v[rows, j]
+    i = _pick(entry & (v >= _at(v, j)[:, None] + min_gap), own[:, 1])
+    gap = _at(v, i) - _at(v, j)
     alpha = np.rint((0.2 + 0.6 * _uniform(own[:, 2])) * gap / 2).astype(np.int64)
     alpha = np.minimum(np.maximum(alpha, 1), (gap - 1) // 2)
-    return _rows(_robin_hood, v, n, receivers.any(1), i, j, alpha * TICK)
+    return Draws(v, n, {"i": i, "j": j, "alpha": alpha * TICK}, receivers.any(1))
 
 
-def _draw_rising_tide(ticks: range, words: np.ndarray) -> list:
-    v, n, entry = draw_vector(ticks, words, len(words))
+def _draw_rising_tide(ticks: range, words: np.ndarray) -> Draws:
+    v, n, entry = draw_vector(ticks, words)
     top = v.max(1)
     spread = top - np.where(entry, v, top[:, None]).min(1)  # 0 for the all-zero vector
     alpha = np.rint((0.05 + 0.45 * _uniform(words[:, _OWN])) * top + 0.01 * _TICKS_PER_UNIT)
     alpha = np.maximum(alpha.astype(np.int64), 1)
-    return _rows(_rising_tide, v, n, spread >= _min_gap(top), alpha * TICK)
+    return Draws(v, n, {"alpha": alpha * TICK}, spread >= _min_gap(top))
 
 
 #: D2's alphas are log-uniform on [0.1, 10] without [0.99, 1.01]: these logs
@@ -404,116 +430,126 @@ def _draw_rising_tide(ticks: range, words: np.ndarray) -> list:
 _LOG_ALPHAS = (math.log(0.1), math.log(0.99), math.log(1.01), math.log(10.0))
 
 
-def _draw_scale(ticks: range, words: np.ndarray) -> list:
-    v, n, _ = draw_vector(ticks, words, len(words))
+def _draw_scale(ticks: range, words: np.ndarray) -> Draws:
+    v, n, _ = draw_vector(ticks, words)
     low, gap_low, gap_high, high = _LOG_ALPHAS
     x = low + _uniform(words[:, _OWN]) * (gap_low - low + high - gap_high)
-    return _rows(_scale, v, n, None, np.exp(np.where(x < gap_low, x, x + gap_high - gap_low)))
+    alpha = np.exp(np.where(x < gap_low, x, x + gap_high - gap_low))
+    return Draws(v, n, {"alpha": alpha}, np.ones(len(v), bool))
 
 
-def _bill_gates_groups(before: np.ndarray, i: int, l1: int, top: int, at_i: int) -> TrialGroup:
-    """The policy beta's group, then the ``P1_BETA_SWEEP`` groups, each with the
-    ``P1_ALPHA_MULTIPLIERS`` alphas, for a vector of l1 mass ``l1``, largest
-    entry ``top`` and entry ``at_i`` at i, in ticks.  The policy beta,
-    10 * (l1 + max - c_i), makes the grown coefficient dominate the vector."""
-    alphas = [max(1, round(m * l1)) * TICK for m in P1_ALPHA_MULTIPLIERS]
-    betas = [10 * (l1 + top - at_i)] + [max(1, round(m * l1)) for m in P1_BETA_SWEEP]
-    groups = (_bill_gates(before, i, beta * TICK, alphas) for beta in betas)
-    return next(groups)._replace(later=groups)
-
-
-def _draw_bill_gates(ticks: range, words: np.ndarray) -> list:
-    v, n, _ = draw_vector(ticks, words, len(words))
+def _draw_bill_gates(ticks: range, words: np.ndarray) -> Draws:
+    """Coefficient i of the vector, with the ``P1_ALPHA_MULTIPLIERS`` alphas and
+    a column per group of betas: the policy beta, 10 * (l1 + max - c_i) in
+    ticks, which makes the grown coefficient dominate, then ``P1_BETA_SWEEP``."""
+    v, n, _ = draw_vector(ticks, words)
     i, l1 = _below(words[:, _OWN], n), v.sum(1)
-    at_i = v[np.arange(len(v)), i]
-    return _rows(_bill_gates_groups, v, n, l1 > 0, i, l1, v.max(1), at_i)
+    alpha = np.maximum(1, np.rint(np.multiply.outer(l1, P1_ALPHA_MULTIPLIERS))) * TICK
+    sweep = np.maximum(1, np.rint(np.multiply.outer(l1, P1_BETA_SWEEP)))
+    beta = np.column_stack([10 * (l1 + v.max(1) - _at(v, i)), sweep]) * TICK
+    return Draws(v, n, {"i": i, "beta": beta, "alpha": alpha}, l1 > 0)
 
 
-def _draw_clone(ticks: range, words: np.ndarray) -> list:
-    v, n, _ = draw_vector(ticks, words, len(words))
-    return _rows(_clone, v, n, None, 2 + _below(words[:, _OWN], 3))
+def _draw_clone(ticks: range, words: np.ndarray) -> Draws:
+    v, n, _ = draw_vector(ticks, words)
+    return Draws(v, n, {"m": 2 + _below(words[:, _OWN], 3)}, np.ones(len(v), bool))
 
 
-def _draw_babies(ticks: range, words: np.ndarray) -> list:
-    v, n, _ = draw_vector(ticks, words, len(words))
-    return _rows(_babies, v, n, v.any(1), 1 + _below(words[:, _OWN], 3))
+def _draw_babies(ticks: range, words: np.ndarray) -> Draws:
+    v, n, _ = draw_vector(ticks, words)
+    return Draws(v, n, {"k": 1 + _below(words[:, _OWN], 3)}, v.any(1))
 
 
 @dataclass(frozen=True)
 class CriterionDef:
     """Everything specific to one criterion.
 
-    ``transform(before, **params)`` builds the trial that ``params`` record;
-    ``draw(ticks, words)`` draws, from each row of a (rows, SLOTS) array of raw
-    words, a random ``TrialGroup`` on the row's ``draw_vector`` vector from a
-    tick range, or None when that vector is ineligible and must be redrawn.
+    ``apply(v, n, **params)`` is the transformation on a (B, W) float64 block
+    of vectors, 0 past their lengths ``n``, with one array per parameter: it
+    returns the preconditions as {condition: mask}, the before rows, the
+    (B, K, W') after rows and their lengths.  ``draw(ticks, words)`` draws
+    ``Draws`` from a (rows, SLOTS) array of raw words.  ``grouped`` names the
+    parameter with one column per group of trials (P1's beta).
     """
 
+    name: str
     relation: Relation
-    transform: Callable[..., CriterionTrial]
-    draw: Callable[[range, np.ndarray], list[TrialGroup | None]]
+    apply: Callable[..., tuple]
+    draw: Callable[[range, np.ndarray], Draws]
+    grouped: str | None = None
 
 
+_LESS, _EQUAL, _GREATER = Relation
 CRITERIA: dict[Criterion, CriterionDef] = {
-    Criterion.D1: CriterionDef(Relation.AFTER_STRICTLY_LESS, robin_hood, _draw_robin_hood),
-    Criterion.D2: CriterionDef(Relation.EQUAL, scale, _draw_scale),
-    Criterion.D3: CriterionDef(Relation.AFTER_STRICTLY_LESS, rising_tide, _draw_rising_tide),
-    Criterion.D4: CriterionDef(Relation.EQUAL, clone, _draw_clone),
-    Criterion.P1: CriterionDef(Relation.AFTER_STRICTLY_GREATER, bill_gates, _draw_bill_gates),
-    Criterion.P2: CriterionDef(Relation.AFTER_STRICTLY_GREATER, babies, _draw_babies),
+    Criterion.D1: CriterionDef("robin hood", _LESS, _robin_hood, _draw_robin_hood),
+    Criterion.D2: CriterionDef("scaling", _EQUAL, _scale, _draw_scale),
+    Criterion.D3: CriterionDef("rising tide", _LESS, _rising_tide, _draw_rising_tide),
+    Criterion.D4: CriterionDef("cloning", _EQUAL, _clone, _draw_clone),
+    Criterion.P1: CriterionDef("bill gates", _GREATER, _bill_gates, _draw_bill_gates, "beta"),
+    Criterion.P2: CriterionDef("babies", _GREATER, _babies, _draw_babies),
 }
 
 
-def draw_trial(
-    criterion: Criterion,
-    ticks: range,
-    rng: np.random.Generator | Callable[[int], np.ndarray],
-    rows: int | None = None,
-) -> TrialGroup | list[TrialGroup | GenerationFailure]:
-    """Draw the groups of trials one seeded draw tests, each attempt from the
-    next SLOTS raw words of the generator ``rng``, redrawing ineligible
-    vectors: the first group, holding the others lazily in ``later``.
+def _trials(criterion: Criterion, draws: Draws, picks: np.ndarray | None = None) -> TrialBlock:
+    """The first group of trials of each of ``draws``; given ``picks``, the
+    later groups of those draws instead, draw by draw.  A draw is ``ok`` when
+    it is eligible and meets every precondition."""
+    d = CRITERIA[criterion]
+    v, n, params, eligible = draws
+    if picks is not None:
+        owner = np.repeat(picks, params[d.grouped].shape[1] - 1)
+        v, n, eligible = v[owner], n[owner], eligible[owner]
+        params = {name: p[owner] for name, p in params.items()}
+        params[d.grouped] = draws.params[d.grouped][picks, 1:].ravel()
+    elif d.grouped:
+        params = {**params, d.grouped: params[d.grouped][:, 0]}
+    checks, rows, lengths = d.apply(v * TICK, n, **params)
+    ok = reduce(operator.and_, checks.values(), eligible)
+    later = partial(_trials, criterion, draws) if d.grouped and picks is None else None
+    return TrialBlock(rows, lengths, params, ok, later)
 
-    The criterion holds on the draw when every trial of some group holds.
+
+def generation_failure(criterion: Criterion) -> GenerationFailure:
+    """The error of a draw that is ineligible in all MAX_RETRIES attempts."""
+    message = f"could not draw an eligible {criterion} trial in {MAX_RETRIES} attempts"
+    return GenerationFailure(message)
+
+
+def draw_trial(
+    criterion: Criterion, ticks: range, words_of: Callable[[int], np.ndarray]
+) -> TrialBlock:
+    """Draw a block of draws' trials from ``ticks``, one draw per row of
+    ``words_of(0)``, a (rows, SLOTS) array of raw words; a draw ineligible at
+    attempt a is redrawn from its row of ``words_of(a + 1)``, and only those
+    rows are.  A draw ineligible in all MAX_RETRIES attempts is not ``ok``.
+
+    The criterion holds on a draw when every trial of some group holds.
     Every criterion but P1 draws one group of one trial.  P1 ("for some
     beta, for every alpha") draws one group per beta, the policy beta
-    first and then ``P1_BETA_SWEEP``, each with the ``P1_ALPHA_MULTIPLIERS``
-    alphas.
-
-    Given ``rows``, the first groups of ``rows`` draws are drawn as one array
-    program per attempt and returned as a list: ``rng(a)`` is then attempt
-    a's raw words, one (rows, SLOTS) row per draw, and only the draws still
-    ineligible are redrawn, from the next attempt's rows.  A draw ineligible
-    in all MAX_RETRIES attempts gets a ``GenerationFailure`` in its place,
-    where a single draw raises it.
+    first and then ``P1_BETA_SWEEP`` (the block's ``later``), each with the
+    ``P1_ALPHA_MULTIPLIERS`` alphas.
     """
-    single = rows is None
-    words_of = (lambda _: rng.bit_generator.random_raw((1, SLOTS))) if single else rng
-    draw, out = CRITERIA[criterion].draw, [None] * (1 if single else rows)
-    todo = np.arange(len(out))
-    for attempt in range(MAX_RETRIES):
-        for r, group in zip(todo.tolist(), draw(ticks, words_of(attempt)[todo])):
-            out[r] = group
-        todo = np.flatnonzero([group is None for group in out])
+    draw = CRITERIA[criterion].draw
+    draws = draw(ticks, words_of(0))
+    for attempt in range(1, MAX_RETRIES):
+        todo = np.flatnonzero(~draws.eligible)
         if todo.size == 0:
             break
-    else:
-        failure = GenerationFailure(
-            f"could not draw an eligible {criterion} trial in {MAX_RETRIES} attempts"
-        )
-        out = [failure if group is None else group for group in out]
-    if not single:
-        return out
-    if isinstance(out[0], GenerationFailure):
-        raise out[0]
-    return out[0]
+        redrawn = draw(ticks, words_of(attempt)[todo])
+        for name, p in redrawn.params.items():
+            draws.params[name][todo] = p
+        draws.v[todo], draws.n[todo], draws.eligible[todo] = redrawn.v, redrawn.n, redrawn.eligible
+    return _trials(criterion, draws)
 
 
 def sample_trial(
     criterion: Criterion, ticks: range = VALUE_TICKS, seed: int = 0
 ) -> CriterionTrial:
-    """One seeded trial of :func:`draw_trial`'s group (for P1, a random alpha)."""
+    """One seeded trial of :func:`draw_trial`'s first group, each attempt from
+    the next SLOTS words of ``stream(seed)`` (for P1, a random alpha)."""
     rng = stream(seed)
-    group = draw_trial(criterion, ticks, rng)
-    k = int(rng.choice(len(group.afters))) if len(group.afters) > 1 else 0
-    return group.trial(criterion, k)
+    block = draw_trial(criterion, ticks, lambda _: rng.bit_generator.random_raw((1, SLOTS)))
+    if not block.ok[0]:
+        raise generation_failure(criterion)
+    trials = block.rows.shape[1] - 1
+    return block.trial(criterion, 0, int(rng.choice(trials)) if trials > 1 else 0)
