@@ -306,14 +306,26 @@ def _cmd_lorenz(args) -> Report:
     )
 
 
+def _skip_notes(verdicts) -> str:
+    """A note for each search verdict whose every trial was skipped."""
+    return "".join(
+        f"note: ({v.measure.value}, {v.criterion.value}) skipped all {v.trials} of its "
+        "trials, so its no-violation-found rests on no useful trial\n"
+        for v in verdicts
+        if v.all_skipped
+    )
+
+
 def _cmd_check(args) -> Report:
     spec = _spec_from_args(Measure(args.measure), args)
     criterion = Criterion(args.criterion)
-    cell = check_cell(spec, criterion, trials=args.trials, seed=args.seed).to_dict()
+    verdict = check_cell(spec, criterion, trials=args.trials, seed=args.seed)
+    cell = verdict.to_dict()
     return Report(
         {"params": _spec_params(spec)},
         lambda: {"cell": cell},
         lambda: _cells_csv([cell], ("measure", "criterion", "verdict", "trials", "skipped")),
+        stderr=_skip_notes([verdict]),
     )
 
 
@@ -346,7 +358,7 @@ def _cmd_table(args) -> Report:
             ),
         ),
         status=1 if mismatches else 0,
-        stderr="".join(lines),
+        stderr="".join(lines) + _skip_notes(result.cells.values()),
     )
 
 

@@ -18,6 +18,7 @@ smaller T with the same seed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import AbstractSet, Iterable, Mapping
 
 import numpy as np
@@ -39,8 +40,10 @@ from .transforms import (
     CriterionTrial,
     Relation,
     TrialBlock,
+    TrialRows,
     draw_trial,
     generation_failure,
+    joined,
     trial_ticks,
     trial_words,
 )
@@ -270,6 +273,12 @@ class CellVerdict:
         return not self.violated
 
     @property
+    def all_skipped(self) -> bool:
+        """A search verdict whose every trial was skipped, so that its
+        ``NoViolationFound`` rests on no useful trial."""
+        return self.source == "search" and not self.violated and self.skipped == self.trials
+
+    @property
     def label(self) -> str:
         if self.violated:
             return f"Violated({self.source})"
@@ -303,9 +312,15 @@ class CellVerdict:
 SATURATION_MARGIN = 1e-6
 
 
-#: Search draws per block: more saves kernel calls, fewer save memory (the
-#: ``compliance-table`` benchmark's peak RSS bounds it).
-BLOCK_TRIALS = 192
+#: Search draws per block.  More save kernel calls, since a block's rows
+#: of one length are evaluated together; a block holds only its draws'
+#: ticks and parameters (about 0.3 MB at 1024 draws), and builds its trials
+#: a few before lengths at a time (``TrialBlock.parts``), so its memory
+#: hardly grows with it.
+BLOCK_TRIALS = 1024
+#: Draws whose raw words are read at once (SLOTS words each), so that a
+#: block's words are never held whole.
+WORD_TRIALS = 128
 
 # the state of a draw's group of trials
 HOLD, FAIL, SKIP, ERROR = range(4)
@@ -314,21 +329,25 @@ HOLD, FAIL, SKIP, ERROR = range(4)
 def _values(spec: MeasureSpec, rows: np.ndarray, lengths: np.ndarray):
     """``evaluate`` on each row of ``rows`` (magnitudes, non-negative) cut to
     its length: the values, NaN where it raises, and those errors by row.
-    Rows of one length are sorted and go to ``evaluate_block`` as one block."""
+    Rows of one length are sorted and go to ``evaluate_block`` as one block,
+    so each row is evaluated alone at its own length."""
     values, errors = np.empty(len(rows)), {}
     order = np.argsort(lengths, kind="stable")
-    for picks in np.split(order, np.flatnonzero(np.diff(lengths[order])) + 1):
+    ends = [*(np.flatnonzero(np.diff(lengths[order])) + 1).tolist(), len(order)]
+    for start, end in zip([0, *ends], ends):
+        picks = order[start:end]
         block = rows[picks, : lengths[picks[0]]]
         block.sort(axis=1)
-        out = evaluate_block(spec, block)
-        for k in [k for k, value in enumerate(out) if isinstance(value, SparsemetricsError)]:
-            errors[int(picks[k])], out[k] = out[k], np.nan
+        out = np.array(evaluate_block(spec, block))
+        if out.dtype == object:  # some row raised
+            for k in [k for k, value in enumerate(out) if isinstance(value, SparsemetricsError)]:
+                errors[int(picks[k])], out[k] = out[k], np.nan
         values[picks] = out
     return values, errors
 
 
-def _outcomes(spec: MeasureSpec, criterion: Criterion, block: TrialBlock):
-    """Decide each draw's group of trials in ``block`` from one ``_values``
+def _group_outcomes(spec: MeasureSpec, criterion: Criterion, trials: TrialRows):
+    """Decide each draw's group of trials in ``trials`` from one ``_values``
     call on all its rows: (state, k, vb, va, errors).
 
     A group is SKIP when it says nothing about the criterion (a degenerate
@@ -339,15 +358,15 @@ def _outcomes(spec: MeasureSpec, criterion: Criterion, block: TrialBlock):
     then each after; the first of them that is odd decides, and ``errors``
     maps each draw a raised value decides to that error.
     """
-    rows, width = block.rows.shape[1], block.rows.shape[2]
-    values, errors = _values(spec, block.rows.reshape(-1, width), block.lengths.ravel())
-    values = values.reshape(len(block), rows)
+    rows, width = trials.rows.shape[1], trials.rows.shape[2]
+    values, errors = _values(spec, trials.rows.reshape(-1, width), trials.lengths.ravel())
+    values = values.reshape(len(trials), rows)
     vb, va = values[:, 0], values[:, 1:]
     holds = _holds(CRITERIA[criterion].relation, vb[:, None], va)
     state = np.where(holds.all(1), HOLD, FAIL)
     maximum = MEASURES[spec.id].maximum
     if maximum and CRITERIA[criterion].relation is Relation.AFTER_STRICTLY_GREATER:
-        state[maximum(block.lengths[:, 1]) - vb <= SATURATION_MARGIN] = SKIP
+        state[maximum(trials.lengths[:, 1]) - vb <= SATURATION_MARGIN] = SKIP
     raised, seen = {}, set()
     for row in sorted(errors):
         r, at = divmod(row, rows)
@@ -359,28 +378,56 @@ def _outcomes(spec: MeasureSpec, criterion: Criterion, block: TrialBlock):
     return state, holds.argmin(1), vb, va, raised
 
 
-def _decide(spec: MeasureSpec, criterion: Criterion, blocks: Iterable[TrialBlock]) -> CellVerdict:
-    """The verdict on ``blocks``: ``TrialBlock``s from any source, decided in
-    order, each as one array program.  The first group decides a skip; a draw
-    holds when that group or a later one holds (a later skip counts as
-    failing), else the first group's first failure is the witness.  Later
-    groups are built and evaluated only for draws whose first group fails.
-    The first witness, error or draw that is not ``ok`` ends the search, so
-    the block sizes change no verdict, and an error surfaces only if no
-    earlier draw is a witness."""
+def _part_outcomes(spec: MeasureSpec, criterion: Criterion, trials: TrialRows):
+    """``_group_outcomes`` of each draw's first group, then of its later
+    groups, built and evaluated only for draws whose first group fails: a
+    draw holds when a later group holds, and errs when a later group errs
+    before one holds (a later skip counts as failing).  A draw that is not
+    ``ok`` is an ERROR, its error ``generation_failure``."""
+    state, k, vb, va, raised = _group_outcomes(spec, criterion, trials)
+    picks = np.flatnonzero(state == FAIL)
+    if trials.later is not None and picks.size:
+        later, _, _, _, later_raised = _group_outcomes(spec, criterion, trials.later(picks))
+        later = later.reshape(picks.size, -1)
+        decisive = (later == HOLD) | (later == ERROR)  # the first of these decides
+        first = decisive.argmax(1)
+        for p in np.flatnonzero(decisive.any(1)).tolist():
+            state[picks[p]] = later[p, first[p]]
+            raised[picks[p]] = later_raised.get(p * later.shape[1] + first[p])
+    for r in np.flatnonzero(~trials.ok).tolist():
+        state[r], raised[r] = ERROR, generation_failure(criterion)
+    return state, k, vb, va, raised
+
+
+def _outcomes(spec: MeasureSpec, criterion: Criterion, block: TrialBlock | TrialRows):
+    """Each draw's (state, k, vb, va) in ``block`` as block arrays, and its
+    errors by draw: ``_part_outcomes`` of each of ``block.parts``, one part
+    built, evaluated and decided before the next is built, so no more than
+    one part's trial rows are held at a time."""
+    size = len(block)
+    state, k, vb, va, raised = np.empty(size, int), np.empty(size, int), np.empty(size), None, {}
+    for at, trials in block.parts(criterion):
+        state[at], k[at], vb[at], part_va, part_raised = _part_outcomes(spec, criterion, trials)
+        if va is None:
+            va = np.empty((size, part_va.shape[1]))
+        va[at] = part_va
+        raised.update((int(at[r]), error) for r, error in part_raised.items())
+    return state, k, vb, va, raised
+
+
+def _decide(
+    spec: MeasureSpec, criterion: Criterion, blocks: Iterable[TrialBlock | TrialRows]
+) -> CellVerdict:
+    """The verdict on ``blocks``: ``TrialBlock``s (or built ``TrialRows``)
+    from any source, decided in order, each by ``_outcomes``.  The first
+    group decides a skip; a draw holds when that group or a later one holds
+    (a later skip counts as failing), else the first group's first failure
+    is the witness.  The first witness or error (a draw that is not ``ok``
+    is one) ends the search, so the block sizes change no verdict, and an
+    error surfaces only if no earlier draw is a witness."""
     trials = skipped = 0
     for block in blocks:
         state, k, vb, va, raised = _outcomes(spec, criterion, block)
-        picks = np.flatnonzero(state == FAIL)
-        if block.later is not None and picks.size:
-            later, _, _, _, later_raised = _outcomes(spec, criterion, block.later(picks))
-            later = later.reshape(picks.size, -1)
-            decisive = (later == HOLD) | (later == ERROR)  # the first of these decides
-            first = decisive.argmax(1)
-            for p in np.flatnonzero(decisive.any(1)).tolist():
-                state[picks[p]] = later[p, first[p]]
-                raised[picks[p]] = later_raised.get(p * later.shape[1] + first[p])
-        state[~block.ok] = ERROR
         stops = np.flatnonzero((state == FAIL) | (state == ERROR))
         end = int(stops[0]) if stops.size else len(block)
         skipped += int((state[:end] == SKIP).sum())
@@ -389,7 +436,7 @@ def _decide(spec: MeasureSpec, criterion: Criterion, blocks: Iterable[TrialBlock
             del block  # so no more than one block is held while the next is drawn
             continue
         if state[end] == ERROR:
-            raise raised[end] if block.ok[end] else generation_failure(criterion)
+            raise raised[end]
         trial, values = block.trial(criterion, end, k[end]), (vb[end], va[end, k[end]])
         trials += end + 1
         return CellVerdict(spec.id, criterion, True, trials, skipped, trial, *map(float, values))
@@ -398,11 +445,21 @@ def _decide(spec: MeasureSpec, criterion: Criterion, blocks: Iterable[TrialBlock
 
 def _seeded(criterion: Criterion, ticks: range, key: tuple, trials: int):
     """``check_cell``'s source: ``trials`` draws from ``ticks`` in blocks of
-    ``BLOCK_TRIALS``, one ``draw_trial`` call each, attempt a of draw t from
+    ``BLOCK_TRIALS``, each joined from ``draw_trial`` calls on at most
+    ``WORD_TRIALS`` draws, attempt a of draw t from
     ``trial_words((*key, a), t, ...)``."""
     for start in range(0, trials, BLOCK_TRIALS):
-        rows = min(BLOCK_TRIALS, trials - start)
-        yield draw_trial(criterion, ticks, lambda a: trial_words((*key, a), start, rows))
+        stop = min(start + BLOCK_TRIALS, trials)
+        chunks = (
+            draw_trial(criterion, ticks, partial(_words, key, t, min(WORD_TRIALS, stop - t)))
+            for t in range(start, stop, WORD_TRIALS)
+        )
+        yield joined(chunks, stop - start)
+
+
+def _words(key: tuple, start: int, rows: int, attempt: int) -> np.ndarray:
+    """Attempt ``attempt``'s words of draws ``start`` to ``start + rows - 1``."""
+    return trial_words((*key, attempt), start, rows)
 
 
 def check_cell(

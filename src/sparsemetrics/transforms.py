@@ -9,13 +9,14 @@ relation, its program and its random draw.
 
 A draw is an array program over a block of draws: each attempt at a draw
 takes SLOTS raw 64-bit words, and each criterion's ``draw`` turns a
-(rows, SLOTS) block of them into ``Draws``: the vectors in grid ticks, their
-lengths, the parameters as arrays and an eligibility mask, with integers and
-uniforms taken from the words by exact integer rules, its vectors by
-``draw_vector``.  ``draw_trial`` draws a ``TrialBlock``, redrawing only the
-ineligible rows from the next attempt's words; the search reads attempt a of
-draw t as words [t * SLOTS, (t + 1) * SLOTS) of one stream per attempt
-(``trial_words``).
+(rows, SLOTS) block of them into a ``TrialBlock``: the vectors in grid
+ticks, their lengths, the parameters as arrays and an eligibility mask,
+with integers and uniforms taken from the words by exact integer rules, its
+vectors by ``draw_vector``.  ``draw_trial`` draws a block, redrawing only
+the ineligible rows from the next attempt's words; the search reads attempt
+a of draw t as words [t * SLOTS, (t + 1) * SLOTS) of one stream per attempt
+(``trial_words``).  A block's trials are built as ``TrialRows`` one part at
+a time, the draws of one before length together (``TrialBlock.parts``).
 
 Draws reason in integer grid ticks (multiples of ``TICK`` = 2**-20) from
 the range ``trial_ticks`` gives, and turn them into float64 once, where
@@ -34,7 +35,8 @@ import operator
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import partial, reduce
-from typing import Callable, Iterator, NamedTuple
+from itertools import pairwise
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -48,6 +50,8 @@ __all__ = [
     "CRITERIA",
     "CriterionTrial",
     "TrialBlock",
+    "TrialRows",
+    "joined",
     "trial_ticks",
     "robin_hood",
     "scale",
@@ -91,6 +95,9 @@ P1_ALPHA_MULTIPLIERS = (1e-3, 1.0, 1e3)
 #: Bill Gates betas probed, as multiples of the l1 mass, when the policy
 #: beta fails at some alpha.
 P1_BETA_SWEEP = (0.1, 1.0, 10.0, 100.0)
+#: Before entries of the draws whose trials are built at once
+#: (``TrialBlock.parts``).
+PART_ENTRIES = 2048
 #: Parameters that must be integers: indices and counts.
 _INTEGER_PARAMS = frozenset("ijmk")
 
@@ -137,25 +144,30 @@ class CriterionTrial:
 
 
 @dataclass(frozen=True)
-class TrialBlock:
-    """The trials of a block of draws as arrays, one group per draw.
+class TrialRows:
+    """The built trials of some draws, one group per draw.
 
     ``rows[r, 0, :lengths[r, 0]]`` is draw r's before vector and
     ``rows[r, 1 + k, :lengths[r, 1 + k]]`` its k-th after vector; each of
     ``params`` holds a value per draw, or per draw and k.  ``ok[r]`` is False
-    for a draw that was never eligible.  ``later(picks)``, if given, builds
-    the further groups of the draws ``picks`` (P1's beta sweep) as one block,
-    the same number per draw, draw by draw.
+    for a draw that was never eligible or fails a precondition.
+    ``later(picks)``, if given, builds
+    the further groups of the draws ``picks`` (P1's beta sweep) as one
+    ``TrialRows``, the same number per draw, draw by draw.
     """
 
     rows: np.ndarray
     lengths: np.ndarray
     params: dict[str, np.ndarray]
     ok: np.ndarray
-    later: Callable[[np.ndarray], TrialBlock] | None = None
+    later: Callable[[np.ndarray], TrialRows] | None = None
 
     def __len__(self) -> int:
         return len(self.ok)
+
+    def parts(self, criterion: Criterion) -> Iterator[tuple[np.ndarray, TrialRows]]:
+        """Its draws, already built, as one part (see ``TrialBlock.parts``)."""
+        yield np.arange(len(self)), self
 
     def trial(self, criterion: Criterion, r: int = 0, k: int = 0) -> CriterionTrial:
         """Draw r's trial against its after vector k."""
@@ -163,6 +175,50 @@ class TrialBlock:
         before, after = (CoefficientVector(rows[j, : lengths[j]]) for j in (0, k + 1))
         params = {name: p[r if p.ndim == 1 else (r, k)].item() for name, p in self.params.items()}
         return CriterionTrial(criterion, before, after, params)
+
+
+@dataclass(frozen=True)
+class TrialBlock:
+    """A block of draws, kept compact: the vectors as integer grid ticks,
+    one (N_MAX,) row per draw, 0 past each length ``n``; the criterion's
+    parameters, one array each with a value (or a row) per draw; and which
+    draws are eligible.
+
+    Its trials are built only a part at a time (``parts``), so a block's
+    memory grows with its draws, not with its padded trial rows.
+    """
+
+    v: np.ndarray
+    n: np.ndarray
+    params: dict[str, np.ndarray]
+    eligible: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.n)
+
+    def take(self, at, width: int = N_MAX) -> TrialBlock:
+        """The draws ``at``, their vectors cut to ``width`` entries."""
+        params = {name: p[at] for name, p in self.params.items()}
+        return TrialBlock(self.v[at, :width], self.n[at], params, self.eligible[at])
+
+    def parts(self, criterion: Criterion) -> Iterator[tuple[np.ndarray, TrialRows]]:
+        """The draws in order of before length, all draws of a length in one
+        part, each part at most PART_ENTRIES entries padded to its longest
+        before vector (or one length's draws): each part's indices and its
+        first group of trials, built only when the part is taken."""
+        order = np.argsort(self.n, kind="stable")
+        n = self.n[order]
+        cuts, start = [], 0
+        for stop, end in pairwise([0, *(np.flatnonzero(np.diff(n)) + 1).tolist(), len(n)]):
+            if (end - start) * n[end - 1] > PART_ENTRIES and stop > start:
+                cuts.append(stop)
+                start = stop
+        for at in np.split(order, cuts):
+            yield at, _trials(criterion, self.take(at, int(self.n[at[-1]])))
+
+    def trial(self, criterion: Criterion, r: int = 0, k: int = 0) -> CriterionTrial:
+        """Draw r's trial against its after vector k, built alone."""
+        return _trials(criterion, self.take([r])).trial(criterion, 0, k)
 
 
 def _at(v: np.ndarray, i: np.ndarray) -> np.ndarray:
@@ -238,7 +294,7 @@ def _transform(criterion: Criterion, c: CoefficientVector, **params) -> Criterio
     for condition, holds in checks.items():
         if not holds[0]:
             raise InvalidTransform(f"{d.name} requires {condition}, got {got}")
-    return TrialBlock(rows, lengths, arrays, np.ones(1, bool)).trial(criterion)
+    return TrialRows(rows, lengths, arrays, np.ones(1, bool)).trial(criterion)
 
 
 def robin_hood(c: CoefficientVector, i: int, j: int, alpha: float) -> CriterionTrial:
@@ -382,16 +438,6 @@ def draw_vector(ticks: range, words: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return v, n, entry
 
 
-class Draws(NamedTuple):
-    """A block of draws: the vectors in grid ticks, 0 past each length ``n``,
-    the criterion's parameters, one array each, and which draws are eligible."""
-
-    v: np.ndarray
-    n: np.ndarray
-    params: dict[str, np.ndarray]
-    eligible: np.ndarray
-
-
 def _min_gap(top):
     return np.maximum(3, np.ceil(MIN_GAP_FRAC * top).astype(np.int64))
 
@@ -403,7 +449,7 @@ def _pick(mask: np.ndarray, words: np.ndarray) -> np.ndarray:
     return np.argmax(mask & (np.cumsum(mask, 1) == k[:, None] + 1), axis=1)
 
 
-def _draw_robin_hood(ticks: range, words: np.ndarray) -> Draws:
+def _draw_robin_hood(ticks: range, words: np.ndarray) -> TrialBlock:
     v, n, entry = draw_vector(ticks, words)
     own = words[:, _OWN:]
     min_gap = _min_gap(v.max(1))[:, None]
@@ -413,16 +459,16 @@ def _draw_robin_hood(ticks: range, words: np.ndarray) -> Draws:
     gap = _at(v, i) - _at(v, j)
     alpha = np.rint((0.2 + 0.6 * _uniform(own[:, 2])) * gap / 2).astype(np.int64)
     alpha = np.minimum(np.maximum(alpha, 1), (gap - 1) // 2)
-    return Draws(v, n, {"i": i, "j": j, "alpha": alpha * TICK}, receivers.any(1))
+    return TrialBlock(v, n, {"i": i, "j": j, "alpha": alpha * TICK}, receivers.any(1))
 
 
-def _draw_rising_tide(ticks: range, words: np.ndarray) -> Draws:
+def _draw_rising_tide(ticks: range, words: np.ndarray) -> TrialBlock:
     v, n, entry = draw_vector(ticks, words)
     top = v.max(1)
     spread = top - np.where(entry, v, top[:, None]).min(1)  # 0 for the all-zero vector
     alpha = np.rint((0.05 + 0.45 * _uniform(words[:, _OWN])) * top + 0.01 * _TICKS_PER_UNIT)
     alpha = np.maximum(alpha.astype(np.int64), 1)
-    return Draws(v, n, {"alpha": alpha * TICK}, spread >= _min_gap(top))
+    return TrialBlock(v, n, {"alpha": alpha * TICK}, spread >= _min_gap(top))
 
 
 #: D2's alphas are log-uniform on [0.1, 10] without [0.99, 1.01]: these logs
@@ -430,15 +476,15 @@ def _draw_rising_tide(ticks: range, words: np.ndarray) -> Draws:
 _LOG_ALPHAS = (math.log(0.1), math.log(0.99), math.log(1.01), math.log(10.0))
 
 
-def _draw_scale(ticks: range, words: np.ndarray) -> Draws:
+def _draw_scale(ticks: range, words: np.ndarray) -> TrialBlock:
     v, n, _ = draw_vector(ticks, words)
     low, gap_low, gap_high, high = _LOG_ALPHAS
     x = low + _uniform(words[:, _OWN]) * (gap_low - low + high - gap_high)
     alpha = np.exp(np.where(x < gap_low, x, x + gap_high - gap_low))
-    return Draws(v, n, {"alpha": alpha}, np.ones(len(v), bool))
+    return TrialBlock(v, n, {"alpha": alpha}, np.ones(len(v), bool))
 
 
-def _draw_bill_gates(ticks: range, words: np.ndarray) -> Draws:
+def _draw_bill_gates(ticks: range, words: np.ndarray) -> TrialBlock:
     """Coefficient i of the vector, with the ``P1_ALPHA_MULTIPLIERS`` alphas and
     a column per group of betas: the policy beta, 10 * (l1 + max - c_i) in
     ticks, which makes the grown coefficient dominate, then ``P1_BETA_SWEEP``."""
@@ -447,17 +493,17 @@ def _draw_bill_gates(ticks: range, words: np.ndarray) -> Draws:
     alpha = np.maximum(1, np.rint(np.multiply.outer(l1, P1_ALPHA_MULTIPLIERS))) * TICK
     sweep = np.maximum(1, np.rint(np.multiply.outer(l1, P1_BETA_SWEEP)))
     beta = np.column_stack([10 * (l1 + v.max(1) - _at(v, i)), sweep]) * TICK
-    return Draws(v, n, {"i": i, "beta": beta, "alpha": alpha}, l1 > 0)
+    return TrialBlock(v, n, {"i": i, "beta": beta, "alpha": alpha}, l1 > 0)
 
 
-def _draw_clone(ticks: range, words: np.ndarray) -> Draws:
+def _draw_clone(ticks: range, words: np.ndarray) -> TrialBlock:
     v, n, _ = draw_vector(ticks, words)
-    return Draws(v, n, {"m": 2 + _below(words[:, _OWN], 3)}, np.ones(len(v), bool))
+    return TrialBlock(v, n, {"m": 2 + _below(words[:, _OWN], 3)}, np.ones(len(v), bool))
 
 
-def _draw_babies(ticks: range, words: np.ndarray) -> Draws:
+def _draw_babies(ticks: range, words: np.ndarray) -> TrialBlock:
     v, n, _ = draw_vector(ticks, words)
-    return Draws(v, n, {"k": 1 + _below(words[:, _OWN], 3)}, v.any(1))
+    return TrialBlock(v, n, {"k": 1 + _below(words[:, _OWN], 3)}, v.any(1))
 
 
 @dataclass(frozen=True)
@@ -468,14 +514,14 @@ class CriterionDef:
     of vectors, 0 past their lengths ``n``, with one array per parameter: it
     returns the preconditions as {condition: mask}, the before rows, the
     (B, K, W') after rows and their lengths.  ``draw(ticks, words)`` draws
-    ``Draws`` from a (rows, SLOTS) array of raw words.  ``grouped`` names the
-    parameter with one column per group of trials (P1's beta).
+    a ``TrialBlock`` from a (rows, SLOTS) array of raw words.  ``grouped``
+    names the parameter with one column per group of trials (P1's beta).
     """
 
     name: str
     relation: Relation
     apply: Callable[..., tuple]
-    draw: Callable[[range, np.ndarray], Draws]
+    draw: Callable[[range, np.ndarray], TrialBlock]
     grouped: str | None = None
 
 
@@ -490,23 +536,24 @@ CRITERIA: dict[Criterion, CriterionDef] = {
 }
 
 
-def _trials(criterion: Criterion, draws: Draws, picks: np.ndarray | None = None) -> TrialBlock:
-    """The first group of trials of each of ``draws``; given ``picks``, the
-    later groups of those draws instead, draw by draw.  A draw is ``ok`` when
-    it is eligible and meets every precondition."""
+def _trials(
+    criterion: Criterion, block: TrialBlock, picks: np.ndarray | None = None
+) -> TrialRows:
+    """The first group of trials of each draw of ``block``; given ``picks``,
+    the later groups of those draws instead, draw by draw.  A draw is ``ok``
+    when it is eligible and meets every precondition."""
     d = CRITERIA[criterion]
-    v, n, params, eligible = draws
+    params = block.params
     if picks is not None:
-        owner = np.repeat(picks, params[d.grouped].shape[1] - 1)
-        v, n, eligible = v[owner], n[owner], eligible[owner]
-        params = {name: p[owner] for name, p in params.items()}
-        params[d.grouped] = draws.params[d.grouped][picks, 1:].ravel()
+        grouped = params[d.grouped][picks, 1:]
+        block = block.take(np.repeat(picks, grouped.shape[1]))
+        params = {**block.params, d.grouped: grouped.ravel()}
     elif d.grouped:
         params = {**params, d.grouped: params[d.grouped][:, 0]}
-    checks, rows, lengths = d.apply(v * TICK, n, **params)
-    ok = reduce(operator.and_, checks.values(), eligible)
-    later = partial(_trials, criterion, draws) if d.grouped and picks is None else None
-    return TrialBlock(rows, lengths, params, ok, later)
+    checks, rows, lengths = d.apply(block.v * TICK, block.n, **params)
+    ok = reduce(operator.and_, checks.values(), block.eligible)
+    later = partial(_trials, criterion, block) if d.grouped and picks is None else None
+    return TrialRows(rows, lengths, params, ok, later)
 
 
 def generation_failure(criterion: Criterion) -> GenerationFailure:
@@ -518,28 +565,54 @@ def generation_failure(criterion: Criterion) -> GenerationFailure:
 def draw_trial(
     criterion: Criterion, ticks: range, words_of: Callable[[int], np.ndarray]
 ) -> TrialBlock:
-    """Draw a block of draws' trials from ``ticks``, one draw per row of
+    """Draw a block of draws from ``ticks``, one draw per row of
     ``words_of(0)``, a (rows, SLOTS) array of raw words; a draw ineligible at
     attempt a is redrawn from its row of ``words_of(a + 1)``, and only those
-    rows are.  A draw ineligible in all MAX_RETRIES attempts is not ``ok``.
+    rows are.  A draw ineligible in all MAX_RETRIES attempts stays
+    ineligible, and its trials are not ``ok``.
 
     The criterion holds on a draw when every trial of some group holds.
     Every criterion but P1 draws one group of one trial.  P1 ("for some
     beta, for every alpha") draws one group per beta, the policy beta
-    first and then ``P1_BETA_SWEEP`` (the block's ``later``), each with the
-    ``P1_ALPHA_MULTIPLIERS`` alphas.
+    first and then ``P1_BETA_SWEEP`` (its ``TrialRows``' ``later``), each
+    with the ``P1_ALPHA_MULTIPLIERS`` alphas.
     """
     draw = CRITERIA[criterion].draw
-    draws = draw(ticks, words_of(0))
+    block = draw(ticks, words_of(0))
     for attempt in range(1, MAX_RETRIES):
-        todo = np.flatnonzero(~draws.eligible)
+        todo = np.flatnonzero(~block.eligible)
         if todo.size == 0:
             break
         redrawn = draw(ticks, words_of(attempt)[todo])
         for name, p in redrawn.params.items():
-            draws.params[name][todo] = p
-        draws.v[todo], draws.n[todo], draws.eligible[todo] = redrawn.v, redrawn.n, redrawn.eligible
-    return _trials(criterion, draws)
+            block.params[name][todo] = p
+        block.v[todo], block.n[todo], block.eligible[todo] = redrawn.v, redrawn.n, redrawn.eligible
+    return block
+
+
+def joined(blocks: Iterable[TrialBlock], size: int) -> TrialBlock:
+    """The ``size`` draws of ``blocks`` in turn as one block, its ticks
+    stored as int32 (every tick is below 2**31), filled a block at a time so
+    that no more than one of ``blocks`` is held; a first block of all
+    ``size`` draws is returned as it is."""
+    out, start = None, 0
+    for block in blocks:
+        if out is None:
+            if len(block) == size:
+                return block
+            out = TrialBlock(
+                np.empty((size, N_MAX), np.int32),
+                np.empty(size, np.int64),
+                {k: np.empty((size, *p.shape[1:]), p.dtype) for k, p in block.params.items()},
+                np.empty(size, bool),
+            )
+        stop = start + len(block)
+        out.v[start:stop], out.n[start:stop] = block.v, block.n
+        out.eligible[start:stop] = block.eligible
+        for name, p in block.params.items():
+            out.params[name][start:stop] = p
+        start = stop
+    return out
 
 
 def sample_trial(
@@ -549,7 +622,8 @@ def sample_trial(
     the next SLOTS words of ``stream(seed)`` (for P1, a random alpha)."""
     rng = stream(seed)
     block = draw_trial(criterion, ticks, lambda _: rng.bit_generator.random_raw((1, SLOTS)))
-    if not block.ok[0]:
+    trials = _trials(criterion, block)
+    if not trials.ok[0]:
         raise generation_failure(criterion)
-    trials = block.rows.shape[1] - 1
-    return block.trial(criterion, 0, int(rng.choice(trials)) if trials > 1 else 0)
+    k = trials.rows.shape[1] - 1
+    return trials.trial(criterion, 0, int(rng.choice(k)) if k > 1 else 0)

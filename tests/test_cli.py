@@ -294,6 +294,24 @@ class TestCheckCommand:
         assert row.split(",")[2] in ("violated", "no-violation-found")
 
 
+    def test_all_skipped_cell_is_noted_on_stderr(self, capsys):
+        # above theta = 63/64, ceil(theta N) = N at every trial length from 2
+        # to 64, so every draw is degenerate; stdout and the exit code stay
+        # as they were, and one note says the verdict rests on no useful trial
+        argv = ("check", "--measure", "u-theta", "--criterion", "D1", "--trials", "300")
+        assert run_cli(*argv, "--theta", "0.985") == 0
+        captured = capsys.readouterr()
+        assert captured.out.splitlines()[1] == "u-theta,D1,no-violation-found,300,300"
+        assert captured.err == (
+            "note: (u-theta, D1) skipped all 300 of its trials, so its "
+            "no-violation-found rests on no useful trial\n"
+        )
+        assert run_cli(*argv, "--theta", "0.984") == 0
+        captured = capsys.readouterr()
+        assert captured.out.splitlines()[1] == "u-theta,D1,violated,24,23"
+        assert captured.err == ""
+
+
 @pytest.fixture(scope="module")
 def table_run(tmp_path_factory):
     """One small table run shared by the table tests (trials=60, seed=0)."""
@@ -350,6 +368,18 @@ class TestTableCommand:
             assert not relation_holds(crit, vb, va)
             checked += 1
         assert checked > 50
+
+    def test_all_skipped_cells_are_noted_on_stderr(self, capsys):
+        # at seed 4, gini/P1's one trial is skipped (a start within the
+        # saturation margin of gini's maximum); at 1000 trials no cell is
+        assert run_cli("table", "--trials", "1", "--seed", "4") == 1
+        err = capsys.readouterr().err.splitlines()
+        assert [line for line in err if line.startswith("note:")] == [
+            "note: (gini, P1) skipped all 1 of its trials, so its "
+            "no-violation-found rests on no useful trial"
+        ]
+        assert run_cli("table", "--trials", "1000", "--seed", "0") == 1
+        assert "note:" not in capsys.readouterr().err
 
     def test_byte_identical_reruns(self, capsys):
         argv = ("table", "--trials", "40", "--seed", "1", "--format", "structured")

@@ -30,6 +30,7 @@ from sparsemetrics.transforms import (
     N_MIN,
     P1_ALPHA_MULTIPLIERS,
     P1_BETA_SWEEP,
+    PART_ENTRIES,
     POSITIVE_FLOOR,
     SLOTS,
     TICK,
@@ -37,8 +38,10 @@ from sparsemetrics.transforms import (
     ZERO_PROB,
     _below,
     _min_gap,
+    _trials,
     draw_trial,
     draw_vector,
+    joined,
     stream,
     streams,
     trial_words,
@@ -269,9 +272,10 @@ class TestTrialTicks:
 
 
 def _drawn(criterion, seed):
-    """``sample_trial``'s block: one draw, each attempt from the next words of ``stream(seed)``."""
+    """``sample_trial``'s trials: one draw, each attempt from the next words of ``stream(seed)``."""
     rng = stream(seed)
-    return draw_trial(criterion, VALUE_TICKS, lambda _: rng.bit_generator.random_raw((1, SLOTS)))
+    block = draw_trial(criterion, VALUE_TICKS, lambda _: rng.bit_generator.random_raw((1, SLOTS)))
+    return _trials(criterion, block)
 
 
 def _befores(block):
@@ -403,7 +407,7 @@ class TestStreams:
 
 
 def _draw_keys(block):
-    """Each draw of a ``TrialBlock`` and its later groups as comparable bytes and params."""
+    """Each draw of a ``TrialRows`` and its later groups as comparable bytes and params."""
     later = block.later(np.arange(len(block))) if block.later else None
     groups = len(later) // len(block) if later else 0
 
@@ -418,8 +422,10 @@ def _draw_keys(block):
 
 
 def _block_draws(criterion, ticks, key, start, rows):
-    """``draw_trial`` on draws start..start + rows - 1 of the streams of key + (attempt,)."""
-    return draw_trial(criterion, ticks, lambda a: trial_words((*key, a), start, rows))
+    """The trials ``draw_trial`` draws on draws start..start + rows - 1 of the
+    streams of key + (attempt,), built all at once."""
+    block = draw_trial(criterion, ticks, lambda a: trial_words((*key, a), start, rows))
+    return _trials(criterion, block)
 
 
 class TestCounterLayout:
@@ -452,18 +458,41 @@ class TestCounterLayout:
                 draws = _block_draws(criterion, ticks, self.KEY, start, min(block, 130 - start))
                 assert _draw_keys(draws) == alone[start:start + len(draws)], block
 
+    @pytest.mark.parametrize("criterion", list(Criterion))
+    def test_parts_build_what_the_whole_block_builds(self, criterion):
+        # a block of 1000 draws joined from word blocks of 128 draws is the
+        # block of one word block; built a part at a time, each draw is in
+        # one part, each length's draws in the same part, shortest first,
+        # and each draw's trials are those of the block built whole
+        whole = _block_draws(criterion, VALUE_TICKS, self.KEY, 0, 1000)
+        chunks = (draw_trial(criterion, VALUE_TICKS, lambda a, t=t: trial_words(
+            (*self.KEY, a), t, min(128, 1000 - t))) for t in range(0, 1000, 128))
+        block = joined(chunks, 1000)
+        assert block.v.dtype == np.int32 and len(block) == 1000
+        assert _draw_keys(_trials(criterion, block)) == _draw_keys(whole)
+        keys, seen, lengths = _draw_keys(whole), [], []
+        for at, part in block.parts(criterion):
+            n = block.n[at]
+            assert at.size * n.max() <= PART_ENTRIES or (n == n[0]).all()
+            assert _draw_keys(part) == [keys[r] for r in at.tolist()]
+            seen += at.tolist()
+            lengths.append(sorted(set(n.tolist())))
+        assert sorted(seen) == list(range(1000)) and len(lengths) > 1
+        assert all(a[-1] < b[0] for a, b in zip(lengths, lengths[1:]))
+
     def test_draw_trial_and_draw_vector_are_one_row_of_the_generators_words(self):
         for seed in range(5):
             words = stream(seed).bit_generator.random_raw((1, SLOTS))
             for criterion in Criterion:
                 assert CRITERIA[criterion].draw(VALUE_TICKS, words).eligible[0]  # at attempt 0
-                got = draw_trial(criterion, VALUE_TICKS, lambda _: words)
+                got = _trials(criterion, draw_trial(criterion, VALUE_TICKS, lambda _: words))
                 assert _draw_keys(got) == _draw_keys(_drawn(criterion, seed)), (criterion, seed)
                 t = sample_trial(criterion, seed=seed)
                 trials = [got.trial(criterion, 0, k) for k in range(got.rows.shape[1] - 1)]
                 assert t in trials, (criterion, seed)
             # D4 leaves its drawn vector as the before vector
-            before = _befores(draw_trial(Criterion.D4, VALUE_TICKS, lambda _: words))[0]
+            block = draw_trial(Criterion.D4, VALUE_TICKS, lambda _: words)
+            before = _befores(_trials(Criterion.D4, block))[0]
             v, n, _ = draw_vector(VALUE_TICKS, words)
             assert (v[0, : n[0]] * TICK).tobytes() == before.tobytes()
 
