@@ -8,9 +8,9 @@ any catalog pair that turns out not to discriminate) falls back to seeded
 randomized trial search.  Randomized testing can only falsify: a
 ``NoViolationFound`` verdict is evidence of compliance, never proof.
 
-Each search draw has its own random words: attempt a of trial t is words
-[t * SLOTS, (t + 1) * SLOTS) of the stream keyed (seed, measure index,
-criterion index, a).  So verdicts are independent of execution order and
+Each search draw has its own random words: attempt a of trial t is
+``draw_trial``'s words of draw t under the key (seed, measure index,
+criterion index).  So verdicts are independent of execution order and
 block size, and a ``NoViolationFound`` at T trials is stable under any
 smaller T with the same seed.
 """
@@ -18,7 +18,6 @@ smaller T with the same seed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 from typing import AbstractSet, Iterable, Mapping
 
 import numpy as np
@@ -43,9 +42,7 @@ from .transforms import (
     TrialRows,
     draw_trial,
     generation_failure,
-    joined,
     trial_ticks,
-    trial_words,
 )
 
 __all__ = [
@@ -318,9 +315,6 @@ SATURATION_MARGIN = 1e-6
 #: a few before lengths at a time (``TrialBlock.parts``), so its memory
 #: hardly grows with it.
 BLOCK_TRIALS = 1024
-#: Draws whose raw words are read at once (SLOTS words each), so that a
-#: block's words are never held whole.
-WORD_TRIALS = 128
 
 # the state of a draw's group of trials
 HOLD, FAIL, SKIP, ERROR = range(4)
@@ -348,7 +342,7 @@ def _values(spec: MeasureSpec, rows: np.ndarray, lengths: np.ndarray):
 
 def _group_outcomes(spec: MeasureSpec, criterion: Criterion, trials: TrialRows):
     """Decide each draw's group of trials in ``trials`` from one ``_values``
-    call on all its rows: (state, k, vb, va, errors).
+    call on all its rows: (state, k, errors).
 
     A group is SKIP when it says nothing about the criterion (a degenerate
     value, or a strict-increase start already within SATURATION_MARGIN of
@@ -375,44 +369,35 @@ def _group_outcomes(spec: MeasureSpec, criterion: Criterion, trials: TrialRows):
         seen.add(r)
         state[r] = SKIP if isinstance(errors[row], DegenerateInput) else ERROR
         raised[r] = errors[row]
-    return state, holds.argmin(1), vb, va, raised
-
-
-def _part_outcomes(spec: MeasureSpec, criterion: Criterion, trials: TrialRows):
-    """``_group_outcomes`` of each draw's first group, then of its later
-    groups, built and evaluated only for draws whose first group fails: a
-    draw holds when a later group holds, and errs when a later group errs
-    before one holds (a later skip counts as failing).  A draw that is not
-    ``ok`` is an ERROR, its error ``generation_failure``."""
-    state, k, vb, va, raised = _group_outcomes(spec, criterion, trials)
-    picks = np.flatnonzero(state == FAIL)
-    if trials.later is not None and picks.size:
-        later, _, _, _, later_raised = _group_outcomes(spec, criterion, trials.later(picks))
-        later = later.reshape(picks.size, -1)
-        decisive = (later == HOLD) | (later == ERROR)  # the first of these decides
-        first = decisive.argmax(1)
-        for p in np.flatnonzero(decisive.any(1)).tolist():
-            state[picks[p]] = later[p, first[p]]
-            raised[picks[p]] = later_raised.get(p * later.shape[1] + first[p])
-    for r in np.flatnonzero(~trials.ok).tolist():
-        state[r], raised[r] = ERROR, generation_failure(criterion)
-    return state, k, vb, va, raised
+    return state, holds.argmin(1), raised
 
 
 def _outcomes(spec: MeasureSpec, criterion: Criterion, block: TrialBlock | TrialRows):
-    """Each draw's (state, k, vb, va) in ``block`` as block arrays, and its
-    errors by draw: ``_part_outcomes`` of each of ``block.parts``, one part
-    built, evaluated and decided before the next is built, so no more than
-    one part's trial rows are held at a time."""
-    size = len(block)
-    state, k, vb, va, raised = np.empty(size, int), np.empty(size, int), np.empty(size), None, {}
+    """Each draw's state and first failing trial k in ``block`` as block
+    arrays, and its errors by draw, one of ``block.parts`` at a time, so no
+    more than one part's trial rows are held: ``_group_outcomes`` of each
+    draw's first group, then of its later groups, built and evaluated only
+    for draws whose first group fails.  A draw holds when a later group
+    holds, and errs when a later group errs before one holds (a later skip
+    counts as failing).  A draw that is not ``ok`` is an ERROR, its error
+    ``generation_failure``."""
+    state, k, raised = np.empty(len(block), int), np.empty(len(block), int), {}
     for at, trials in block.parts(criterion):
-        state[at], k[at], vb[at], part_va, part_raised = _part_outcomes(spec, criterion, trials)
-        if va is None:
-            va = np.empty((size, part_va.shape[1]))
-        va[at] = part_va
+        part, k[at], part_raised = _group_outcomes(spec, criterion, trials)
+        picks = np.flatnonzero(part == FAIL)
+        if trials.later is not None and picks.size:
+            later, _, later_raised = _group_outcomes(spec, criterion, trials.later(picks))
+            later = later.reshape(picks.size, -1)
+            decisive = (later == HOLD) | (later == ERROR)  # the first of these decides
+            first = decisive.argmax(1)
+            for p in np.flatnonzero(decisive.any(1)).tolist():
+                part[picks[p]] = later[p, first[p]]
+                part_raised[picks[p]] = later_raised.get(p * later.shape[1] + first[p])
+        for r in np.flatnonzero(~trials.ok).tolist():
+            part[r], part_raised[r] = ERROR, generation_failure(criterion)
+        state[at] = part
         raised.update((int(at[r]), error) for r, error in part_raised.items())
-    return state, k, vb, va, raised
+    return state, k, raised
 
 
 def _decide(
@@ -422,12 +407,13 @@ def _decide(
     from any source, decided in order, each by ``_outcomes``.  The first
     group decides a skip; a draw holds when that group or a later one holds
     (a later skip counts as failing), else the first group's first failure
-    is the witness.  The first witness or error (a draw that is not ``ok``
-    is one) ends the search, so the block sizes change no verdict, and an
-    error surfaces only if no earlier draw is a witness."""
+    is the witness, its values taken by ``evaluate`` as the catalog's are.
+    The first witness or error (a draw that is not ``ok`` is one) ends the
+    search, so the block sizes change no verdict, and an error surfaces
+    only if no earlier draw is a witness."""
     trials = skipped = 0
     for block in blocks:
-        state, k, vb, va, raised = _outcomes(spec, criterion, block)
+        state, k, raised = _outcomes(spec, criterion, block)
         stops = np.flatnonzero((state == FAIL) | (state == ERROR))
         end = int(stops[0]) if stops.size else len(block)
         skipped += int((state[:end] == SKIP).sum())
@@ -437,29 +423,17 @@ def _decide(
             continue
         if state[end] == ERROR:
             raise raised[end]
-        trial, values = block.trial(criterion, end, k[end]), (vb[end], va[end, k[end]])
-        trials += end + 1
-        return CellVerdict(spec.id, criterion, True, trials, skipped, trial, *map(float, values))
+        trial = block.trial(criterion, end, k[end])
+        values = evaluate(spec, trial.before), evaluate(spec, trial.after)
+        return CellVerdict(spec.id, criterion, True, trials + end + 1, skipped, trial, *values)
     return CellVerdict(spec.id, criterion, False, trials, skipped)
 
 
 def _seeded(criterion: Criterion, ticks: range, key: tuple, trials: int):
-    """``check_cell``'s source: ``trials`` draws from ``ticks`` in blocks of
-    ``BLOCK_TRIALS``, each joined from ``draw_trial`` calls on at most
-    ``WORD_TRIALS`` draws, attempt a of draw t from
-    ``trial_words((*key, a), t, ...)``."""
+    """``check_cell``'s source: ``trials`` draws from ``ticks``, one
+    ``draw_trial`` block of ``BLOCK_TRIALS`` at a time."""
     for start in range(0, trials, BLOCK_TRIALS):
-        stop = min(start + BLOCK_TRIALS, trials)
-        chunks = (
-            draw_trial(criterion, ticks, partial(_words, key, t, min(WORD_TRIALS, stop - t)))
-            for t in range(start, stop, WORD_TRIALS)
-        )
-        yield joined(chunks, stop - start)
-
-
-def _words(key: tuple, start: int, rows: int, attempt: int) -> np.ndarray:
-    """Attempt ``attempt``'s words of draws ``start`` to ``start + rows - 1``."""
-    return trial_words((*key, attempt), start, rows)
+        yield draw_trial(criterion, ticks, key, start, min(BLOCK_TRIALS, trials - start))
 
 
 def check_cell(

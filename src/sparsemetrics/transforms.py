@@ -12,11 +12,12 @@ takes SLOTS raw 64-bit words, and each criterion's ``draw`` turns a
 (rows, SLOTS) block of them into a ``TrialBlock``: the vectors in grid
 ticks, their lengths, the parameters as arrays and an eligibility mask,
 with integers and uniforms taken from the words by exact integer rules, its
-vectors by ``draw_vector``.  ``draw_trial`` draws a block, redrawing only
-the ineligible rows from the next attempt's words; the search reads attempt
-a of draw t as words [t * SLOTS, (t + 1) * SLOTS) of one stream per attempt
-(``trial_words``).  A block's trials are built as ``TrialRows`` one part at
-a time, the draws of one before length together (``TrialBlock.parts``).
+vectors by ``draw_vector``.  ``draw_trial`` owns the words' layout: attempt
+a of draw t is words [t * SLOTS, (t + 1) * SLOTS) of the stream keyed
+(*key, a) (``trial_words``), read WORD_TRIALS draws at a time, and only the
+ineligible rows are redrawn from the next attempt's words.  A block's
+trials are built as ``TrialRows`` one part at a time, the draws of one
+before length together (``TrialBlock.parts``).
 
 Draws reason in integer grid ticks (multiples of ``TICK`` = 2**-20) from
 the range ``trial_ticks`` gives, and turn them into float64 once, where
@@ -32,11 +33,11 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import partial, reduce
 from itertools import pairwise
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -51,7 +52,6 @@ __all__ = [
     "CriterionTrial",
     "TrialBlock",
     "TrialRows",
-    "joined",
     "trial_ticks",
     "robin_hood",
     "scale",
@@ -95,6 +95,9 @@ P1_ALPHA_MULTIPLIERS = (1e-3, 1.0, 1e3)
 #: Bill Gates betas probed, as multiples of the l1 mass, when the policy
 #: beta fails at some alpha.
 P1_BETA_SWEEP = (0.1, 1.0, 10.0, 100.0)
+#: Draws whose raw words are read at once (SLOTS words each), so that a
+#: block's words are never held whole.
+WORD_TRIALS = 128
 #: Before entries of the draws whose trials are built at once
 #: (``TrialBlock.parts``).
 PART_ENTRIES = 2048
@@ -201,6 +204,12 @@ class TrialBlock:
         params = {name: p[at] for name, p in self.params.items()}
         return TrialBlock(self.v[at, :width], self.n[at], params, self.eligible[at])
 
+    def put(self, at, other: TrialBlock) -> None:
+        """Write the draws of ``other`` over the draws ``at``."""
+        self.v[at], self.n[at], self.eligible[at] = other.v, other.n, other.eligible
+        for name, p in other.params.items():
+            self.params[name][at] = p
+
     def parts(self, criterion: Criterion) -> Iterator[tuple[np.ndarray, TrialRows]]:
         """The draws in order of before length, all draws of a length in one
         part, each part at most PART_ENTRIES entries padded to its longest
@@ -286,6 +295,8 @@ def _transform(criterion: Criterion, c: CoefficientVector, **params) -> Criterio
     for name, value in params.items():
         if name in _INTEGER_PARAMS and not isinstance(value, (int, np.integer)):
             raise InvalidTransform(f"{d.name} requires an integer {name}, got {got}")
+        if name in ("i", "j") and not 0 <= value < len(c):
+            raise InvalidTransform(f"{d.name} requires 0 <= {name} < N = {len(c)}, got {got}")
     arrays = {
         name: np.array([value], dtype=np.int64 if name in _INTEGER_PARAMS else np.float64)
         for name, value in params.items()
@@ -329,6 +340,8 @@ def babies(c: CoefficientVector, k: int = 1) -> CriterionTrial:
 
 def reapply(trial: CriterionTrial) -> CoefficientVector:
     """Rebuild the after vector from the before vector and recorded params."""
+    if "catalog" in trial.params:
+        raise InvalidTransform(f"catalog pair {trial.params['catalog']} records no parameters")
     if trial.criterion is Criterion.P1:
         # before already carries +beta; re-adding alpha reproduces after
         av = trial.before.values.copy()
@@ -562,14 +575,15 @@ def generation_failure(criterion: Criterion) -> GenerationFailure:
     return GenerationFailure(message)
 
 
-def draw_trial(
-    criterion: Criterion, ticks: range, words_of: Callable[[int], np.ndarray]
-) -> TrialBlock:
-    """Draw a block of draws from ``ticks``, one draw per row of
-    ``words_of(0)``, a (rows, SLOTS) array of raw words; a draw ineligible at
-    attempt a is redrawn from its row of ``words_of(a + 1)``, and only those
-    rows are.  A draw ineligible in all MAX_RETRIES attempts stays
-    ineligible, and its trials are not ``ok``.
+def draw_trial(criterion: Criterion, ticks: range, key: tuple, start: int, rows: int) -> TrialBlock:
+    """Draws ``start`` to ``start + rows - 1`` from ``ticks`` as one block,
+    its ticks stored as int32 (every tick is below 2**31).  Attempt a of
+    draw t is ``trial_words((*key, a), t, 1)``, so a draw does not depend on
+    the block it is drawn in.  The words are read WORD_TRIALS draws at a
+    time, and each chunk's draws are written into the block before the next
+    chunk is read; a draw ineligible at attempt a is redrawn from attempt
+    a + 1's words, and only those rows are.  A draw ineligible in all
+    MAX_RETRIES attempts stays ineligible, and its trials are not ``ok``.
 
     The criterion holds on a draw when every trial of some group holds.
     Every criterion but P1 draws one group of one trial.  P1 ("for some
@@ -577,53 +591,31 @@ def draw_trial(
     first and then ``P1_BETA_SWEEP`` (its ``TrialRows``' ``later``), each
     with the ``P1_ALPHA_MULTIPLIERS`` alphas.
     """
-    draw = CRITERIA[criterion].draw
-    block = draw(ticks, words_of(0))
-    for attempt in range(1, MAX_RETRIES):
-        todo = np.flatnonzero(~block.eligible)
-        if todo.size == 0:
-            break
-        redrawn = draw(ticks, words_of(attempt)[todo])
-        for name, p in redrawn.params.items():
-            block.params[name][todo] = p
-        block.v[todo], block.n[todo], block.eligible[todo] = redrawn.v, redrawn.n, redrawn.eligible
+    if rows < 1:
+        raise InvalidParams(f"a block needs at least one draw, got rows={rows}")
+    draw, block = CRITERIA[criterion].draw, None
+    for t in range(start, start + rows, WORD_TRIALS):
+        size = min(WORD_TRIALS, start + rows - t)
+        chunk = draw(ticks, trial_words((*key, 0), t, size))
+        for attempt in range(1, MAX_RETRIES):
+            todo = np.flatnonzero(~chunk.eligible)
+            if todo.size == 0:
+                break
+            chunk.put(todo, draw(ticks, trial_words((*key, attempt), t, size)[todo]))
+        if block is None:  # rows draws of the chunk's kind, for ``put`` to fill
+            block = replace(chunk.take(np.zeros(rows, int), 0), v=np.empty((rows, N_MAX), np.int32))
+        block.put(slice(t - start, t - start + size), chunk)
     return block
-
-
-def joined(blocks: Iterable[TrialBlock], size: int) -> TrialBlock:
-    """The ``size`` draws of ``blocks`` in turn as one block, its ticks
-    stored as int32 (every tick is below 2**31), filled a block at a time so
-    that no more than one of ``blocks`` is held; a first block of all
-    ``size`` draws is returned as it is."""
-    out, start = None, 0
-    for block in blocks:
-        if out is None:
-            if len(block) == size:
-                return block
-            out = TrialBlock(
-                np.empty((size, N_MAX), np.int32),
-                np.empty(size, np.int64),
-                {k: np.empty((size, *p.shape[1:]), p.dtype) for k, p in block.params.items()},
-                np.empty(size, bool),
-            )
-        stop = start + len(block)
-        out.v[start:stop], out.n[start:stop] = block.v, block.n
-        out.eligible[start:stop] = block.eligible
-        for name, p in block.params.items():
-            out.params[name][start:stop] = p
-        start = stop
-    return out
 
 
 def sample_trial(
     criterion: Criterion, ticks: range = VALUE_TICKS, seed: int = 0
 ) -> CriterionTrial:
-    """One seeded trial of :func:`draw_trial`'s first group, each attempt from
-    the next SLOTS words of ``stream(seed)`` (for P1, a random alpha)."""
-    rng = stream(seed)
-    block = draw_trial(criterion, ticks, lambda _: rng.bit_generator.random_raw((1, SLOTS)))
-    trials = _trials(criterion, block)
+    """The first group of draw 0 of ``draw_trial`` on the key ``(seed,)``; for
+    P1, its alpha picked by the first word of draw 1, which the draw does
+    not read."""
+    trials = _trials(criterion, draw_trial(criterion, ticks, (seed,), 0, 1))
     if not trials.ok[0]:
         raise generation_failure(criterion)
-    k = trials.rows.shape[1] - 1
-    return trials.trial(criterion, 0, int(rng.choice(k)) if k > 1 else 0)
+    k = int(_below(trial_words((seed, 0), 1, 1)[:, 0], trials.rows.shape[1] - 1)[0])
+    return trials.trial(criterion, 0, k)

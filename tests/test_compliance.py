@@ -153,11 +153,11 @@ class TestCheckCell:
         # a D4 draw is never redrawn, so every word block is read from
         # attempt 0's stream (0, 14, 3, 0)
         calls = []
-        real = compliance.trial_words
-        monkeypatch.setattr(compliance, "trial_words", lambda *a: calls.append(a) or real(*a))
+        real = transforms.trial_words
+        monkeypatch.setattr(transforms, "trial_words", lambda *a: calls.append(a) or real(*a))
         v = check_cell(MeasureSpec(Measure.GINI), Criterion.D4, trials=1000, seed=0)
         assert not v.violated and v.trials == 1000
-        W = compliance.WORD_TRIALS
+        W = transforms.WORD_TRIALS
         assert compliance.BLOCK_TRIALS % W == 0  # so no block ends a word block early
         assert len(calls) == 8 == -(-1000 // W)
         assert calls == [((0, 14, 3, 0), t, min(W, 1000 - t)) for t in range(0, 1000, W)]
@@ -165,7 +165,7 @@ class TestCheckCell:
     @pytest.mark.parametrize("criterion", CRITERION_ORDER)
     def test_a_range_of_only_zero_is_invalid(self, monkeypatch, criterion):
         # neg-tanh's cap 4 / a rounds to no tick above 0: rejected before any draw
-        monkeypatch.setattr(compliance, "trial_words", lambda *args: pytest.fail("drew"))
+        monkeypatch.setattr(transforms, "trial_words", lambda *args: pytest.fail("drew"))
         spec = MeasureSpec(Measure.NEG_TANH, a=1e9)
         assert trial_ticks(spec) == range(1)
         error = r"^neg-tanh \(a=1e\+09\) draws every trial entry as 0$"
@@ -311,15 +311,20 @@ class TestGroupRule:
     GINI = MeasureSpec(M.GINI)
 
     def test_group_outcome(self):
-        state, k, vb, va, errors = _outcomes(self.GINI, C.D2, _pack([
+        groups = [
             _group([1, 2], [2, 4], [2, 4]),
             _group([1, 2], [2, 4], [1, 3], [1, 3]),
             _group([1, 2], [1, 3], [0, 0]),
-        ]))
+        ]
+        state, k, errors = _outcomes(self.GINI, C.D2, _pack(groups))
         # a degenerate value anywhere in the group skips it, even after a failure
         assert state.tolist() == [HOLD, FAIL, SKIP] and errors == {2: errors[2]}
         assert isinstance(errors[2], DegenerateInput)
-        assert k[1] == 1 and (vb[1], va[1, 1]) == (1 / 6, 0.25)
+        assert k[1] == 1
+        # the failing draw's witness is its trial k, with evaluate's values
+        v = _decide(self.GINI, C.D2, [_pack(groups[1:2])])
+        assert v.witness == _trial(groups[1], C.D2, 1)
+        assert (v.value_before, v.value_after) == (1 / 6, 0.25)
 
     def test_saturated_start_skips_only_increase_criteria(self):
         hoyer = MeasureSpec(M.HOYER)  # one-hot: hoyer is at its maximum, 1
@@ -508,6 +513,34 @@ class TestConventionFindings:
         assert headroom > compliance.SATURATION_MARGIN
 
 
+class TestSearchAlone:
+    """Search alone, without the catalog, finds a violation in every
+    expected-false, non-disputed cell at 1000 trials, but for hs/D2, which
+    no scaling pair violates (an erratum), and hs-prime/D3 at seed 201.
+    hs-prime/D3 is search's thinnest cell: its first witness comes at trial
+    343, 694 and 1234 at seeds 0, 7 and 201, and every other cell's by
+    trial 98."""
+
+    CELLS = [(m, c) for m in MEASURE_ORDER for c in CRITERION_ORDER
+             if c not in EXPECTED_TRUE[m] and (m, c) not in DISPUTED_CELLS]
+
+    @pytest.mark.parametrize(
+        "seed, missed",
+        [(0, [(M.HS, C.D2)]), (7, [(M.HS, C.D2)]), (201, [(M.HS_PRIME, C.D3), (M.HS, C.D2)])],
+    )
+    def test_every_expected_false_cell_falls_to_search(self, seed, missed):
+        assert len(self.CELLS) == 57
+        found = {cell: check_cell(MeasureSpec(cell[0]), cell[1], 1000, seed) for cell in self.CELLS}
+        assert sorted(cell for cell, v in found.items() if not v.violated) == sorted(missed)
+        late = {cell for cell, v in found.items() if v.violated and v.trials > 98}
+        assert late == ({(M.HS_PRIME, C.D3)} if seed != 201 else set())
+
+    @pytest.mark.parametrize("seed, trial", [(0, 343), (7, 694), (201, 1234)])
+    def test_hs_prime_d3_is_the_thinnest_cell(self, seed, trial):
+        v = check_cell(MeasureSpec(M.HS_PRIME), C.D3, trials=2000, seed=seed)
+        assert (v.violated, v.trials) == (True, trial)
+
+
 # check_cell(trials=1000, seed=0) witnesses found by search: (measure,
 # criterion, trial); the table's five search witnesses come first, then six
 # cells the table resolves from its catalog
@@ -545,7 +578,7 @@ def _sequential_skips(spec, criterion, trials, seed=0):
     key = (seed, MEASURE_ORDER.index(spec.id), CRITERION_ORDER.index(criterion))
     flags = []
     for t in range(trials):
-        block = draw_trial(criterion, ticks, lambda a: trial_words((*key, a), t, 1))
+        block = draw_trial(criterion, ticks, key, t, 1)
         ((_, rows),) = block.parts(criterion)
         trials_ = [rows.trial(criterion, 0, k) for k in range(rows.rows.shape[1] - 1)]
         try:
@@ -620,7 +653,7 @@ class TestBlockBoundaries:
         for (m, c), found in expected.items():
             assert _found(check_cell(MeasureSpec(m), c, trials=900, seed=0)) == found, (m, c)
 
-    # a block's words are read WORD_TRIALS draws at a time, and its trials
+    # draw_trial reads a block's words WORD_TRIALS draws at a time, and its trials
     # built in parts of about PART_ENTRIES entries: one draw at a time, one
     # length at a time, and the whole block in one part
     @pytest.mark.parametrize("words, entries", [(1, 1), (7, 64), (64, 10**6), (1000, 2048)])
@@ -629,7 +662,7 @@ class TestBlockBoundaries:
             (m, c): _found(check_cell(MeasureSpec(m), c, trials=900, seed=0))
             for m, c, _ in SEARCH_WITNESSES
         }
-        monkeypatch.setattr(compliance, "WORD_TRIALS", words)
+        monkeypatch.setattr(transforms, "WORD_TRIALS", words)
         monkeypatch.setattr(transforms, "PART_ENTRIES", entries)
         for (m, c), found in expected.items():
             assert _found(check_cell(MeasureSpec(m), c, trials=900, seed=0)) == found, (m, c)
@@ -722,8 +755,8 @@ class TestBlockBoundaries:
     def test_no_eligible_draw_fails_at_its_trial_after_max_retries(self, monkeypatch):
         # every entry of ticks 5..5 is 5, so no D1 draw has a receiver
         calls = []
-        real = compliance.trial_words
-        monkeypatch.setattr(compliance, "trial_words", lambda *a: calls.append(a) or real(*a))
+        real = transforms.trial_words
+        monkeypatch.setattr(transforms, "trial_words", lambda *a: calls.append(a) or real(*a))
         (block,) = _seeded(C.D1, range(5, 6), (0, 0, 0), 10)
         assert len(block) == 10 and not block.eligible.any()
         assert calls == [((0, 0, 0, a), 0, 10) for a in range(MAX_RETRIES)]

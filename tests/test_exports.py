@@ -1,0 +1,30 @@
+"""Every module's ``__all__`` names what the module holds, so a stale
+export fails here and not in a user's ``import *``."""
+
+import importlib
+import pkgutil
+
+import pytest
+
+import sparsemetrics
+
+MODULES = ["sparsemetrics"] + [
+    f"sparsemetrics.{m.name}" for m in pkgutil.iter_modules(sparsemetrics.__path__)
+]
+
+
+def test_the_modules_are_found():
+    assert {"sparsemetrics.compliance", "sparsemetrics.transforms"} <= set(MODULES)
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_all_resolves_and_star_imports(name):
+    module = importlib.import_module(name)
+    exports = getattr(module, "__all__", None)
+    if exports is not None:
+        assert [export for export in exports if not hasattr(module, export)] == []
+        assert len(set(exports)) == len(exports)
+    namespace = {}
+    exec(f"from {name} import *", namespace)  # raises on a stale name
+    if exports is not None:
+        assert set(namespace) - {"__builtins__"} == set(exports)

@@ -24,6 +24,8 @@ from sparsemetrics import (
     scale,
     trial_ticks,
 )
+from sparsemetrics import transforms
+from sparsemetrics.compliance import CATALOG_PAIRS
 from sparsemetrics.transforms import (
     CRITERIA,
     N_MAX,
@@ -35,13 +37,13 @@ from sparsemetrics.transforms import (
     SLOTS,
     TICK,
     VALUE_TICKS,
+    WORD_TRIALS,
     ZERO_PROB,
     _below,
     _min_gap,
     _trials,
     draw_trial,
     draw_vector,
-    joined,
     stream,
     streams,
     trial_words,
@@ -69,6 +71,16 @@ class TestRobinHood:
     def test_wrong_order_rejected(self):
         with pytest.raises(InvalidTransform):
             robin_hood(vec(1, 5), i=0, j=1, alpha=0.5)
+
+    @pytest.mark.parametrize(
+        "i, j, bad", [(3, 0, "i"), (2, 3, "j"), (-1, 0, "i"), (2, -3, "j")],
+        ids=["i-past-the-end", "j-past-the-end", "negative-i", "negative-j"],
+    )
+    def test_index_outside_the_vector_rejected(self, i, j, bad):
+        # an index must name an entry: neither an IndexError nor a wrapped index
+        message = rf"^robin hood requires 0 <= {bad} < N = 3, got i={i}, j={j}, alpha=0.1$"
+        with pytest.raises(InvalidTransform, match=message):
+            robin_hood(vec(1, 2, 5), i=i, j=j, alpha=0.1)
 
 
 class TestScale:
@@ -139,6 +151,16 @@ class TestBillGates:
         with pytest.raises(InvalidTransform):
             bill_gates(vec(1, 1), 0, beta=1.0, alpha=0.0)
 
+    @pytest.mark.parametrize("i", [3, -1, -3])
+    def test_index_outside_the_vector_rejected(self, i):
+        message = rf"^bill gates requires 0 <= i < N = 3, got i={i}, beta=1, alpha=1$"
+        with pytest.raises(InvalidTransform, match=message):
+            bill_gates(vec(1, 2, 5), i, 1, 1)
+
+    def test_last_index_accepted(self):
+        assert bill_gates(vec(1, 2, 5), 2, 1, 1).after.values.tolist() == [1, 2, 7]
+        assert robin_hood(vec(1, 2, 5), 2, 0, 1.0).after.values.tolist() == [2, 2, 4]
+
 
 class TestBabies:
     def test_appends_zeros(self):
@@ -160,6 +182,14 @@ class TestBabies:
 
 
 class TestRoundTripAndConservation:
+    @pytest.mark.parametrize("criterion, pair", [(Criterion.D1, "CE1"), (Criterion.P1, "CE5")])
+    def test_reapply_on_a_catalog_pair_names_it(self, criterion, pair):
+        # a catalog witness records its pair's name, not the transform's parameters
+        trial = CATALOG_PAIRS[pair].as_trial(criterion)
+        message = f"^catalog pair {pair} records no parameters$"
+        with pytest.raises(InvalidTransform, match=message):
+            reapply(trial)
+
     def test_reapply_reproduces_after_bit_exactly(self):
         for crit in Criterion:
             for seed in range(200):
@@ -272,10 +302,8 @@ class TestTrialTicks:
 
 
 def _drawn(criterion, seed):
-    """``sample_trial``'s trials: one draw, each attempt from the next words of ``stream(seed)``."""
-    rng = stream(seed)
-    block = draw_trial(criterion, VALUE_TICKS, lambda _: rng.bit_generator.random_raw((1, SLOTS)))
-    return _trials(criterion, block)
+    """``sample_trial``'s trials: draw 0 of ``draw_trial`` on the key ``(seed,)``."""
+    return _trials(criterion, draw_trial(criterion, VALUE_TICKS, (seed,), 0, 1))
 
 
 def _befores(block):
@@ -291,6 +319,17 @@ class TestProbes:
             assert len(block) == 1 and block.later is None and block.rows.shape[1] == 2
             g = block.trial(criterion)
             assert (g.before, g.after, g.params) == (t.before, t.after, t.params)
+
+    def test_sample_trial_picks_p1_alpha_from_a_word_the_draw_does_not_read(self):
+        # the first word of draw 1, which no attempt at draw 0 reads
+        picked = []
+        for seed in range(30):
+            word = trial_words((seed, 0), 1, 1)[:, 0]
+            k = int(_below(word, len(P1_ALPHA_MULTIPLIERS))[0])
+            want = _drawn(Criterion.P1, seed).trial(Criterion.P1, 0, k)
+            assert sample_trial(Criterion.P1, seed=seed) == want, seed
+            picked.append(k)
+        assert set(picked) == {0, 1, 2}
 
     def test_bill_gates_groups_share_before_and_sweep_beta(self):
         for seed in range(20):
@@ -424,8 +463,7 @@ def _draw_keys(block):
 def _block_draws(criterion, ticks, key, start, rows):
     """The trials ``draw_trial`` draws on draws start..start + rows - 1 of the
     streams of key + (attempt,), built all at once."""
-    block = draw_trial(criterion, ticks, lambda a: trial_words((*key, a), start, rows))
-    return _trials(criterion, block)
+    return _trials(criterion, draw_trial(criterion, ticks, key, start, rows))
 
 
 class TestCounterLayout:
@@ -459,16 +497,16 @@ class TestCounterLayout:
                 assert _draw_keys(draws) == alone[start:start + len(draws)], block
 
     @pytest.mark.parametrize("criterion", list(Criterion))
-    def test_parts_build_what_the_whole_block_builds(self, criterion):
-        # a block of 1000 draws joined from word blocks of 128 draws is the
-        # block of one word block; built a part at a time, each draw is in
-        # one part, each length's draws in the same part, shortest first,
-        # and each draw's trials are those of the block built whole
+    def test_parts_build_what_the_whole_block_builds(self, monkeypatch, criterion):
+        # a block of 1000 draws read in word chunks of WORD_TRIALS (128)
+        # draws is the block read in one chunk; built a part at a time, each
+        # draw is in one part, each length's draws in the same part,
+        # shortest first, and each draw's trials are those of the block
+        # built whole
+        block = draw_trial(criterion, VALUE_TICKS, self.KEY, 0, 1000)
+        assert WORD_TRIALS == 128 and block.v.dtype == np.int32 and len(block) == 1000
+        monkeypatch.setattr(transforms, "WORD_TRIALS", 1000)
         whole = _block_draws(criterion, VALUE_TICKS, self.KEY, 0, 1000)
-        chunks = (draw_trial(criterion, VALUE_TICKS, lambda a, t=t: trial_words(
-            (*self.KEY, a), t, min(128, 1000 - t))) for t in range(0, 1000, 128))
-        block = joined(chunks, 1000)
-        assert block.v.dtype == np.int32 and len(block) == 1000
         assert _draw_keys(_trials(criterion, block)) == _draw_keys(whole)
         keys, seen, lengths = _draw_keys(whole), [], []
         for at, part in block.parts(criterion):
@@ -480,18 +518,25 @@ class TestCounterLayout:
         assert sorted(seen) == list(range(1000)) and len(lengths) > 1
         assert all(a[-1] < b[0] for a, b in zip(lengths, lengths[1:]))
 
+    @pytest.mark.parametrize("rows", [0, -1])
+    def test_a_block_of_no_draws_is_invalid(self, rows):
+        with pytest.raises(InvalidParams, match=f"^a block needs at least one draw, got rows={rows}$"):
+            draw_trial(Criterion.D1, VALUE_TICKS, self.KEY, 0, rows)
+
     def test_draw_trial_and_draw_vector_are_one_row_of_the_generators_words(self):
+        # draw 0's first attempt on the key (seed,) is the first SLOTS words of stream(seed)
         for seed in range(5):
             words = stream(seed).bit_generator.random_raw((1, SLOTS))
             for criterion in Criterion:
                 assert CRITERIA[criterion].draw(VALUE_TICKS, words).eligible[0]  # at attempt 0
-                got = _trials(criterion, draw_trial(criterion, VALUE_TICKS, lambda _: words))
-                assert _draw_keys(got) == _draw_keys(_drawn(criterion, seed)), (criterion, seed)
+                want = _trials(criterion, CRITERIA[criterion].draw(VALUE_TICKS, words))
+                got = _drawn(criterion, seed)
+                assert _draw_keys(got) == _draw_keys(want), (criterion, seed)
                 t = sample_trial(criterion, seed=seed)
                 trials = [got.trial(criterion, 0, k) for k in range(got.rows.shape[1] - 1)]
                 assert t in trials, (criterion, seed)
             # D4 leaves its drawn vector as the before vector
-            block = draw_trial(Criterion.D4, VALUE_TICKS, lambda _: words)
+            block = draw_trial(Criterion.D4, VALUE_TICKS, (seed,), 0, 1)
             before = _befores(_trials(Criterion.D4, block))[0]
             v, n, _ = draw_vector(VALUE_TICKS, words)
             assert (v[0, : n[0]] * TICK).tobytes() == before.tobytes()
