@@ -81,7 +81,14 @@ class _Parser(argparse.ArgumentParser):
     """An argument parser whose usage errors are InputErrors, so they take
     the one exit path: a single ``error:`` line and exit code 2.  Subparsers
     are built from the same class, so each reports its own leftover
-    arguments and points at its own help."""
+    arguments and points at its own help.  A negative number in exponent
+    notation (``--p-neg -1e-1``) is read as a value, as ``-0.1`` is, not as
+    an option: argparse's own pattern for negative numbers has no exponent
+    in Python 3.11."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
 
     def error(self, message: str):
         raise InputError(f"{message} (see '{self.prog} --help' for usage)")

@@ -17,7 +17,8 @@ a of draw t is words [t * SLOTS, (t + 1) * SLOTS) of the stream keyed
 (*key, a) (``trial_words``), read WORD_TRIALS draws at a time, and only the
 ineligible rows are redrawn from the next attempt's words.  A block's
 trials are built as ``TrialRows`` one part at a time, the draws of one
-before length together (``TrialBlock.parts``).
+before length together (``TrialBlock.parts``), and a part is sized by the
+float64 entries its rows hold, which each criterion's ``lengths`` states.
 
 Draws reason in integer grid ticks (multiples of ``TICK`` = 2**-20) from
 the range ``trial_ticks`` gives, and turn them into float64 once, where
@@ -36,7 +37,6 @@ import operator
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import partial, reduce
-from itertools import pairwise
 from typing import Callable, Iterator
 
 import numpy as np
@@ -98,9 +98,11 @@ P1_BETA_SWEEP = (0.1, 1.0, 10.0, 100.0)
 #: Draws whose raw words are read at once (SLOTS words each), so that a
 #: block's words are never held whole.
 WORD_TRIALS = 128
-#: Before entries of the draws whose trials are built at once
-#: (``TrialBlock.parts``).
-PART_ENTRIES = 2048
+#: Float64 entries of the trial rows built at once (``TrialBlock.parts``):
+#: a part's draws times its rows per draw times its longest row.  A D4 row
+#: is padded to m * n, up to 4n, so this is what a D4 part of 2048 before
+#: entries builds, and other criteria's parts hold more draws.
+PART_ENTRIES = 16384
 #: Parameters that must be integers: indices and counts.
 _INTEGER_PARAMS = frozenset("ijmk")
 
@@ -212,16 +214,19 @@ class TrialBlock:
 
     def parts(self, criterion: Criterion) -> Iterator[tuple[np.ndarray, TrialRows]]:
         """The draws in order of before length, all draws of a length in one
-        part, each part at most PART_ENTRIES entries padded to its longest
-        before vector (or one length's draws): each part's indices and its
-        first group of trials, built only when the part is taken."""
+        part, each part's trial rows at most PART_ENTRIES float64 entries
+        (or one length's draws): each part's indices and its first group of
+        trials, built only when the part is taken."""
         order = np.argsort(self.n, kind="stable")
-        n = self.n[order]
-        cuts, start = [], 0
-        for stop, end in pairwise([0, *(np.flatnonzero(np.diff(n)) + 1).tolist(), len(n)]):
-            if (end - start) * n[end - 1] > PART_ENTRIES and stop > start:
+        lengths = CRITERIA[criterion].lengths(self.n, **self.params)[order]
+        starts = [0, *(np.flatnonzero(np.diff(self.n[order])) + 1).tolist()]
+        tops = np.maximum.reduceat(lengths.max(1), starts).tolist()  # each length's widest row
+        cuts, start, width = [], 0, 0
+        for stop, end, top in zip(starts, [*starts[1:], len(order)], tops):
+            width = max(width, top)
+            if (end - start) * lengths.shape[1] * width > PART_ENTRIES and stop > start:
                 cuts.append(stop)
-                start = stop
+                start, width = stop, top
         for at in np.split(order, cuts):
             yield at, _trials(criterion, self.take(at, int(self.n[at[-1]])))
 
@@ -234,57 +239,53 @@ def _at(v: np.ndarray, i: np.ndarray) -> np.ndarray:
     return v[np.arange(len(v)), i]
 
 
-def _pair(v: np.ndarray, n: np.ndarray, after: np.ndarray, m: np.ndarray) -> tuple:
-    """The rows and lengths of a before block ``v`` and an after block, 0
-    past its width up to its lengths ``m``."""
-    rows = np.zeros((len(v), 2, max(v.shape[1], after.shape[1], int(m.max()))))
+def _pair(v: np.ndarray, after: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The rows of a before block ``v`` and an after block, 0 past their
+    widths up to the longest of ``lengths``."""
+    rows = np.zeros((len(v), 2, max(v.shape[1], int(lengths.max()))))
     rows[:, 0, : v.shape[1]], rows[:, 1, : after.shape[1]] = v, after
-    return rows, np.column_stack([n, m])
+    return rows
 
 
-def _robin_hood(v, n, i, j, alpha):
+def _robin_hood(v, lengths, i, j, alpha):
     after, ci, cj = v.copy(), _at(v, i), _at(v, j)
     after[np.arange(len(v)), i] -= alpha
     after[np.arange(len(v)), j] += alpha
     checks = {"c[i] > c[j]": ci > cj}
     checks["0 < alpha < (c[i]-c[j])/2"] = (0 < alpha) & (alpha < (ci - cj) / 2)
-    return checks, *_pair(v, n, after, n)
+    return checks, _pair(v, after, lengths)
 
 
-def _scale(v, n, alpha):
+def _scale(v, lengths, alpha):
     checks = {"alpha > 0": alpha > 0, "alpha != 1, the trivial case": alpha != 1.0}
-    return checks, *_pair(v, n, alpha[:, None] * v, n)
+    return checks, _pair(v, alpha[:, None] * v, lengths)
 
 
-def _rising_tide(v, n, alpha):
-    entry = np.arange(v.shape[1]) < n[:, None]
+def _rising_tide(v, lengths, alpha):
+    entry = np.arange(v.shape[1]) < lengths[:, :1]
     constant = np.where(entry, v, -np.inf).max(1) == np.where(entry, v, np.inf).min(1)
     checks = {"alpha > 0": alpha > 0, "a non-constant vector": ~constant}
-    return checks, *_pair(v, n, v + alpha[:, None], n)
+    return checks, _pair(v, v + alpha[:, None], lengths)
 
 
-def _clone(v, n, m):
-    copies = max(int(m.max()), 1)
-    rows = np.zeros((len(v), 2, (copies - 1) * int(n.max()) + v.shape[1]))
-    rows[:, 0, : v.shape[1]] = v
-    for c in range(copies):  # copy c starts at c * n, over the 0s past copy c - 1
-        np.put_along_axis(rows[:, 1], c * n[:, None] + np.arange(v.shape[1]), v, 1)
-    return {"m >= 2": m >= 2}, rows, np.column_stack([n, m * n])
+def _clone(v, lengths, m):
+    # after entry p is v[p mod n]; the entries past its length m * n are never read
+    at = np.arange(max(v.shape[1], int(lengths.max())))
+    return {"m >= 2": m >= 2}, _pair(v, np.take_along_axis(v, at % lengths[:, :1], 1), lengths)
 
 
-def _bill_gates(v, n, i, beta, alpha):
+def _bill_gates(v, lengths, i, beta, alpha):
     """Coefficient ``i`` grown by beta, against grown by beta + each alpha."""
     alpha = np.reshape(alpha, (len(v), -1))
     rows = np.repeat(v[:, None], 1 + alpha.shape[1], 1)
     rows[np.arange(len(v)), :, i] += beta[:, None]
     rows[np.arange(len(v)), 1:, i] += alpha
-    checks = {"beta > 0": beta > 0, "alpha > 0": (alpha > 0).all(1)}
-    return checks, rows, np.repeat(n[:, None], 1 + alpha.shape[1], 1)
+    return {"beta > 0": beta > 0, "alpha > 0": (alpha > 0).all(1)}, rows
 
 
-def _babies(v, n, k):
+def _babies(v, lengths, k):
     # v is 0 past its length, and so is its after row past its width
-    return {"k >= 1": k >= 1, "nonzero total mass": v.any(1)}, *_pair(v, n, v, n + k)
+    return {"k >= 1": k >= 1, "nonzero total mass": v.any(1)}, _pair(v, v, lengths)
 
 
 def _transform(criterion: Criterion, c: CoefficientVector, **params) -> CriterionTrial:
@@ -301,7 +302,7 @@ def _transform(criterion: Criterion, c: CoefficientVector, **params) -> Criterio
         name: np.array([value], dtype=np.int64 if name in _INTEGER_PARAMS else np.float64)
         for name, value in params.items()
     }
-    checks, rows, lengths = d.apply(c.values[None], np.array([len(c)]), **arrays)
+    checks, rows, lengths = d.build(c.values[None], np.array([len(c)]), **arrays)
     for condition, holds in checks.items():
         if not holds[0]:
             raise InvalidTransform(f"{d.name} requires {condition}, got {got}")
@@ -523,10 +524,14 @@ def _draw_babies(ticks: range, words: np.ndarray) -> TrialBlock:
 class CriterionDef:
     """Everything specific to one criterion.
 
-    ``apply(v, n, **params)`` is the transformation on a (B, W) float64 block
-    of vectors, 0 past their lengths ``n``, with one array per parameter: it
-    returns the preconditions as {condition: mask}, the before rows, the
-    (B, K, W') after rows and their lengths.  ``draw(ticks, words)`` draws
+    ``lengths(n, **params)`` is the one statement of how long a draw's
+    trial rows are: a (B, 1 + K) array, its before length ``n`` and its K
+    after lengths, which are m * n for D4, n + k for P2 and n for the others.
+    ``apply(v, lengths, **params)`` is the transformation on a (B, W)
+    float64 block of vectors, 0 past their lengths ``lengths[:, 0]``, with
+    one array per parameter: it returns the preconditions as
+    {condition: mask} and the (B, 1 + K, W') before and after rows, W' the
+    wider of W and the longest of ``lengths``.  ``draw(ticks, words)`` draws
     a ``TrialBlock`` from a (rows, SLOTS) array of raw words.  ``grouped``
     names the parameter with one column per group of trials (P1's beta).
     """
@@ -536,6 +541,12 @@ class CriterionDef:
     apply: Callable[..., tuple]
     draw: Callable[[range, np.ndarray], TrialBlock]
     grouped: str | None = None
+    lengths: Callable[..., np.ndarray] = lambda n, **_: np.column_stack([n, n])
+
+    def build(self, v: np.ndarray, n: np.ndarray, **params) -> tuple:
+        """The preconditions, rows and lengths of ``apply`` on the block ``v``."""
+        lengths = self.lengths(n, **params)
+        return *self.apply(v, lengths, **params), lengths
 
 
 _LESS, _EQUAL, _GREATER = Relation
@@ -543,9 +554,16 @@ CRITERIA: dict[Criterion, CriterionDef] = {
     Criterion.D1: CriterionDef("robin hood", _LESS, _robin_hood, _draw_robin_hood),
     Criterion.D2: CriterionDef("scaling", _EQUAL, _scale, _draw_scale),
     Criterion.D3: CriterionDef("rising tide", _LESS, _rising_tide, _draw_rising_tide),
-    Criterion.D4: CriterionDef("cloning", _EQUAL, _clone, _draw_clone),
-    Criterion.P1: CriterionDef("bill gates", _GREATER, _bill_gates, _draw_bill_gates, "beta"),
-    Criterion.P2: CriterionDef("babies", _GREATER, _babies, _draw_babies),
+    Criterion.D4: CriterionDef(
+        "cloning", _EQUAL, _clone, _draw_clone, lengths=lambda n, m: np.column_stack([n, m * n])
+    ),
+    Criterion.P1: CriterionDef(
+        "bill gates", _GREATER, _bill_gates, _draw_bill_gates, "beta",
+        lambda n, alpha, **_: np.repeat(n[:, None], 1 + np.size(alpha) // len(n), 1),
+    ),
+    Criterion.P2: CriterionDef(
+        "babies", _GREATER, _babies, _draw_babies, lengths=lambda n, k: np.column_stack([n, n + k])
+    ),
 }
 
 
@@ -563,7 +581,7 @@ def _trials(
         params = {**block.params, d.grouped: grouped.ravel()}
     elif d.grouped:
         params = {**params, d.grouped: params[d.grouped][:, 0]}
-    checks, rows, lengths = d.apply(block.v * TICK, block.n, **params)
+    checks, rows, lengths = d.build(block.v * TICK, block.n, **params)
     ok = reduce(operator.and_, checks.values(), block.eligible)
     later = partial(_trials, criterion, block) if d.grouped and picks is None else None
     return TrialRows(rows, lengths, params, ok, later)

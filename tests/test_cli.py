@@ -160,6 +160,17 @@ class TestMeasureCommand:
         run_cli("measure", "--measure", "l0-eps", "--input", vec_file, "--epsilon", "3")
         assert capsys.readouterr().out == "3.000000\n"
 
+    def test_negative_value_in_exponent_notation(self, vec_file, capsys):
+        # read as the option's value, not as an unknown option
+        argv = ("measure", "--measure", "neg-lp-neg", "--input", vec_file)
+        assert run_cli(*argv, "--p-neg=-1e-1") == 0
+        joined = capsys.readouterr()
+        assert run_cli(*argv, "--p-neg", "-1e-1") == 0
+        assert capsys.readouterr() == joined and joined.out == "-2.747298\n"
+        argv = ("measure", "--measure", "l0-eps", "--input", vec_file, "--epsilon", "-1e-3")
+        assert run_cli(*argv) == 2
+        assert capsys.readouterr().err == "error: l0-eps requires epsilon > 0, got -0.001\n"
+
     def test_degenerate_input_exit_2(self, tmp_path, capsys):
         p = tmp_path / "z.txt"
         p.write_text("0,0,0\n")

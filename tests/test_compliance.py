@@ -655,8 +655,10 @@ class TestBlockBoundaries:
 
     # draw_trial reads a block's words WORD_TRIALS draws at a time, and its trials
     # built in parts of about PART_ENTRIES entries: one draw at a time, one
-    # length at a time, and the whole block in one part
-    @pytest.mark.parametrize("words, entries", [(1, 1), (7, 64), (64, 10**6), (1000, 2048)])
+    # length at a time, the whole block in one part, and the defaults
+    @pytest.mark.parametrize(
+        "words, entries", [(1, 1), (7, 64), (64, 10**6), (1000, 2048), (128, 16384)]
+    )
     def test_word_and_part_sizes_do_not_matter(self, monkeypatch, words, entries):
         expected = {
             (m, c): _found(check_cell(MeasureSpec(m), c, trials=900, seed=0))
@@ -793,8 +795,11 @@ class TestMemory:
     0.8 MB.  Blocks of 192 draws that held their padded trial rows whole
     peaked at 1.23 MB (D4), and at 1000 draws at 5.79 MB.  A block of
     BLOCK_TRIALS (1024) compact draws, its words read WORD_TRIALS at a time
-    and its trials built a part at a time, peaks at 0.76-0.89 MB for every
-    criterion, and no higher for more trials.
+    and its trials built a part of PART_ENTRIES trial-row entries at a time,
+    peaks at 1000 (and 5000) trials at 0.80 (0.83) MB for D1, 0.77 (0.80)
+    for D2 and D3, 0.76 (0.78) for D4 and P2 and 0.83 (0.86) for P1.  Parts
+    of 2048 before entries peaked the same for D4, P1 and P2 and up to 0.02
+    MB lower for D1-D3.
     """
 
     BUDGET = 1.5e6
@@ -825,25 +830,37 @@ class TestMemory:
 
 
 class TestKernelCalls:
-    """The search's time is mostly the fixed cost of ``evaluate_block``
-    calls, one per row length per part of a block; this counts them, where
-    wall time cannot be pinned.  ``full_table(1000)`` made 12,639 of them
-    in blocks of 192 draws, and makes 3,443 in blocks of 1024: one per
+    """The search's time is mostly the fixed cost of numpy calls per part
+    of a block and of ``evaluate_block`` calls, one per row length per
+    part; this counts both, where wall time cannot be pinned.
+    ``full_table(1000)`` made 12,639 kernel calls in blocks of 192 draws,
+    3,443 in blocks of 1024 cut into parts of 2048 before entries (833
+    parts, D4's padding to 4n setting every criterion's part size), and
+    makes 3,254 in 314 parts of PART_ENTRIES trial-row entries: one call per
     length for D1-D3 and P1, about 236 for D4 (lengths n, 2n, 3n and 4n)
     and 126 for P2 (n to n + 3)."""
 
-    CALLS = 3443
+    CALLS = 3254
+    PARTS = 314
 
     def test_full_table_kernel_calls(self, monkeypatch):
         real, calls = compliance.evaluate_block, [0]
+        real_parts, parts = transforms.TrialBlock.parts, [0]
 
         def evaluate_block(spec, rows):
             calls[0] += 1
             return real(spec, rows)
 
+        def counted_parts(block, criterion):
+            for part in real_parts(block, criterion):
+                parts[0] += 1
+                yield part
+
         monkeypatch.setattr(compliance, "evaluate_block", evaluate_block)
+        monkeypatch.setattr(transforms.TrialBlock, "parts", counted_parts)
         assert full_table(trials=1000, seed=0).mismatches == [(Measure.HS, Criterion.D2)]
         assert calls[0] <= self.CALLS
+        assert parts[0] <= self.PARTS
 
 
 @pytest.fixture(scope="module")

@@ -501,8 +501,9 @@ class TestCounterLayout:
         # a block of 1000 draws read in word chunks of WORD_TRIALS (128)
         # draws is the block read in one chunk; built a part at a time, each
         # draw is in one part, each length's draws in the same part,
-        # shortest first, and each draw's trials are those of the block
-        # built whole
+        # shortest first, each part's rows at most PART_ENTRIES entries
+        # unless it holds one length, and each draw's trials are those of
+        # the block built whole
         block = draw_trial(criterion, VALUE_TICKS, self.KEY, 0, 1000)
         assert WORD_TRIALS == 128 and block.v.dtype == np.int32 and len(block) == 1000
         monkeypatch.setattr(transforms, "WORD_TRIALS", 1000)
@@ -511,7 +512,7 @@ class TestCounterLayout:
         keys, seen, lengths = _draw_keys(whole), [], []
         for at, part in block.parts(criterion):
             n = block.n[at]
-            assert at.size * n.max() <= PART_ENTRIES or (n == n[0]).all()
+            assert part.rows.size <= PART_ENTRIES or (n == n[0]).all()
             assert _draw_keys(part) == [keys[r] for r in at.tolist()]
             seen += at.tolist()
             lengths.append(sorted(set(n.tolist())))
