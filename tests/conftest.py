@@ -24,3 +24,15 @@ def run_python():
         return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
 
     return run
+
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    """Fail any test that leaves a child process unreaped: once the test
+    has run, this process must have no child at all, running or exited."""
+    yield
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    pytest.fail(f"the test left a child process ({pid or 'still running'}) unreaped")

@@ -2,9 +2,13 @@
 
 import io
 import json
+import os
 import re
+import signal
 import sys
+import threading
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,6 +19,7 @@ from sparsemetrics import (
     Measure,
     MeasureSpec,
     evaluate,
+    lorenz_curve,
     relation_holds,
 )
 from sparsemetrics import cli
@@ -100,7 +105,10 @@ TOKENS = st.one_of(
          "\u0661.\u0665", "\uff11\uff12", "\U0001d7cfe3", "-\u0663e2", "+.5"]
     ),
 )
-SEPARATORS = st.sampled_from([",", " , ", "\t", "\r\n", "\v", " ", "\n\n", "\n \n"])
+# every whitespace kind str.split accepts can be where a part is cut
+SEPARATORS = st.sampled_from(
+    [",", " , ", "\t", "\r\n", "\v", " ", "\n\n", "\n \n", "\x1c", "\x85", "\u2028", "\u3000", "\f"]
+)
 BAD_TOKENS = st.sampled_from(["x", "1e", "1..2", "--1", "1_", "0x10", "\u00bd", "1e5x", "nan?"])
 
 
@@ -117,28 +125,117 @@ def scratch_file(tmp_path_factory):
     return tmp_path_factory.mktemp("parse") / "v.txt"
 
 
+def _force_parts(monkeypatch, cpus: int) -> None:
+    """Split every input of two or more numbers into ``cpus`` parts."""
+    monkeypatch.setattr(cli, "PART_MIN_NUMBERS", 1)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+
+
 class TestFastParse:
     """The one-pass real-mode parse gives exactly what the line loop gives,
-    and a malformed token keeps the loop's line and column message."""
+    and a malformed token keeps the loop's line and column message, with
+    the text parsed whole or cut into 2, 3 or 4 forked parts."""
 
     @settings(max_examples=300, deadline=None)
-    @given(vector_text())
-    def test_same_values_as_line_loop(self, text):
-        fast = cli._split_values(text).tolist()
+    @given(vector_text(), st.sampled_from([1, 2, 3, 4]))
+    def test_same_values_as_line_loop(self, text, cpus):
+        with pytest.MonkeyPatch.context() as mp:
+            _force_parts(mp, cpus)
+            fast = cli._split_values(text).tolist()
         loop = cli._line_values(text, complex_pairs=False)
         # float.hex tells -0.0 from 0.0 and shows every bit
         assert [v.hex() for v in fast] == [float(v).hex() for v in loop]
 
     @settings(max_examples=200, deadline=None)
-    @given(vector_text(), BAD_TOKENS, SEPARATORS, vector_text())
-    def test_malformed_token_named(self, scratch_file, head, bad, sep, tail):
+    @given(vector_text(), BAD_TOKENS, SEPARATORS, vector_text(), st.sampled_from([1, 2, 3, 4]))
+    def test_malformed_token_named(self, scratch_file, head, bad, sep, tail, cpus):
         # head ends with a separator (or is empty), so bad stands alone
         lines = (head + bad).splitlines()
         line, column = len(lines), len(lines[-1]) - len(bad) + 1
         scratch_file.write_bytes((head + bad + sep + tail).encode("utf-8"))
-        with pytest.raises(SparsemetricsError) as info:
+        with pytest.MonkeyPatch.context() as mp, pytest.raises(SparsemetricsError) as info:
+            _force_parts(mp, cpus)
             read_vector(str(scratch_file))
         assert str(info.value) == f"line {line}, column {column}: malformed number {bad!r}"
+
+
+def _no_fork():
+    raise AssertionError("os.fork called")
+
+
+class TestParts:
+    """``_map_parts`` forks only where a split pays and is safe, and its
+    result does not depend on whether a child finished its part."""
+
+    TEXT = " ".join(repr(k / 7) for k in range(1, 41)) + "\n"
+
+    def test_forks_once_for_two_cpus(self, monkeypatch):
+        # the control for the tests below: this input does fork when split
+        _force_parts(monkeypatch, 2)
+        forks = []
+        fork = os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+        assert cli._split_values(self.TEXT).tolist() == [k / 7 for k in range(1, 41)]
+        assert len(forks) == 1
+
+    @pytest.mark.parametrize("case", ["one-cpu", "live-thread", "below-threshold"])
+    def test_no_fork(self, monkeypatch, tmp_path, capsys, case):
+        if case != "below-threshold":
+            _force_parts(monkeypatch, 1 if case == "one-cpu" else 2)
+        monkeypatch.setattr(os, "fork", _no_fork)
+        done = threading.Event()
+        thread = threading.Thread(target=done.wait)
+        if case == "live-thread":
+            thread.start()
+        try:
+            assert cli._split_values(self.TEXT).tolist() == [k / 7 for k in range(1, 41)]
+            p = tmp_path / "v.txt"
+            p.write_text(self.TEXT)
+            assert run_cli("lorenz", "--input", str(p)) == 0
+        finally:
+            done.set()
+            if case == "live-thread":
+                thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert len(capsys.readouterr().out.splitlines()) == 42
+
+    @pytest.mark.parametrize("death", ["exit-1", "sigkill"])
+    def test_dead_child_recomputed(self, death):
+        parent = os.getpid()
+
+        def part(lo, hi):
+            if os.getpid() != parent:
+                if death == "exit-1":
+                    os._exit(1)
+                os.kill(os.getpid(), signal.SIGKILL)
+            return np.arange(lo, hi, dtype=np.float64)
+
+        cuts = [0, 3, 3, 7, 12]
+        load = lambda data: np.frombuffer(data, dtype=np.float64)  # noqa: E731
+        parts = cli._map_parts(part, cuts, lambda a: a, load)
+        assert np.concatenate(parts).tolist() == list(range(12))
+
+    def test_parent_part_raises(self):
+        # each child writes more than a pipe holds, so it blocks until the
+        # parent closes its read end
+        def part(lo, hi):
+            if lo == 0:
+                raise RuntimeError("parent part failed")
+            return b"x" * (1 << 22)
+
+        def timeout(signum, frame):
+            raise TimeoutError("_map_parts did not return")
+
+        previous = signal.signal(signal.SIGALRM, timeout)
+        signal.alarm(20)
+        try:
+            with pytest.raises(RuntimeError, match="parent part failed"):
+                cli._map_parts(part, [0, 1, 2, 3, 4], bytes, bytes)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
 
 class TestMeasureCommand:
@@ -211,6 +308,20 @@ class TestMeasureAllAndLorenz:
         assert doc["points"] == [list(pt) for pt in points]
         rendered = json.dumps([list(pt) for pt in points], indent=2).replace("\n", "\n  ")
         assert f'"points": {rendered},' in out
+
+    @pytest.mark.parametrize("n", [4, 5])
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_lorenz_parts_same_bytes(self, tmp_path, capsys, monkeypatch, n, cpus):
+        # n + 1 points, odd and even, cut into parts: the bytes of one
+        # %r format over all of them
+        values = [(k * 0.37) % 1.9 for k in range(n)]
+        points = lorenz_curve(CoefficientVector(np.array(values))).points
+        p = tmp_path / "v.txt"
+        p.write_text(" ".join(map(repr, values)))
+        _force_parts(monkeypatch, cpus)
+        assert run_cli("lorenz", "--input", str(p)) == 0
+        whole = "x,y\n" + "%r,%r\n" * len(points) % tuple(points.ravel().tolist())
+        assert capsys.readouterr().out == whole
 
 
 TINY = "1e-200,2e-200,3e-200\n"
