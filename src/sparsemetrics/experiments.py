@@ -25,7 +25,7 @@ from .measures import (
     evaluate_block,
     gini,
 )
-from .transforms import stream, streams
+from .transforms import _uniform, raw_words, stream
 
 __all__ = [
     "DistributionSpec",
@@ -205,11 +205,13 @@ BLOCK_VALUES = 1 << 16
 
 def _draws(specs: dict[Measure, MeasureSpec], dist, n: int, keys: list) -> dict[Measure, list]:
     """Every measure on the draws from the streams of (seed, i, r, attempt)
-    keys, derived in one ``streams`` call: one block, checked as
+    keys, read in one ``raw_words`` call: one block, checked as
     ``CoefficientVector`` checks and sorted, then one ``evaluate_block`` call
     per measure.  A draw degenerate for any measure is redrawn from its next
     attempt's stream, as a block of one."""
-    rows = np.abs([dist.quantile(rng.random(n)) for rng in streams(keys)])
+    rows = raw_words(keys, 0, n)  # one name, in place: each block-sized array shows in RSS
+    rows = dist.quantile(_uniform(rows, rows))
+    np.abs(rows, out=rows)
     if not np.isfinite(rows).all():
         raise InvalidParams("coefficient magnitudes must be finite")
     rows.sort(axis=1)

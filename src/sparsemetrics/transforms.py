@@ -64,8 +64,8 @@ __all__ = [
     "draw_trial",
     "draw_vector",
     "trial_words",
+    "raw_words",
     "stream",
-    "streams",
 ]
 
 #: Grid resolution for generated coefficients and transfer amounts.
@@ -361,10 +361,11 @@ def trial_ticks(spec: MeasureSpec) -> range:
     return range(start, round(top * _TICKS_PER_UNIT) + 1)
 
 
-def _philox_words(key) -> tuple[list[int], list[int]]:
-    """Philox's counter and key words for ``key``, least significant first: the
-    seed is the key, the tuple's further ints are counter words 1-3, and word 0
-    is left to count the generator's own blocks, so no two keys' streams overlap."""
+def _philox_state(key, block: int = 0) -> dict:
+    """The state ``Philox(counter=(block, a, b, c), key=seed)`` starts in, for
+    the key (seed, a, b, c) of ``stream``: every Philox state in the package is
+    set from here.  Counter word 0 counts the generator's own 4-word blocks, so
+    no two keys' streams overlap, and ``block`` starts it past the first ones."""
     seed, *rest = map(operator.index, key if isinstance(key, tuple) else (key,))
     if seed < 0:
         raise InvalidParams(f"seed must be non-negative, got {seed}")
@@ -372,56 +373,48 @@ def _philox_words(key) -> tuple[list[int], list[int]]:
         raise InvalidParams(f"seed must be below 2**128, got {seed}")
     if len(rest) > 3 or not all(0 <= n < 2**64 for n in rest):
         raise ValueError(f"a stream key is a seed and up to three ints in [0, 2**64), got {key}")
-    return [0, *rest] + [0] * (3 - len(rest)), [seed % 2**64, seed >> 64]
-
-
-def streams(keys) -> Iterator[np.random.Generator]:
-    """The stream of :func:`stream` for each of ``keys`` in turn.
-
-    Each yielded generator is one ``Generator`` set in place, so it is valid
-    only until the next one is taken.  A bad key raises here, before anything
-    is yielded.
-    """
-    words = [_philox_words(key) for key in keys]
-    return _reseeded(np.random.Generator(np.random.Philox(0)), words)
-
-
-def _reseeded(rng: np.random.Generator, words: list) -> Iterator[np.random.Generator]:
-    """``rng`` set, for each (counter, key) of ``words`` in turn, to the state
-    ``Philox(counter=counter, key=key)`` starts in."""
-    for counter, key in words:
-        rng.bit_generator.state = {
-            "bit_generator": "Philox",
-            "state": {"counter": counter, "key": key},
-            "buffer": [0] * 4,
-            "buffer_pos": 4,
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-        yield rng
+    counter = [block, *rest] + [0] * (3 - len(rest))
+    return {
+        "bit_generator": "Philox",
+        "state": {"counter": counter, "key": [seed % 2**64, seed >> 64]},
+        "buffer": [0] * 4,
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
 
 
 def stream(key) -> np.random.Generator:
     """The random stream for ``key``, a seed in [0, 2**128) or a tuple of a
-    seed and up to three ints in [0, 2**64); every seeded draw in the package
-    starts from one.  A key and a counter name a Philox stream directly, with
-    no hash (Salmon et al., "Parallel Random Numbers: As Easy as 1, 2, 3",
-    SC'11): ``stream((seed, a, b, c))`` is
+    seed and up to three ints in [0, 2**64).  A key and a counter name a
+    Philox stream directly, with no hash (Salmon et al., "Parallel Random
+    Numbers: As Easy as 1, 2, 3", SC'11): ``stream((seed, a, b, c))`` is
     ``Generator(Philox(counter=(0, a, b, c), key=seed))``, and trailing zeros
-    name the same stream."""
-    return next(streams([key]))
+    name the same stream.  ``raw_words`` reads the same streams' words."""
+    rng = np.random.Generator(np.random.Philox(0))
+    rng.bit_generator.state = _philox_state(key)
+    return rng
+
+
+def raw_words(keys, block: int, count: int) -> np.ndarray:
+    """A (len(keys), count) uint64 array: row k is ``count`` raw words of
+    ``stream(keys[k])`` from its 4-word block ``block`` on, read by one bare
+    ``Philox`` set to each key's state in turn.  A bad key raises before any
+    word is read."""
+    states = [_philox_state(key, block) for key in keys]
+    bits, words = np.random.Philox(0), np.empty((len(states), count), np.uint64)
+    for row, state in zip(words, states):
+        bits.state = state
+        row[:] = bits.random_raw(count)
+    return words
 
 
 def trial_words(key, start: int, rows: int) -> np.ndarray:
     """Draws ``start`` to ``start + rows - 1`` of ``stream(key)`` as a
     (rows, SLOTS) array of raw words: draw t is the stream's words
-    [t * SLOTS, (t + 1) * SLOTS), reached by advancing its counter, so a
-    draw's words do not depend on the block they are read in.  The words
-    come from a bare ``Philox``, without the ``Generator`` around it."""
-    counter, key_words = _philox_words(key)
-    bits = np.random.Philox(counter=counter, key=key_words)
-    bits.advance(start * SLOTS // 4)  # Philox counts 4-word blocks
-    return bits.random_raw((rows, SLOTS))
+    [t * SLOTS, (t + 1) * SLOTS), read from its block t * SLOTS // 4, so a
+    draw's words do not depend on the block they are read in."""
+    return raw_words([key], start * SLOTS // 4, rows * SLOTS).reshape(rows, SLOTS)
 
 
 def _below(words: np.ndarray, size) -> np.ndarray:
@@ -432,9 +425,11 @@ def _below(words: np.ndarray, size) -> np.ndarray:
     return (((words >> np.uint64(32)) * size + low) >> np.uint64(32)).astype(np.int64)
 
 
-def _uniform(words: np.ndarray) -> np.ndarray:
-    """A float64 in [0, 1) from each word's top 53 bits."""
-    return (words >> np.uint64(11)) * 2.0**-53
+def _uniform(words: np.ndarray, shifted: np.ndarray | None = None) -> np.ndarray:
+    """A float64 in [0, 1) from each word's top 53 bits, bit for bit what
+    ``Generator.random`` makes of it.  The shifted words go to ``shifted``
+    (``words`` itself, to shift in place) or to a new array."""
+    return np.right_shift(words, np.uint64(11), out=shifted) * 2.0**-53
 
 
 def draw_vector(ticks: range, words: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

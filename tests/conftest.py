@@ -12,7 +12,8 @@ SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 @pytest.fixture
 def run_python():
-    """Run ``python *args`` in a child interpreter, capturing its text output.
+    """Run ``python -W error *args`` in a child interpreter, capturing its
+    text output: a warning is an error there, as in the tests themselves.
 
     ``src/`` leads the child's ``PYTHONPATH``, so it imports this checkout's
     package whether or not it is installed, as the tests themselves do.
@@ -21,7 +22,8 @@ def run_python():
     def run(*args):
         path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
         env = {**os.environ, "PYTHONPATH": path}
-        return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+        argv = [sys.executable, "-W", "error", *args]
+        return subprocess.run(argv, capture_output=True, text=True, env=env)
 
     return run
 

@@ -819,6 +819,18 @@ class TestConsoleEntryPoint:
         assert proc.returncode == 2
         assert "usage" in proc.stderr.lower()
 
+    def test_seed_of_64_one_bits_is_its_own_key(self, run_python):
+        # 2**64 - 1 was once read as key 0: seed 0's witness, and a cast warning
+        def check(seed):
+            argv = ("check", "--measure", "l0", "--criterion", "D3", "--seed", str(seed))
+            proc = run_python("-m", "sparsemetrics.cli", *argv, "--format", "structured")
+            assert (proc.returncode, proc.stderr) == (0, "")
+            return json.loads(proc.stdout)["cell"]
+
+        top, zero = check(2**64 - 1), check(0)
+        assert top["verdict"] == zero["verdict"] == "violated"
+        assert top["witness"] != zero["witness"]
+
 
 class TestUnwritableOutput:
     def test_exit_2(self, vec_file, capsys):

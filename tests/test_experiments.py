@@ -442,8 +442,8 @@ class TestStudyBlocks:
     def test_a_degenerate_draw_mid_block_is_the_only_one_redrawn(self, monkeypatch):
         run, specs, points, seed = STUDIES["bernoulli-n4"]
         keys = []
-        real = experiments.streams
-        monkeypatch.setattr(experiments, "streams", lambda ks: keys.extend(ks) or real(ks))
+        real = experiments.raw_words
+        monkeypatch.setattr(experiments, "raw_words", lambda k, *a: keys.extend(k) or real(k, *a))
         result = run(50)
         assert 50 * 4 <= experiments.BLOCK_VALUES  # each sweep point is one block
 

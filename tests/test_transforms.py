@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sparsemetrics import (
     CoefficientVector,
@@ -42,10 +44,11 @@ from sparsemetrics.transforms import (
     _below,
     _min_gap,
     _trials,
+    _uniform,
     draw_trial,
     draw_vector,
+    raw_words,
     stream,
-    streams,
     trial_words,
 )
 
@@ -386,7 +389,8 @@ STREAM_KEYS = [
 
 
 class TestStreams:
-    """``streams`` derives exactly numpy's Generator(Philox(counter, key))."""
+    """``stream`` and ``raw_words`` derive exactly numpy's
+    Generator(Philox(counter, key))."""
 
     @pytest.mark.parametrize("key", STREAM_KEYS, ids=str)
     def test_stream_matches_philox(self, key):
@@ -399,8 +403,17 @@ class TestStreams:
 
     def test_keys_of_different_word_counts_in_one_call(self):
         keys = [*STREAM_KEYS, (3,), (3, 1), (3, 1, 2), *[(1499, 3, 2, t) for t in range(64)]]
-        for key, rng in zip(keys, streams(keys), strict=True):
-            _assert_same_stream(rng, key)
+        words = raw_words(keys, 0, 64)
+        assert words.shape == (len(keys), 64) and words.dtype == np.uint64
+        for key, row in zip(keys, words, strict=True):
+            assert row.tolist() == _reference(key).bit_generator.random_raw(64).tolist()
+
+    @pytest.mark.parametrize("key", STREAM_KEYS, ids=str)
+    def test_uniform_words_are_the_generators_random(self, key):
+        want = stream(key).random(300)
+        assert _uniform(raw_words([key], 0, 300)[0]).tobytes() == want.tobytes()
+        words = raw_words([key], 0, 300)
+        assert _uniform(words, words).tobytes() == want.tobytes()  # shifted in place
 
     def test_the_widest_key(self):
         key = (2**128 - 1, 2**64 - 1, 2**64 - 1, 2**64 - 1)
@@ -413,16 +426,12 @@ class TestStreams:
         rng.random(10)
         assert rng.bit_generator.state["state"]["counter"].tolist() == [3, 1, 2, 3]
 
-    def test_one_generator_reseeded_in_place(self):
-        first, second = streams([1, 2])
-        assert first is second
-
     @pytest.mark.parametrize("key", [-4, (-4,), (-4, 0, 0, 0)])
     def test_negative_seed(self, key):
         with pytest.raises(InvalidParams, match=r"^seed must be non-negative, got -4$"):
             stream(key)
         with pytest.raises(InvalidParams, match=r"^seed must be non-negative, got -4$"):
-            streams([0, key])
+            raw_words([0, key], 0, 4)
 
     @pytest.mark.parametrize("key", [2**128, (2**128,), (2**128, 0, 0, 0)])
     def test_seed_of_129_bits(self, key):
@@ -430,7 +439,7 @@ class TestStreams:
         with pytest.raises(InvalidParams, match=message):
             stream(key)
         with pytest.raises(InvalidParams, match=message):
-            streams([0, key])
+            raw_words([0, key], 0, 4)
 
     @pytest.mark.parametrize(
         "key",
@@ -438,11 +447,31 @@ class TestStreams:
         ids=["fifth-int", "word-of-65-bits", "last-word-of-65-bits", "negative-entry",
              "negative-middle-entry", "empty"],
     )
-    def test_a_bad_key_raises_before_any_stream(self, key):
-        taken = []
+    def test_a_bad_key_raises_before_any_stream(self, monkeypatch, key):
+        monkeypatch.setattr(np.random, "Philox", lambda *a, **k: pytest.fail("read a word"))
         with pytest.raises(ValueError):
-            taken.extend(streams([0, key]))
-        assert taken == []
+            raw_words([0, key], 0, 4)
+        with pytest.raises(ValueError):
+            trial_words(key, 0, 1)
+
+    # seeds in [2**63, 2**64) and about half of those above were once read
+    # as another key; a draw of the bit width first reaches every range
+    @given(
+        seed=st.integers(0, 128).flatmap(lambda bits: st.integers(0, 2**bits - 1)),
+        counter=st.lists(st.integers(0, 2**64 - 1), max_size=3),
+        start=st.integers(0, 1000),
+        rows=st.integers(1, 3),
+    )
+    @example(seed=2**64 - 1, counter=[], start=0, rows=1)
+    @example(seed=2**63, counter=[], start=0, rows=1)
+    @example(seed=2**63 + 1, counter=[2**63], start=7, rows=2)
+    @settings(max_examples=200, deadline=None)
+    def test_trial_words_match_numpys_philox(self, seed, counter, start, rows):
+        words = sum(n << 64 * k for k, n in enumerate(counter, 1))
+        ref = np.random.Philox(counter=words, key=seed)
+        ref.advance(start * SLOTS // 4)
+        want = ref.random_raw((rows, SLOTS))
+        assert trial_words((seed, *counter), start, rows).tolist() == want.tolist()
 
 
 def _draw_keys(block):
