@@ -8,7 +8,9 @@ not depend on evaluation order.  No plotting here; results are data tables.
 
 from __future__ import annotations
 
+import bisect
 import functools
+import itertools
 import math
 import sys
 from dataclasses import dataclass, field
@@ -25,6 +27,7 @@ from .measures import (
     evaluate_block,
     gini,
 )
+from .parts import _map_parts, _part_count
 from .transforms import _uniform, raw_words, stream
 
 __all__ = [
@@ -203,28 +206,29 @@ MAX_RESAMPLES = 20
 BLOCK_VALUES = 1 << 16
 
 
-def _draws(specs: dict[Measure, MeasureSpec], dist, n: int, keys: list) -> dict[Measure, list]:
-    """Every measure on the draws from the streams of (seed, i, r, attempt)
-    keys, read in one ``raw_words`` call: one block, checked as
-    ``CoefficientVector`` checks and sorted, then one ``evaluate_block`` call
-    per measure.  A draw degenerate for any measure is redrawn from its next
-    attempt's stream, as a block of one."""
+def _draws(specs: dict[Measure, MeasureSpec], dist, n: int, keys: list) -> np.ndarray:
+    """Every measure in ``specs``, a row each, on the draws from the streams
+    of (seed, i, r, attempt) keys, read in one ``raw_words`` call: one
+    block, checked as ``CoefficientVector`` checks and sorted, then one
+    ``evaluate_block`` call per measure.  A draw degenerate for any measure
+    is redrawn from its next attempt's stream, as a block of one."""
     rows = raw_words(keys, 0, n)  # one name, in place: each block-sized array shows in RSS
     rows = dist.quantile(_uniform(rows, rows))
     np.abs(rows, out=rows)
     if not np.isfinite(rows).all():
         raise InvalidParams("coefficient magnitudes must be finite")
     rows.sort(axis=1)
-    values = {m: evaluate_block(spec, rows) for m, spec in specs.items()}
-    for k, key in enumerate(keys):
-        if any(isinstance(v[k], DegenerateInput) for v in values.values()):
-            draw, attempt = key[:3], key[3] + 1
+    values = np.array([evaluate_block(spec, rows) for spec in specs.values()])
+    if values.dtype == object:  # some draw is degenerate for some measure
+        degenerate = {k for v in values for k, x in enumerate(v) if isinstance(x, DegenerateInput)}
+        for k in sorted(degenerate):
+            draw, attempt = keys[k][:3], keys[k][3] + 1
             if attempt == MAX_RESAMPLES:
                 raise DegenerateInput(
                     f"draw for {draw} stayed degenerate after {MAX_RESAMPLES} resamples"
                 )
-            for m, v in _draws(specs, dist, n, [draw + (attempt,)]).items():
-                values[m][k] = v[0]
+            values[:, k] = _draws(specs, dist, n, [draw + (attempt,)])[:, 0]
+        values = values.astype(np.float64)
     return values
 
 
@@ -235,19 +239,34 @@ def _study(name, sweep_name, sweep_values, points, specs, repeats: int, seed: in
     point ``i``.  Its metadata is ``extra``, repeats, seed and parameters.
 
     Draw r's first attempt comes from ``stream((seed, i, r, 0))``, so no
-    value depends on the block size.
+    value depends on the block size, nor on the part that draws it: the
+    blocks, in (point, repeat) order, are cut into runs of about equal
+    drawn values, one per part of ``_map_parts``, and joined in order.
     """
     if repeats < 2:
         raise InvalidParams("repeats must be >= 2")
     if not points:
         raise InvalidParams("a study needs at least one sweep point")
-    raw = {m: np.empty((len(points), repeats)) for m in specs}
-    for i, (dist, n) in enumerate(points):
-        step = max(1, BLOCK_VALUES // n)
-        for start in range(0, repeats, step):
-            block = range(start, min(start + step, repeats))
-            for m, v in _draws(specs, dist, n, [(seed, i, r, 0) for r in block]).items():
-                raw[m][i, block.start : block.stop] = v
+    blocks = [  # (i, first repeat, end repeat)
+        (i, start, min(start + step, repeats))
+        for i, (_, n) in enumerate(points)
+        for step in [max(1, BLOCK_VALUES // n)]
+        for start in range(0, repeats, step)
+    ]
+    ends = list(itertools.accumulate((stop - start) * points[i][1] for i, start, stop in blocks))
+    parts = _part_count(ends[-1])
+    # part k starts at the block that crosses k / parts of the drawn values
+    cuts = sorted({bisect.bisect_right(ends, k * ends[-1] // parts) for k in range(parts)})
+
+    def draws(lo: int, hi: int) -> np.ndarray:
+        return np.concatenate([
+            _draws(specs, *points[i], [(seed, i, r, 0) for r in range(start, stop)])
+            for i, start, stop in blocks[lo:hi]
+        ], axis=1)
+
+    load = lambda data: np.frombuffer(data, dtype=np.float64).reshape(len(specs), -1)  # noqa: E731
+    columns = np.concatenate(_map_parts(draws, [*cuts, len(blocks)], lambda a: a, load), axis=1)
+    raw = {m: row.reshape(len(points), repeats) for m, row in zip(specs, columns)}
     params = {m.value: vars(s) for m, s in specs.items()}
     metadata = {**extra, "repeats": repeats, "seed": seed, "measure_params": params}
     return ExperimentResult(name, sweep_name, sweep_values, list(specs), raw, metadata)

@@ -22,7 +22,7 @@ from sparsemetrics import (
     lorenz_curve,
     relation_holds,
 )
-from sparsemetrics import cli
+from sparsemetrics import cli, parts
 from sparsemetrics.cli import (
     MAX_GRID_POINTS,
     InputError,
@@ -127,8 +127,8 @@ def scratch_file(tmp_path_factory):
 
 def _force_parts(monkeypatch, cpus: int) -> None:
     """Split every input of two or more numbers into ``cpus`` parts."""
-    monkeypatch.setattr(cli, "PART_MIN_NUMBERS", 1)
-    monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(parts, "PART_MIN_NUMBERS", 1)
+    monkeypatch.setattr(parts, "_usable_cpus", lambda: cpus)
 
 
 class TestFastParse:
@@ -168,15 +168,24 @@ class TestParts:
     result does not depend on whether a child finished its part."""
 
     TEXT = " ".join(repr(k / 7) for k in range(1, 41)) + "\n"
+    # 4,800 drawn values in 3 blocks: under PART_MIN_NUMBERS
+    STUDY = ("experiment", "--name", "poisson-convergence", "--lambda", "1", "--sizes", "3,5,8",
+             "--repeats", "300", "--seed", "2")  # fmt: skip
 
-    def test_forks_once_for_two_cpus(self, monkeypatch):
-        # the control for the tests below: this input does fork when split
+    def test_forks_once_for_two_cpus(self, monkeypatch, capsys):
+        # the control for the tests below: these inputs do fork when split
         _force_parts(monkeypatch, 2)
         forks = []
         fork = os.fork
         monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
         assert cli._split_values(self.TEXT).tolist() == [k / 7 for k in range(1, 41)]
         assert len(forks) == 1
+        assert run_cli(*self.STUDY, "--raw") == 0
+        assert len(forks) == 2
+        forked = capsys.readouterr()
+        _force_parts(monkeypatch, 1)
+        assert run_cli(*self.STUDY, "--raw") == 0
+        assert len(forks) == 2 and capsys.readouterr() == forked
 
     @pytest.mark.parametrize("case", ["one-cpu", "live-thread", "below-threshold"])
     def test_no_fork(self, monkeypatch, tmp_path, capsys, case):
@@ -192,12 +201,25 @@ class TestParts:
             p = tmp_path / "v.txt"
             p.write_text(self.TEXT)
             assert run_cli("lorenz", "--input", str(p)) == 0
+            assert len(capsys.readouterr().out.splitlines()) == 42
+            assert run_cli(*self.STUDY, "--raw") == 0
         finally:
             done.set()
             if case == "live-thread":
                 thread.join(timeout=10)
         assert not thread.is_alive()
-        assert len(capsys.readouterr().out.splitlines()) == 42
+        # a header and 15 measures x 3 sizes x 300 repeats
+        assert len(capsys.readouterr().out.splitlines()) == 1 + 15 * 3 * 300
+
+    @pytest.mark.parametrize("fmt", [("--format", "tabular"), ("--raw",), ("--format", "structured")])
+    @pytest.mark.parametrize("name", ["poisson-convergence", "bernoulli-sweep"])
+    def test_experiment_bytes_do_not_depend_on_cpu_count(self, monkeypatch, capsys, name, fmt):
+        outputs = []
+        for cpus in (1, 2, 3, 4):
+            _force_parts(monkeypatch, cpus)
+            assert run_cli("experiment", "--name", name, *fmt) == 0
+            outputs.append(capsys.readouterr())
+        assert outputs[1:] == outputs[:1] * 3
 
     @pytest.mark.parametrize("death", ["exit-1", "sigkill"])
     def test_dead_child_recomputed(self, death):
@@ -212,8 +234,8 @@ class TestParts:
 
         cuts = [0, 3, 3, 7, 12]
         load = lambda data: np.frombuffer(data, dtype=np.float64)  # noqa: E731
-        parts = cli._map_parts(part, cuts, lambda a: a, load)
-        assert np.concatenate(parts).tolist() == list(range(12))
+        results = parts._map_parts(part, cuts, lambda a: a, load)
+        assert np.concatenate(results).tolist() == list(range(12))
 
     def test_parent_part_raises(self):
         # each child writes more than a pipe holds, so it blocks until the
@@ -230,7 +252,7 @@ class TestParts:
         signal.alarm(20)
         try:
             with pytest.raises(RuntimeError, match="parent part failed"):
-                cli._map_parts(part, [0, 1, 2, 3, 4], bytes, bytes)
+                parts._map_parts(part, [0, 1, 2, 3, 4], bytes, bytes)
         finally:
             signal.alarm(0)
             signal.signal(signal.SIGALRM, previous)

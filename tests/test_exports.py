@@ -28,3 +28,16 @@ def test_all_resolves_and_star_imports(name):
     exec(f"from {name} import *", namespace)  # raises on a stale name
     if exports is not None:
         assert set(namespace) - {"__builtins__"} == set(exports)
+
+
+def test_bare_import_loads_neither_the_cli_nor_argparse(run_python):
+    """The fork helper is shared with the CLI; importing the package must
+    still not import the CLI and its argument parser."""
+    script = (
+        "import sys\n"
+        "import sparsemetrics\n"
+        "loaded = sorted({'sparsemetrics.cli', 'argparse'} & set(sys.modules))\n"
+        "sys.exit(f'loaded: {loaded}' if loaded else 0)\n"
+    )
+    proc = run_python("-c", script)
+    assert proc.returncode == 0, proc.stderr
