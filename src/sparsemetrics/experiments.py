@@ -8,9 +8,7 @@ not depend on evaluation order.  No plotting here; results are data tables.
 
 from __future__ import annotations
 
-import bisect
 import functools
-import itertools
 import math
 import sys
 from dataclasses import dataclass, field
@@ -27,7 +25,7 @@ from .measures import (
     evaluate_block,
     gini,
 )
-from .parts import _map_parts, _part_count
+from .parts import _cuts, _map_parts
 from .transforms import _uniform, raw_words, stream
 
 __all__ = [
@@ -253,10 +251,7 @@ def _study(name, sweep_name, sweep_values, points, specs, repeats: int, seed: in
         for step in [max(1, BLOCK_VALUES // n)]
         for start in range(0, repeats, step)
     ]
-    ends = list(itertools.accumulate((stop - start) * points[i][1] for i, start, stop in blocks))
-    parts = _part_count(ends[-1])
-    # part k starts at the block that crosses k / parts of the drawn values
-    cuts = sorted({bisect.bisect_right(ends, k * ends[-1] // parts) for k in range(parts)})
+    values = [(stop - start) * points[i][1] for i, start, stop in blocks]
 
     def draws(lo: int, hi: int) -> np.ndarray:
         return np.concatenate([
@@ -265,7 +260,7 @@ def _study(name, sweep_name, sweep_values, points, specs, repeats: int, seed: in
         ], axis=1)
 
     load = lambda data: np.frombuffer(data, dtype=np.float64).reshape(len(specs), -1)  # noqa: E731
-    columns = np.concatenate(_map_parts(draws, [*cuts, len(blocks)], lambda a: a, load), axis=1)
+    columns = np.concatenate(_map_parts(draws, _cuts(values, sum(values)), lambda a: a, load), axis=1)
     raw = {m: row.reshape(len(points), repeats) for m, row in zip(specs, columns)}
     params = {m.value: vars(s) for m, s in specs.items()}
     metadata = {**extra, "repeats": repeats, "seed": seed, "measure_params": params}

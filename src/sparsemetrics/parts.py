@@ -1,18 +1,20 @@
 """Work cut into parts, one per usable CPU, the later ones run in forked
 children and all joined in order, so no result depends on the part count.
-The CLI's parse and render and ``experiments``' studies share it; it
-imports neither the CLI nor ``argparse``."""
+The CLI's parse and render, ``experiments``' studies and ``compliance``'s
+verdict table share it; it imports neither the CLI nor ``argparse``."""
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import os
 import threading
 
 #: Fewest numbers (parsed, rendered or drawn) worth a part of their own in
-#: ``_map_parts``.  A fork and join costs 1.3-1.4 ms on a 2-core Xeon VM,
-#: at 27 MB as at 208 MB resident: about half of parsing 1e4 numbers (3 ms),
-#: and more than drawing 1e4 study values (0.75 ms, 75 ns each for all 15
-#: measures); the studies' CLI defaults draw 11-19 times that per part.
+#: ``_map_parts``.  A fork and join costs 1.3-1.4 ms on a 2-core Xeon VM at
+#: 27 to 208 MB resident, against 3 ms to parse 1e4 numbers, 0.75 ms to draw
+#: 1e4 study values (75 ns each for all 15 measures; the CLI defaults draw
+#: 11-19 times that per part) and 50-70 ms for 1e4 search draws of the table.
 PART_MIN_NUMBERS = 10_000
 
 
@@ -31,6 +33,16 @@ def _part_count(work: int) -> int:
     if not hasattr(os, "fork") or threading.active_count() > 1:
         return 1
     return max(1, min(_usable_cpus(), work // PART_MIN_NUMBERS))
+
+
+def _cuts(costs: list[int], work: int) -> list[int]:
+    """The ``_map_parts`` cuts of items with these positive ``costs`` into
+    ``_part_count(work)`` contiguous runs of about equal cost: part k starts
+    at the item that crosses k / parts of the total cost."""
+    ends = list(itertools.accumulate(costs))
+    parts = _part_count(work)
+    starts = (bisect.bisect_right(ends, k * ends[-1] // parts) for k in range(1, parts))
+    return [*sorted({0, *starts}), len(ends)]
 
 
 def _map_parts(fn, cuts: list[int], dump, load) -> list:

@@ -157,15 +157,16 @@ class TrialRows:
     ``params`` holds a value per draw, or per draw and k.  ``ok[r]`` is False
     for a draw that was never eligible or fails a precondition.
     ``later(picks)``, if given, builds
-    the further groups of the draws ``picks`` (P1's beta sweep) as one
-    ``TrialRows``, the same number per draw, draw by draw.
+    the further groups of the draws ``picks`` (P1's beta sweep), the same
+    number per draw, draw by draw, a part at a time as ``TrialBlock.parts``
+    builds a block's: each part's indices among those groups and its trials.
     """
 
     rows: np.ndarray
     lengths: np.ndarray
     params: dict[str, np.ndarray]
     ok: np.ndarray
-    later: Callable[[np.ndarray], TrialRows] | None = None
+    later: Callable[[np.ndarray], Iterator[tuple[np.ndarray, TrialRows]]] | None = None
 
     def __len__(self) -> int:
         return len(self.ok)
@@ -213,22 +214,11 @@ class TrialBlock:
             self.params[name][at] = p
 
     def parts(self, criterion: Criterion) -> Iterator[tuple[np.ndarray, TrialRows]]:
-        """The draws in order of before length, all draws of a length in one
-        part, each part's trial rows at most PART_ENTRIES float64 entries
-        (or one length's draws): each part's indices and its first group of
-        trials, built only when the part is taken."""
-        order = np.argsort(self.n, kind="stable")
-        lengths = CRITERIA[criterion].lengths(self.n, **self.params)[order]
-        starts = [0, *(np.flatnonzero(np.diff(self.n[order])) + 1).tolist()]
-        tops = np.maximum.reduceat(lengths.max(1), starts).tolist()  # each length's widest row
-        cuts, start, width = [], 0, 0
-        for stop, end, top in zip(starts, [*starts[1:], len(order)], tops):
-            width = max(width, top)
-            if (end - start) * lengths.shape[1] * width > PART_ENTRIES and stop > start:
-                cuts.append(stop)
-                start, width = stop, top
-        for at in np.split(order, cuts):
-            yield at, _trials(criterion, self.take(at, int(self.n[at[-1]])))
+        """The draws in order of before length, each part's trial rows at
+        most PART_ENTRIES float64 entries (or one draw's), all draws of a
+        length in one part unless they would hold more: each part's indices
+        and its first group of trials, built only when the part is taken."""
+        return _parts(criterion, self)
 
     def trial(self, criterion: Criterion, r: int = 0, k: int = 0) -> CriterionTrial:
         """Draw r's trial against its after vector k, built alone."""
@@ -562,24 +552,45 @@ CRITERIA: dict[Criterion, CriterionDef] = {
 }
 
 
-def _trials(
-    criterion: Criterion, block: TrialBlock, picks: np.ndarray | None = None
-) -> TrialRows:
-    """The first group of trials of each draw of ``block``; given ``picks``,
-    the later groups of those draws instead, draw by draw.  A draw is ``ok``
-    when it is eligible and meets every precondition."""
+def _parts(criterion: Criterion, block: TrialBlock) -> Iterator[tuple[np.ndarray, TrialRows]]:
+    """``block.parts(criterion)``; ``_later`` cuts the later groups by it too."""
+    order = np.argsort(block.n, kind="stable")
+    lengths = CRITERIA[criterion].lengths(block.n, **block.params)[order]
+    starts = [0, *(np.flatnonzero(np.diff(block.n[order])) + 1).tolist()]
+    tops = np.maximum.reduceat(lengths.max(1), starts).tolist()  # each length's widest row
+    cuts, start, width = [], 0, 0
+    for stop, end, top in zip(starts, [*starts[1:], len(order)], tops):
+        width = max(width, top)
+        if (end - start) * lengths.shape[1] * width > PART_ENTRIES and stop > start:
+            cuts.append(stop)
+            start, width = stop, top
+        step = max(1, PART_ENTRIES // (lengths.shape[1] * top))
+        cuts += range(start + step, end, step)  # more draws of this length than fit
+        start = cuts[-1] if cuts else 0
+    for at in np.split(order, cuts):
+        yield at, _trials(criterion, block.take(at, int(block.n[at[-1]])))
+
+
+def _later(criterion: Criterion, block: TrialBlock, picks: np.ndarray):
+    """The later groups of the draws ``picks`` of ``block``, as the parts of
+    a block of their own with one draw per group."""
+    grouped = CRITERIA[criterion].grouped
+    later = block.take(np.repeat(picks, block.params[grouped].shape[1] - 1))
+    later.params[grouped] = block.params[grouped][picks, 1:].reshape(-1, 1)
+    return _parts(criterion, later)
+
+
+def _trials(criterion: Criterion, block: TrialBlock) -> TrialRows:
+    """The first group of trials of each draw of ``block``.  A draw is
+    ``ok`` when it is eligible and meets every precondition."""
     d = CRITERIA[criterion]
     params = block.params
-    if picks is not None:
-        grouped = params[d.grouped][picks, 1:]
-        block = block.take(np.repeat(picks, grouped.shape[1]))
-        params = {**block.params, d.grouped: grouped.ravel()}
-    elif d.grouped:
+    if d.grouped:
         params = {**params, d.grouped: params[d.grouped][:, 0]}
     checks, rows, lengths = d.build(block.v * TICK, block.n, **params)
     ok = reduce(operator.and_, checks.values(), block.eligible)
-    later = partial(_trials, criterion, block) if d.grouped and picks is None else None
-    return TrialRows(rows, lengths, params, ok, later)
+    sweep = d.grouped and block.params[d.grouped].shape[1] > 1  # groups after the first
+    return TrialRows(rows, lengths, params, ok, partial(_later, criterion, block) if sweep else None)
 
 
 def generation_failure(criterion: Criterion) -> GenerationFailure:

@@ -171,6 +171,8 @@ class TestParts:
     # 4,800 drawn values in 3 blocks: under PART_MIN_NUMBERS
     STUDY = ("experiment", "--name", "poisson-convergence", "--lambda", "1", "--sizes", "3,5,8",
              "--repeats", "300", "--seed", "2")  # fmt: skip
+    # 780 search draws (39 cells of 20 trials): under PART_MIN_NUMBERS
+    TABLE = ("table", "--trials", "20")
 
     def test_forks_once_for_two_cpus(self, monkeypatch, capsys):
         # the control for the tests below: these inputs do fork when split
@@ -183,9 +185,14 @@ class TestParts:
         assert run_cli(*self.STUDY, "--raw") == 0
         assert len(forks) == 2
         forked = capsys.readouterr()
+        assert run_cli(*self.TABLE) == 1
+        assert len(forks) == 3
+        forked_table = capsys.readouterr()
         _force_parts(monkeypatch, 1)
         assert run_cli(*self.STUDY, "--raw") == 0
-        assert len(forks) == 2 and capsys.readouterr() == forked
+        assert len(forks) == 3 and capsys.readouterr() == forked
+        assert run_cli(*self.TABLE) == 1
+        assert len(forks) == 3 and capsys.readouterr() == forked_table
 
     @pytest.mark.parametrize("case", ["one-cpu", "live-thread", "below-threshold"])
     def test_no_fork(self, monkeypatch, tmp_path, capsys, case):
@@ -202,6 +209,8 @@ class TestParts:
             p.write_text(self.TEXT)
             assert run_cli("lorenz", "--input", str(p)) == 0
             assert len(capsys.readouterr().out.splitlines()) == 42
+            assert run_cli(*self.TABLE) == 1
+            assert len(capsys.readouterr().out.splitlines()) == 91
             assert run_cli(*self.STUDY, "--raw") == 0
         finally:
             done.set()
@@ -220,6 +229,29 @@ class TestParts:
             assert run_cli("experiment", "--name", name, *fmt) == 0
             outputs.append(capsys.readouterr())
         assert outputs[1:] == outputs[:1] * 3
+
+    @pytest.mark.parametrize("fmt", ["tabular", "structured"])
+    @pytest.mark.parametrize("seed", ["0", "2208"])
+    def test_table_bytes_do_not_depend_on_cpu_count(self, monkeypatch, capsys, seed, fmt):
+        # at seed 2208 the search also finds a neg-tanh/D1 witness (trial 500)
+        outputs = []
+        for cpus in (1, 2, 3, 4):
+            _force_parts(monkeypatch, cpus)
+            outputs.append((run_cli("table", "--seed", seed, "--format", fmt), capsys.readouterr()))
+        assert outputs[1:] == outputs[:1] * 3
+        code, captured = outputs[0]
+        mismatches = [line for line in captured.err.splitlines() if line.startswith("mismatch:")]
+        assert code == 1 and len(mismatches) == (2 if seed == "2208" else 1)
+
+    @pytest.mark.parametrize("argv", [("--seed", "-1"), ("--trials", "0")])
+    def test_table_error_does_not_depend_on_cpu_count(self, monkeypatch, capsys, argv):
+        errors = []
+        for cpus in (1, 3):
+            _force_parts(monkeypatch, cpus)
+            errors.append((run_cli("table", *argv), capsys.readouterr()))
+        assert errors[1] == errors[0]
+        code, captured = errors[0]
+        assert code == 2 and not captured.out and captured.err.startswith("error: ")
 
     @pytest.mark.parametrize("death", ["exit-1", "sigkill"])
     def test_dead_child_recomputed(self, death):

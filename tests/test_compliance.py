@@ -1,6 +1,7 @@
 """Unit tests for the compliance engine: relations, catalog, search, table."""
 
 import json
+import os
 import tracemalloc
 from dataclasses import replace
 
@@ -29,7 +30,7 @@ from sparsemetrics import (
     run_counterexamples,
     theorem_consistency,
 )
-from sparsemetrics import compliance, transforms
+from sparsemetrics import compliance, parts, transforms
 from sparsemetrics.compliance import FAIL, HOLD, SKIP, _decide, _outcomes, _seeded
 from sparsemetrics.errors import CatalogMiss, DegenerateInput, GenerationFailure, InvalidParams
 from sparsemetrics.transforms import (
@@ -284,7 +285,7 @@ def _packed(draws):
     draws = [d if isinstance(d, list) and isinstance(d[0], list) else [d] for d in draws]
     draws = [d if good else [HOLDS] for d, good in zip(draws, ok)]
     g = max(len(d) for d in draws) - 1
-    later = lambda picks: _pack([x for r in picks for x in (draws[r][1:] + draws[r][:1] * g)[:g]])  # noqa: E731
+    later = lambda picks: _pack([x for r in picks for x in (draws[r][1:] + draws[r][:1] * g)[:g]]).parts(None)  # noqa: E731
     return replace(_pack([d[0] for d in draws]), ok=ok, later=later if g else None)
 
 
@@ -828,6 +829,26 @@ class TestMemory:
         # five blocks are drawn and decided one at a time
         assert self._peak(criterion, 5000) < self.BUDGET
 
+    @pytest.mark.parametrize("measure", MEASURE_ORDER, ids=str)
+    def test_p1_builds_at_most_part_entries(self, monkeypatch, measure):
+        # every build of trial rows, P1's later groups too, holds at most
+        # PART_ENTRIES entries; neg-lp-neg's later groups built 34,160 at once
+        # when each part's were built whole
+        real, builds = transforms._trials, []
+
+        def trials(criterion, block):
+            built = real(criterion, block)
+            builds.append((built.rows.size, built.later is None))
+            return built
+
+        monkeypatch.setattr(transforms, "_trials", trials)
+        want = check_cell(MeasureSpec(measure), C.P1, trials=1000, seed=0)
+        assert max(size for size, _ in builds) <= transforms.PART_ENTRIES
+        monkeypatch.undo()
+        assert check_cell(MeasureSpec(measure), C.P1, trials=1000, seed=0) == want
+        if measure is M.NEG_LP_NEG:
+            assert sum(later for _, later in builds) > 1  # its later groups were built
+
 
 class TestKernelCalls:
     """The search's time is mostly the fixed cost of numpy calls per part
@@ -838,7 +859,10 @@ class TestKernelCalls:
     parts, D4's padding to 4n setting every criterion's part size), and
     makes 3,254 in 314 parts of PART_ENTRIES trial-row entries: one call per
     length for D1-D3 and P1, about 236 for D4 (lengths n, 2n, 3n and 4n)
-    and 126 for P2 (n to n + 3)."""
+    and 126 for P2 (n to n + 3).  P1's later groups are built a part at a
+    time too, at length boundaries where they fit: 15 builds, against 10
+    when each part's were built whole, counted in neither number.  The
+    table runs in one part here, so no child's calls go uncounted."""
 
     CALLS = 3254
     PARTS = 314
@@ -858,6 +882,7 @@ class TestKernelCalls:
 
         monkeypatch.setattr(compliance, "evaluate_block", evaluate_block)
         monkeypatch.setattr(transforms.TrialBlock, "parts", counted_parts)
+        _force_parts(monkeypatch, 1)  # a child's calls would not be counted
         assert full_table(trials=1000, seed=0).mismatches == [(Measure.HS, Criterion.D2)]
         assert calls[0] <= self.CALLS
         assert parts[0] <= self.PARTS
@@ -899,6 +924,57 @@ class TestFullTable:
 
     def test_theorem_consistency_on_produced(self, small_table):
         assert theorem_consistency(compliance_map(small_table))
+
+
+def _force_parts(monkeypatch, cpus: int) -> None:
+    """Cut every table of two or more search draws into up to ``cpus`` parts."""
+    monkeypatch.setattr(parts, "PART_MIN_NUMBERS", 1)
+    monkeypatch.setattr(parts, "_usable_cpus", lambda: cpus)
+
+
+class TestTableParts:
+    """The table's search cells cut into forked parts: no verdict, witness,
+    count or error depends on the usable CPU count."""
+
+    @pytest.mark.parametrize("cpus", [2, 3, 4])
+    def test_same_cells_at_any_cpu_count(self, monkeypatch, small_table, cpus):
+        _force_parts(monkeypatch, cpus)
+        table = full_table(trials=120, seed=0)
+        assert list(table.cells) == list(small_table.cells)
+        assert table.cells == small_table.cells
+        assert json.dumps(table.to_dict()) == json.dumps(small_table.to_dict())
+
+    @pytest.mark.parametrize("cpus", [1, 3])
+    @pytest.mark.parametrize("earlier", [False, True])
+    def test_first_error_in_table_order_is_raised(
+        self, monkeypatch, tmp_path, small_table, cpus, earlier
+    ):
+        # the last search cell fails, and with ``earlier`` the middle one
+        # too; at 3 parts each is in a child's run, the first failed part is
+        # searched again here, and the first error in table order is raised
+        search = [cell for cell, v in small_table.cells.items() if v.source == "search"]
+        failing = [search[len(search) // 2], search[-1]][not earlier :]
+        log, real = tmp_path / "pids", compliance.check_cell
+
+        def check_cell(spec, criterion, trials, seed):
+            if (spec.id, criterion) in failing:
+                with open(log, "a") as fh:
+                    fh.write(f"{spec.id.value},{criterion.value},{os.getpid()}\n")
+                raise InvalidParams(f"({spec.id.value}, {criterion.value}) failed")
+            return real(spec, criterion, trials, seed)
+
+        monkeypatch.setattr(compliance, "check_cell", check_cell)
+        _force_parts(monkeypatch, cpus)
+        m, c = failing[0]
+        with pytest.raises(InvalidParams, match=rf"^\({m.value}, {c.value}\) failed$"):
+            full_table(trials=20, seed=0)
+        here = f"{m.value},{c.value},{os.getpid()}"
+        met = sorted(log.read_text().splitlines())
+        if cpus == 1:
+            assert met == [here]
+        else:  # a child met each failing cell, and this process only the first
+            children = sorted(tuple(line.split(",")[:2]) for line in met if line != here)
+            assert here in met and children == sorted((a.value, b.value) for a, b in failing)
 
 
 class TestTheoremConsistency:

@@ -337,7 +337,7 @@ class TestProbes:
     def test_bill_gates_groups_share_before_and_sweep_beta(self):
         for seed in range(20):
             first = _drawn(Criterion.P1, seed)
-            later = first.later(np.array([0]))
+            ((_, later),) = first.later(np.array([0]))  # one draw's groups are one part
             groups = [[first.trial(Criterion.P1, 0, k) for k in range(3)]] + [
                 [later.trial(Criterion.P1, g, k) for k in range(3)] for g in range(len(later))
             ]
@@ -476,15 +476,17 @@ class TestStreams:
 
 def _draw_keys(block):
     """Each draw of a ``TrialRows`` and its later groups as comparable bytes and params."""
-    later = block.later(np.arange(len(block))) if block.later else None
-    groups = len(later) // len(block) if later else 0
+    later = {}  # each later group's part and its index there
+    for at, part in block.later(np.arange(len(block))) if block.later else ():
+        later.update((g, (part, r)) for r, g in enumerate(at.tolist()))
+    groups = len(later) // len(block)
 
     def key(b, r):
         rows = [b.rows[r, j, : b.lengths[r, j]].tobytes() for j in range(b.rows.shape[1])]
         return rows, {name: p[r].tolist() for name, p in b.params.items()}
 
     return [
-        [key(block, r)] + [key(later, r * groups + g) for g in range(groups)]
+        [key(block, r)] + [key(*later[r * groups + g]) for g in range(groups)]
         for r in range(len(block))
     ]
 
