@@ -165,12 +165,7 @@ def _split_values(text: str) -> np.ndarray | None:
         return np.fromiter(map(float, tokens), dtype=np.float64, count=len(tokens))
 
     try:
-        values = _map_parts(
-            parse,
-            cuts,
-            dump=lambda part: part,
-            load=lambda data: np.frombuffer(data, dtype=np.float64),
-        )
+        values = _map_parts(parse, cuts)
     except ValueError:
         return None
     return np.concatenate(values)
@@ -337,7 +332,7 @@ def _cmd_lorenz(args) -> Report:
         # parts join in order, so the bytes never depend on how many
         n, parts = len(curve.points), _part_count(curve.points.size)
         cuts = [k * n // parts for k in range(parts + 1)]
-        return "".join(["x,y\n", *_map_parts(rows, cuts, str.encode, bytes.decode)])
+        return "".join(["x,y\n", *_map_parts(rows, cuts)])
 
     return Report(
         {"n": len(vec)},

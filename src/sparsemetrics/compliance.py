@@ -18,7 +18,6 @@ smaller T with the same seed.
 from __future__ import annotations
 
 import itertools
-import pickle
 from dataclasses import dataclass, field
 from typing import AbstractSet, Iterable, Mapping
 
@@ -379,21 +378,17 @@ def _outcomes(spec: MeasureSpec, criterion: Criterion, block: TrialBlock | Trial
     """Each draw's state and first failing trial k in ``block`` as block
     arrays, and its errors by draw, one of ``block.parts`` at a time, so no
     more than one part's trial rows are held: ``_group_outcomes`` of each
-    draw's first group, then of its later groups, built and evaluated a part
-    at a time only for draws whose first group fails.  A draw holds when a
-    later group holds, and errs when a later group errs before one holds (a
-    later skip counts as failing).  A draw that is not ``ok`` is an ERROR,
-    its error ``generation_failure``."""
+    draw's first group, then, only for draws whose first group fails, this
+    on the block of their later groups (``TrialRows.later``).  A draw holds
+    when a later group holds, and errs when a later group errs before one
+    holds (a later skip counts as failing).  A draw that is not ``ok`` is an
+    ERROR, its error ``generation_failure``."""
     state, k, raised = np.empty(len(block), int), np.empty(len(block), int), {}
     for at, trials in block.parts(criterion):
         part, k[at], part_raised = _group_outcomes(spec, criterion, trials)
         picks = np.flatnonzero(part == FAIL)
         if trials.later is not None and picks.size:
-            decided = [(i, *_group_outcomes(spec, criterion, g)) for i, g in trials.later(picks)]
-            later, later_raised = np.empty(sum(len(i) for i, *_ in decided), int), {}
-            for i, groups, _, errors in decided:
-                later[i] = groups
-                later_raised.update((int(i[g]), error) for g, error in errors.items())
+            later, _, later_raised = _outcomes(spec, criterion, trials.later(picks))
             later = later.reshape(picks.size, -1)
             decisive = (later == HOLD) | (later == ERROR)  # the first of these decides
             first = decisive.argmax(1)
@@ -578,7 +573,7 @@ def full_table(trials: int = 1000, seed: int = 0) -> TableResult:
     def run(lo: int, hi: int) -> list[CellVerdict]:
         return [check_cell(MeasureSpec(m), c, trials, seed) for m, c in search[lo:hi]]
 
-    found = itertools.chain.from_iterable(_map_parts(run, cuts, pickle.dumps, pickle.loads))
+    found = itertools.chain.from_iterable(_map_parts(run, cuts))
     return TableResult(trials, seed, {cell: v or next(found) for cell, v in cells.items()})
 
 

@@ -259,8 +259,7 @@ def _study(name, sweep_name, sweep_values, points, specs, repeats: int, seed: in
             for i, start, stop in blocks[lo:hi]
         ], axis=1)
 
-    load = lambda data: np.frombuffer(data, dtype=np.float64).reshape(len(specs), -1)  # noqa: E731
-    columns = np.concatenate(_map_parts(draws, _cuts(values, sum(values)), lambda a: a, load), axis=1)
+    columns = np.concatenate(_map_parts(draws, _cuts(values, sum(values))), axis=1)
     raw = {m: row.reshape(len(points), repeats) for m, row in zip(specs, columns)}
     params = {m.value: vars(s) for m, s in specs.items()}
     metadata = {**extra, "repeats": repeats, "seed": seed, "measure_params": params}

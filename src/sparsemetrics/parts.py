@@ -1,13 +1,15 @@
 """Work cut into parts, one per usable CPU, the later ones run in forked
 children and all joined in order, so no result depends on the part count.
 The CLI's parse and render, ``experiments``' studies and ``compliance``'s
-verdict table share it; it imports neither the CLI nor ``argparse``."""
+verdict table share it; it imports neither the CLI nor ``argparse``.  The
+forks, pipes and the pickle a child's result is sent back in are all here."""
 
 from __future__ import annotations
 
 import bisect
 import itertools
 import os
+import pickle
 import threading
 
 #: Fewest numbers (parsed, rendered or drawn) worth a part of their own in
@@ -45,19 +47,19 @@ def _cuts(costs: list[int], work: int) -> list[int]:
     return [*sorted({0, *starts}), len(ends)]
 
 
-def _map_parts(fn, cuts: list[int], dump, load) -> list:
+def _map_parts(fn, cuts: list[int]) -> list:
     """``[fn(cuts[0], cuts[1]), fn(cuts[1], cuts[2]), ...]``, in order.
 
     The first part runs here, each later one in a child forked for it.  A
-    child writes ``dump(result)`` (bytes or an array) to its own pipe and
-    leaves through ``os._exit``: it never flushes stdio, runs atexit
-    handlers or returns into the caller.  The parent reads the children in
-    order and ``load``s their bytes; a child that exits nonzero or is
-    killed has its part recomputed here, so an exception ``fn`` raises in
-    a child is raised here too.  With one part there is no fork, and the
-    same ``fn`` is the whole computation.  Every child is reaped on every
-    path; on an exception the read ends close first, so a child blocked on
-    a full pipe gets EPIPE rather than waiting for a reader.
+    child writes its result, pickled, to its own pipe and leaves through
+    ``os._exit``: it never flushes stdio, runs atexit handlers or returns
+    into the caller.  The parent reads the children in order and unpickles
+    their results; a child that exits nonzero or is killed has its part
+    recomputed here, so an exception ``fn`` raises in a child is raised
+    here too.  With one part there is no fork, and the same ``fn`` is the
+    whole computation.  Every child is reaped on every path; on an
+    exception the read ends close first, so a child blocked on a full pipe
+    gets EPIPE rather than waiting for a reader.
     """
     reads: list[int] = []  # the pipe of each later part, in order
     pids: list[int] = []  # the children not yet reaped, in order
@@ -68,7 +70,7 @@ def _map_parts(fn, cuts: list[int], dump, load) -> list:
             try:
                 pid = os.fork()
                 if pid == 0:
-                    _serve_part(lambda: dump(fn(cuts[k], cuts[k + 1])), write, reads)
+                    _serve_part(lambda: fn(cuts[k], cuts[k + 1]), write, reads)
             finally:
                 # closed before the next fork, so no later child holds it open
                 os.close(write)
@@ -79,7 +81,7 @@ def _map_parts(fn, cuts: list[int], dump, load) -> list:
                 data = pipe.readall()
             _, status = os.waitpid(pids[0], 0)
             del pids[0]
-            results.append(load(data) if status == 0 else fn(cuts[k], cuts[k + 1]))
+            results.append(pickle.loads(data) if status == 0 else fn(cuts[k], cuts[k + 1]))
         return results
     finally:
         for read in reads:
@@ -89,14 +91,14 @@ def _map_parts(fn, cuts: list[int], dump, load) -> list:
 
 
 def _serve_part(part, write: int, reads: list[int]) -> None:
-    """A forked child's whole life: write the bytes of ``part()`` to the
-    pipe ``write`` and exit 0, or exit 1 on any exception.  It closes the
-    read ends it inherited first, so only the parent can read its pipe."""
+    """A forked child's whole life: write ``part()``, pickled, to the pipe
+    ``write`` and exit 0, or exit 1 on any exception.  It closes the read
+    ends it inherited first, so only the parent can read its pipe."""
     code = 1
     try:
         for read in reads:
             os.close(read)
-        view = memoryview(part()).cast("B")
+        view = memoryview(pickle.dumps(part(), pickle.HIGHEST_PROTOCOL))
         while view:
             view = view[os.write(write, view) :]
         code = 0

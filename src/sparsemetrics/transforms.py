@@ -156,17 +156,17 @@ class TrialRows:
     ``rows[r, 1 + k, :lengths[r, 1 + k]]`` its k-th after vector; each of
     ``params`` holds a value per draw, or per draw and k.  ``ok[r]`` is False
     for a draw that was never eligible or fails a precondition.
-    ``later(picks)``, if given, builds
-    the further groups of the draws ``picks`` (P1's beta sweep), the same
-    number per draw, draw by draw, a part at a time as ``TrialBlock.parts``
-    builds a block's: each part's indices among those groups and its trials.
+    ``later(picks)``, if given, is the further groups of the draws ``picks``
+    (P1's beta sweep) as a ``TrialBlock`` of one draw per group, the same
+    number per pick, each pick's together and in order; its trials are
+    built a part at a time, as any block's are.
     """
 
     rows: np.ndarray
     lengths: np.ndarray
     params: dict[str, np.ndarray]
     ok: np.ndarray
-    later: Callable[[np.ndarray], Iterator[tuple[np.ndarray, TrialRows]]] | None = None
+    later: Callable[[np.ndarray], TrialBlock] | None = None
 
     def __len__(self) -> int:
         return len(self.ok)
@@ -218,7 +218,21 @@ class TrialBlock:
         most PART_ENTRIES float64 entries (or one draw's), all draws of a
         length in one part unless they would hold more: each part's indices
         and its first group of trials, built only when the part is taken."""
-        return _parts(criterion, self)
+        order = np.argsort(self.n, kind="stable")
+        lengths = CRITERIA[criterion].lengths(self.n, **self.params)[order]
+        starts = [0, *(np.flatnonzero(np.diff(self.n[order])) + 1).tolist()]
+        tops = np.maximum.reduceat(lengths.max(1), starts).tolist()  # each length's widest row
+        cuts, start, width = [], 0, 0
+        for stop, end, top in zip(starts, [*starts[1:], len(order)], tops):
+            width = max(width, top)
+            if (end - start) * lengths.shape[1] * width > PART_ENTRIES and stop > start:
+                cuts.append(stop)
+                start, width = stop, top
+            step = max(1, PART_ENTRIES // (lengths.shape[1] * top))
+            cuts += range(start + step, end, step)  # more draws of this length than fit
+            start = cuts[-1] if cuts else 0
+        for at in np.split(order, cuts):
+            yield at, _trials(criterion, self.take(at, int(self.n[at[-1]])))
 
     def trial(self, criterion: Criterion, r: int = 0, k: int = 0) -> CriterionTrial:
         """Draw r's trial against its after vector k, built alone."""
@@ -280,7 +294,8 @@ def _babies(v, lengths, k):
 
 def _transform(criterion: Criterion, c: CoefficientVector, **params) -> CriterionTrial:
     """``criterion``'s program on the one row ``c``: its trial, or the
-    ``InvalidTransform`` of its first False precondition."""
+    ``InvalidTransform`` of its first False precondition or of a built row
+    past the float64 range."""
     d = CRITERIA[criterion]
     got = ", ".join(f"{name}={value}" for name, value in params.items())
     for name, value in params.items():
@@ -292,10 +307,13 @@ def _transform(criterion: Criterion, c: CoefficientVector, **params) -> Criterio
         name: np.array([value], dtype=np.int64 if name in _INTEGER_PARAMS else np.float64)
         for name, value in params.items()
     }
-    checks, rows, lengths = d.build(c.values[None], np.array([len(c)]), **arrays)
+    with np.errstate(over="ignore", invalid="ignore"):
+        checks, rows, lengths = d.build(c.values[None], np.array([len(c)]), **arrays)
     for condition, holds in checks.items():
         if not holds[0]:
             raise InvalidTransform(f"{d.name} requires {condition}, got {got}")
+    if not np.isfinite(rows).all():
+        raise InvalidTransform(f"{d.name} leaves the float64 range, got {got}")
     return TrialRows(rows, lengths, arrays, np.ones(1, bool)).trial(criterion)
 
 
@@ -552,32 +570,13 @@ CRITERIA: dict[Criterion, CriterionDef] = {
 }
 
 
-def _parts(criterion: Criterion, block: TrialBlock) -> Iterator[tuple[np.ndarray, TrialRows]]:
-    """``block.parts(criterion)``; ``_later`` cuts the later groups by it too."""
-    order = np.argsort(block.n, kind="stable")
-    lengths = CRITERIA[criterion].lengths(block.n, **block.params)[order]
-    starts = [0, *(np.flatnonzero(np.diff(block.n[order])) + 1).tolist()]
-    tops = np.maximum.reduceat(lengths.max(1), starts).tolist()  # each length's widest row
-    cuts, start, width = [], 0, 0
-    for stop, end, top in zip(starts, [*starts[1:], len(order)], tops):
-        width = max(width, top)
-        if (end - start) * lengths.shape[1] * width > PART_ENTRIES and stop > start:
-            cuts.append(stop)
-            start, width = stop, top
-        step = max(1, PART_ENTRIES // (lengths.shape[1] * top))
-        cuts += range(start + step, end, step)  # more draws of this length than fit
-        start = cuts[-1] if cuts else 0
-    for at in np.split(order, cuts):
-        yield at, _trials(criterion, block.take(at, int(block.n[at[-1]])))
-
-
-def _later(criterion: Criterion, block: TrialBlock, picks: np.ndarray):
-    """The later groups of the draws ``picks`` of ``block``, as the parts of
-    a block of their own with one draw per group."""
+def _later(criterion: Criterion, block: TrialBlock, picks: np.ndarray) -> TrialBlock:
+    """The later groups of the draws ``picks`` of ``block`` as a block of
+    their own, one draw per group: each pick's groups together, in order."""
     grouped = CRITERIA[criterion].grouped
     later = block.take(np.repeat(picks, block.params[grouped].shape[1] - 1))
     later.params[grouped] = block.params[grouped][picks, 1:].reshape(-1, 1)
-    return _parts(criterion, later)
+    return later
 
 
 def _trials(criterion: Criterion, block: TrialBlock) -> TrialRows:

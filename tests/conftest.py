@@ -7,6 +7,8 @@ from pathlib import Path
 
 import pytest
 
+from sparsemetrics import parts
+
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
@@ -38,3 +40,17 @@ def no_child_left():
     except ChildProcessError:
         return
     pytest.fail(f"the test left a child process ({pid or 'still running'}) unreaped")
+
+
+@pytest.fixture(scope="session")
+def force_parts():
+    """``force_parts(monkeypatch, cpus)``: until ``monkeypatch`` is undone,
+    cut all work of two or more numbers (parsed values, study blocks,
+    search draws) into up to ``cpus`` parts.  Session-scoped, so a
+    hypothesis test may use it with ``pytest.MonkeyPatch.context()``."""
+
+    def force(monkeypatch, cpus: int) -> None:
+        monkeypatch.setattr(parts, "PART_MIN_NUMBERS", 1)
+        monkeypatch.setattr(parts, "_usable_cpus", lambda: cpus)
+
+    return force

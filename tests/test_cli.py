@@ -125,12 +125,6 @@ def scratch_file(tmp_path_factory):
     return tmp_path_factory.mktemp("parse") / "v.txt"
 
 
-def _force_parts(monkeypatch, cpus: int) -> None:
-    """Split every input of two or more numbers into ``cpus`` parts."""
-    monkeypatch.setattr(parts, "PART_MIN_NUMBERS", 1)
-    monkeypatch.setattr(parts, "_usable_cpus", lambda: cpus)
-
-
 class TestFastParse:
     """The one-pass real-mode parse gives exactly what the line loop gives,
     and a malformed token keeps the loop's line and column message, with
@@ -138,9 +132,9 @@ class TestFastParse:
 
     @settings(max_examples=300, deadline=None)
     @given(vector_text(), st.sampled_from([1, 2, 3, 4]))
-    def test_same_values_as_line_loop(self, text, cpus):
+    def test_same_values_as_line_loop(self, force_parts, text, cpus):
         with pytest.MonkeyPatch.context() as mp:
-            _force_parts(mp, cpus)
+            force_parts(mp, cpus)
             fast = cli._split_values(text).tolist()
         loop = cli._line_values(text, complex_pairs=False)
         # float.hex tells -0.0 from 0.0 and shows every bit
@@ -148,13 +142,13 @@ class TestFastParse:
 
     @settings(max_examples=200, deadline=None)
     @given(vector_text(), BAD_TOKENS, SEPARATORS, vector_text(), st.sampled_from([1, 2, 3, 4]))
-    def test_malformed_token_named(self, scratch_file, head, bad, sep, tail, cpus):
+    def test_malformed_token_named(self, scratch_file, force_parts, head, bad, sep, tail, cpus):
         # head ends with a separator (or is empty), so bad stands alone
         lines = (head + bad).splitlines()
         line, column = len(lines), len(lines[-1]) - len(bad) + 1
         scratch_file.write_bytes((head + bad + sep + tail).encode("utf-8"))
         with pytest.MonkeyPatch.context() as mp, pytest.raises(SparsemetricsError) as info:
-            _force_parts(mp, cpus)
+            force_parts(mp, cpus)
             read_vector(str(scratch_file))
         assert str(info.value) == f"line {line}, column {column}: malformed number {bad!r}"
 
@@ -174,9 +168,9 @@ class TestParts:
     # 780 search draws (39 cells of 20 trials): under PART_MIN_NUMBERS
     TABLE = ("table", "--trials", "20")
 
-    def test_forks_once_for_two_cpus(self, monkeypatch, capsys):
+    def test_forks_once_for_two_cpus(self, monkeypatch, capsys, force_parts):
         # the control for the tests below: these inputs do fork when split
-        _force_parts(monkeypatch, 2)
+        force_parts(monkeypatch, 2)
         forks = []
         fork = os.fork
         monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
@@ -188,16 +182,16 @@ class TestParts:
         assert run_cli(*self.TABLE) == 1
         assert len(forks) == 3
         forked_table = capsys.readouterr()
-        _force_parts(monkeypatch, 1)
+        force_parts(monkeypatch, 1)
         assert run_cli(*self.STUDY, "--raw") == 0
         assert len(forks) == 3 and capsys.readouterr() == forked
         assert run_cli(*self.TABLE) == 1
         assert len(forks) == 3 and capsys.readouterr() == forked_table
 
     @pytest.mark.parametrize("case", ["one-cpu", "live-thread", "below-threshold"])
-    def test_no_fork(self, monkeypatch, tmp_path, capsys, case):
+    def test_no_fork(self, monkeypatch, tmp_path, capsys, case, force_parts):
         if case != "below-threshold":
-            _force_parts(monkeypatch, 1 if case == "one-cpu" else 2)
+            force_parts(monkeypatch, 1 if case == "one-cpu" else 2)
         monkeypatch.setattr(os, "fork", _no_fork)
         done = threading.Event()
         thread = threading.Thread(target=done.wait)
@@ -222,21 +216,25 @@ class TestParts:
 
     @pytest.mark.parametrize("fmt", [("--format", "tabular"), ("--raw",), ("--format", "structured")])
     @pytest.mark.parametrize("name", ["poisson-convergence", "bernoulli-sweep"])
-    def test_experiment_bytes_do_not_depend_on_cpu_count(self, monkeypatch, capsys, name, fmt):
+    def test_experiment_bytes_do_not_depend_on_cpu_count(
+        self, monkeypatch, capsys, name, fmt, force_parts
+    ):
         outputs = []
         for cpus in (1, 2, 3, 4):
-            _force_parts(monkeypatch, cpus)
+            force_parts(monkeypatch, cpus)
             assert run_cli("experiment", "--name", name, *fmt) == 0
             outputs.append(capsys.readouterr())
         assert outputs[1:] == outputs[:1] * 3
 
     @pytest.mark.parametrize("fmt", ["tabular", "structured"])
     @pytest.mark.parametrize("seed", ["0", "2208"])
-    def test_table_bytes_do_not_depend_on_cpu_count(self, monkeypatch, capsys, seed, fmt):
+    def test_table_bytes_do_not_depend_on_cpu_count(
+        self, monkeypatch, capsys, seed, fmt, force_parts
+    ):
         # at seed 2208 the search also finds a neg-tanh/D1 witness (trial 500)
         outputs = []
         for cpus in (1, 2, 3, 4):
-            _force_parts(monkeypatch, cpus)
+            force_parts(monkeypatch, cpus)
             outputs.append((run_cli("table", "--seed", seed, "--format", fmt), capsys.readouterr()))
         assert outputs[1:] == outputs[:1] * 3
         code, captured = outputs[0]
@@ -244,10 +242,10 @@ class TestParts:
         assert code == 1 and len(mismatches) == (2 if seed == "2208" else 1)
 
     @pytest.mark.parametrize("argv", [("--seed", "-1"), ("--trials", "0")])
-    def test_table_error_does_not_depend_on_cpu_count(self, monkeypatch, capsys, argv):
+    def test_table_error_does_not_depend_on_cpu_count(self, monkeypatch, capsys, argv, force_parts):
         errors = []
         for cpus in (1, 3):
-            _force_parts(monkeypatch, cpus)
+            force_parts(monkeypatch, cpus)
             errors.append((run_cli("table", *argv), capsys.readouterr()))
         assert errors[1] == errors[0]
         code, captured = errors[0]
@@ -264,9 +262,7 @@ class TestParts:
                 os.kill(os.getpid(), signal.SIGKILL)
             return np.arange(lo, hi, dtype=np.float64)
 
-        cuts = [0, 3, 3, 7, 12]
-        load = lambda data: np.frombuffer(data, dtype=np.float64)  # noqa: E731
-        results = parts._map_parts(part, cuts, lambda a: a, load)
+        results = parts._map_parts(part, [0, 3, 3, 7, 12])
         assert np.concatenate(results).tolist() == list(range(12))
 
     def test_parent_part_raises(self):
@@ -284,7 +280,7 @@ class TestParts:
         signal.alarm(20)
         try:
             with pytest.raises(RuntimeError, match="parent part failed"):
-                parts._map_parts(part, [0, 1, 2, 3, 4], bytes, bytes)
+                parts._map_parts(part, [0, 1, 2, 3, 4])
         finally:
             signal.alarm(0)
             signal.signal(signal.SIGALRM, previous)
@@ -365,14 +361,14 @@ class TestMeasureAllAndLorenz:
 
     @pytest.mark.parametrize("n", [4, 5])
     @pytest.mark.parametrize("cpus", [2, 3])
-    def test_lorenz_parts_same_bytes(self, tmp_path, capsys, monkeypatch, n, cpus):
+    def test_lorenz_parts_same_bytes(self, tmp_path, capsys, monkeypatch, n, cpus, force_parts):
         # n + 1 points, odd and even, cut into parts: the bytes of one
         # %r format over all of them
         values = [(k * 0.37) % 1.9 for k in range(n)]
         points = lorenz_curve(CoefficientVector(np.array(values))).points
         p = tmp_path / "v.txt"
         p.write_text(" ".join(map(repr, values)))
-        _force_parts(monkeypatch, cpus)
+        force_parts(monkeypatch, cpus)
         assert run_cli("lorenz", "--input", str(p)) == 0
         whole = "x,y\n" + "%r,%r\n" * len(points) % tuple(points.ravel().tolist())
         assert capsys.readouterr().out == whole

@@ -30,7 +30,7 @@ from sparsemetrics import (
     run_counterexamples,
     theorem_consistency,
 )
-from sparsemetrics import compliance, parts, transforms
+from sparsemetrics import compliance, transforms
 from sparsemetrics.compliance import FAIL, HOLD, SKIP, _decide, _outcomes, _seeded
 from sparsemetrics.errors import CatalogMiss, DegenerateInput, GenerationFailure, InvalidParams
 from sparsemetrics.transforms import (
@@ -285,7 +285,7 @@ def _packed(draws):
     draws = [d if isinstance(d, list) and isinstance(d[0], list) else [d] for d in draws]
     draws = [d if good else [HOLDS] for d, good in zip(draws, ok)]
     g = max(len(d) for d in draws) - 1
-    later = lambda picks: _pack([x for r in picks for x in (draws[r][1:] + draws[r][:1] * g)[:g]]).parts(None)  # noqa: E731
+    later = lambda picks: _pack([x for r in picks for x in (draws[r][1:] + draws[r][:1] * g)[:g]])  # noqa: E731
     return replace(_pack([d[0] for d in draws]), ok=ok, later=later if g else None)
 
 
@@ -702,6 +702,23 @@ class TestBlockBoundaries:
         with pytest.raises(InvalidParams, match="coefficient magnitudes must be finite"):
             check_cell(MeasureSpec(M.GINI), C.D2, trials=2, seed=0)
 
+    @pytest.mark.parametrize("erring", [True, False], ids=["fails-then-errs", "holds-then-errs"])
+    def test_a_bad_row_in_a_later_group(self, monkeypatch, erring):
+        # both draws' first groups fail; the first draw's later groups hold,
+        # and the second's last later group has a non-finite after vector:
+        # the first later group that holds or errs decides a draw, so the
+        # second draw errs unless a later group holds before its bad row
+        bad = _group([1, 2], [1, np.inf])
+        second = _draw(FAILS, FAILS if erring else HOLDS, bad)
+        draws = _packed([_draw(FAILS, HOLDS, HOLDS), second])
+        monkeypatch.setattr(compliance, "draw_trial", lambda *args: draws)
+        if erring:
+            with pytest.raises(InvalidParams, match="coefficient magnitudes must be finite"):
+                check_cell(MeasureSpec(M.GINI), C.D2, trials=2, seed=0)
+        else:
+            v = check_cell(MeasureSpec(M.GINI), C.D2, trials=2, seed=0)
+            assert (v.violated, v.trials, v.skipped) == (False, 2, 0)
+
     def test_u_theta_p1_skips_match_sequential(self, monkeypatch):
         spec = MeasureSpec(M.U_THETA)
         counts = (self.B - 1, self.B, self.B + 1, 5 * self.B, 5 * self.B + 1, 1000)
@@ -859,15 +876,16 @@ class TestKernelCalls:
     parts, D4's padding to 4n setting every criterion's part size), and
     makes 3,254 in 314 parts of PART_ENTRIES trial-row entries: one call per
     length for D1-D3 and P1, about 236 for D4 (lengths n, 2n, 3n and 4n)
-    and 126 for P2 (n to n + 3).  P1's later groups are built a part at a
-    time too, at length boundaries where they fit: 15 builds, against 10
-    when each part's were built whole, counted in neither number.  The
-    table runs in one part here, so no child's calls go uncounted."""
+    and 126 for P2 (n to n + 3).  P1's later groups are a block of their
+    own, built a part at a time at length boundaries where they fit: 15
+    more parts, against 10 builds when each part's were built whole, and
+    their kernel calls counted among the 3,254.  The table runs in one
+    part here, so no child's calls go uncounted."""
 
     CALLS = 3254
-    PARTS = 314
+    PARTS = 314 + 15
 
-    def test_full_table_kernel_calls(self, monkeypatch):
+    def test_full_table_kernel_calls(self, monkeypatch, force_parts):
         real, calls = compliance.evaluate_block, [0]
         real_parts, parts = transforms.TrialBlock.parts, [0]
 
@@ -882,7 +900,7 @@ class TestKernelCalls:
 
         monkeypatch.setattr(compliance, "evaluate_block", evaluate_block)
         monkeypatch.setattr(transforms.TrialBlock, "parts", counted_parts)
-        _force_parts(monkeypatch, 1)  # a child's calls would not be counted
+        force_parts(monkeypatch, 1)  # a child's calls would not be counted
         assert full_table(trials=1000, seed=0).mismatches == [(Measure.HS, Criterion.D2)]
         assert calls[0] <= self.CALLS
         assert parts[0] <= self.PARTS
@@ -926,19 +944,13 @@ class TestFullTable:
         assert theorem_consistency(compliance_map(small_table))
 
 
-def _force_parts(monkeypatch, cpus: int) -> None:
-    """Cut every table of two or more search draws into up to ``cpus`` parts."""
-    monkeypatch.setattr(parts, "PART_MIN_NUMBERS", 1)
-    monkeypatch.setattr(parts, "_usable_cpus", lambda: cpus)
-
-
 class TestTableParts:
     """The table's search cells cut into forked parts: no verdict, witness,
     count or error depends on the usable CPU count."""
 
     @pytest.mark.parametrize("cpus", [2, 3, 4])
-    def test_same_cells_at_any_cpu_count(self, monkeypatch, small_table, cpus):
-        _force_parts(monkeypatch, cpus)
+    def test_same_cells_at_any_cpu_count(self, monkeypatch, small_table, cpus, force_parts):
+        force_parts(monkeypatch, cpus)
         table = full_table(trials=120, seed=0)
         assert list(table.cells) == list(small_table.cells)
         assert table.cells == small_table.cells
@@ -947,7 +959,7 @@ class TestTableParts:
     @pytest.mark.parametrize("cpus", [1, 3])
     @pytest.mark.parametrize("earlier", [False, True])
     def test_first_error_in_table_order_is_raised(
-        self, monkeypatch, tmp_path, small_table, cpus, earlier
+        self, monkeypatch, tmp_path, small_table, cpus, earlier, force_parts
     ):
         # the last search cell fails, and with ``earlier`` the middle one
         # too; at 3 parts each is in a child's run, the first failed part is
@@ -964,7 +976,7 @@ class TestTableParts:
             return real(spec, criterion, trials, seed)
 
         monkeypatch.setattr(compliance, "check_cell", check_cell)
-        _force_parts(monkeypatch, cpus)
+        force_parts(monkeypatch, cpus)
         m, c = failing[0]
         with pytest.raises(InvalidParams, match=rf"^\({m.value}, {c.value}\) failed$"):
             full_table(trials=20, seed=0)

@@ -25,7 +25,7 @@ from sparsemetrics import (
     sample_gini,
     sample_vector,
 )
-from sparsemetrics import experiments, parts
+from sparsemetrics import experiments
 from sparsemetrics.errors import NonSeparableMeasure
 from sparsemetrics.experiments import BERNOULLI_EPSILON, MAX_RESAMPLES, default_specs
 from sparsemetrics.transforms import stream
@@ -439,9 +439,9 @@ class TestStudyBlocks:
         monkeypatch.setattr(experiments, "BLOCK_VALUES", block_values)
         assert _hex(STUDIES[study][0](repeats)) == _expected(study, repeats)
 
-    def test_a_degenerate_draw_mid_block_is_the_only_one_redrawn(self, monkeypatch):
+    def test_a_degenerate_draw_mid_block_is_the_only_one_redrawn(self, monkeypatch, force_parts):
         run, specs, points, seed = STUDIES["bernoulli-n4"]
-        _force_parts(monkeypatch, 1)  # a child's calls would not be recorded
+        force_parts(monkeypatch, 1)  # a child's calls would not be recorded
         keys = []
         real = experiments.raw_words
         monkeypatch.setattr(experiments, "raw_words", lambda k, *a: keys.extend(k) or real(k, *a))
@@ -474,7 +474,9 @@ class TestStudyBlocks:
 
     @pytest.mark.parametrize("fault", ["raises", "nan"])
     @pytest.mark.parametrize("study", list(STUDIES))
-    def test_a_block_failing_for_one_measure_falls_back_per_row(self, monkeypatch, study, fault):
+    def test_a_block_failing_for_one_measure_falls_back_per_row(
+        self, monkeypatch, study, fault, force_parts
+    ):
         # neg-log is defined on every draw, so each block reaches the fault,
         # and the block is split in halves down to the rows that pass alone
         real = MEASURES[Measure.NEG_LOG]
@@ -490,7 +492,7 @@ class TestStudyBlocks:
             return values
 
         monkeypatch.setitem(MEASURES, Measure.NEG_LOG, dataclasses.replace(real, kernel=kernel))
-        _force_parts(monkeypatch, 1)  # a child's calls would not be recorded
+        force_parts(monkeypatch, 1)  # a child's calls would not be recorded
         assert _hex(STUDIES[study][0](50)) == _expected(study, 50)
         assert blocks
 
@@ -506,12 +508,6 @@ class TestStudyBlocks:
         assert str(got.value) == "draw for (0, 0, 5) stayed degenerate after 20 resamples"
 
 
-def _force_parts(monkeypatch, cpus: int) -> None:
-    """Split every study of two or more blocks into up to ``cpus`` parts."""
-    monkeypatch.setattr(parts, "PART_MIN_NUMBERS", 1)
-    monkeypatch.setattr(parts, "_usable_cpus", lambda: cpus)
-
-
 class TestStudyParts:
     """A study's blocks cut into forked parts: no value, digest or error
     message depends on the usable CPU count."""
@@ -519,40 +515,40 @@ class TestStudyParts:
     @pytest.mark.parametrize("block_values", [7, experiments.BLOCK_VALUES])
     @pytest.mark.parametrize("cpus", [1, 2, 3, 4])
     @pytest.mark.parametrize("study", list(STUDIES))
-    def test_same_bits_at_any_cpu_count(self, monkeypatch, study, cpus, block_values):
+    def test_same_bits_at_any_cpu_count(self, monkeypatch, study, cpus, block_values, force_parts):
         monkeypatch.setattr(experiments, "BLOCK_VALUES", block_values)
-        _force_parts(monkeypatch, cpus)
+        force_parts(monkeypatch, cpus)
         assert _hex(STUDIES[study][0](50)) == _expected(study, 50)
 
-    def test_redraws_in_a_childs_part(self, monkeypatch):
+    def test_redraws_in_a_childs_part(self, monkeypatch, force_parts):
         # one block per point: at 2 parts the child draws point 1 (p = 0.7),
         # where 24% of the 4-value draws are all zero and are redrawn
         run = STUDIES["bernoulli-n4"][0]
         keys = []
         real = experiments.raw_words
         monkeypatch.setattr(experiments, "raw_words", lambda k, *a: keys.extend(k) or real(k, *a))
-        _force_parts(monkeypatch, 1)
+        force_parts(monkeypatch, 1)
         run(50)
         assert {key[1] for key in keys if key[3] > 0} == {0, 1}
         keys.clear()
-        _force_parts(monkeypatch, 2)
+        force_parts(monkeypatch, 2)
         assert _hex(run(50)) == _expected("bernoulli-n4", 50)
         assert {key[1] for key in keys} == {0}  # the parent drew point 0 alone
 
     @pytest.mark.parametrize("cpus", [2, 3, 4])
     @pytest.mark.parametrize("case", list(PINNED_STUDIES))
-    def test_pinned_digests_at_any_cpu_count(self, monkeypatch, case, cpus):
-        _force_parts(monkeypatch, cpus)
+    def test_pinned_digests_at_any_cpu_count(self, monkeypatch, case, cpus, force_parts):
+        force_parts(monkeypatch, cpus)
         run, digest = PINNED_STUDIES[case]
         assert _raw_digest(run()) == digest
 
     @pytest.mark.parametrize("cpus", [1, 3])
-    def test_a_failing_part_raises_its_message(self, monkeypatch, cpus):
+    def test_a_failing_part_raises_its_message(self, monkeypatch, cpus, force_parts):
         # a 2-value draw at p = 0.999 is all zero 99.8% of the time, so
         # point 1's draws stay degenerate; in 10 blocks of 10 draws, 3 parts
         # put them in both children's parts
         monkeypatch.setattr(experiments, "BLOCK_VALUES", 20)
-        _force_parts(monkeypatch, cpus)
+        force_parts(monkeypatch, cpus)
         with pytest.raises(DegenerateInput) as info:
             bernoulli_sweep(grid=(0.5, 0.999), n=2, repeats=50, seed=0)
         assert str(info.value) == "draw for (0, 1, 0) stayed degenerate after 20 resamples"

@@ -3,6 +3,8 @@ export fails here and not in a user's ``import *``."""
 
 import importlib
 import pkgutil
+import re
+from pathlib import Path
 
 import pytest
 
@@ -41,3 +43,15 @@ def test_bare_import_loads_neither_the_cli_nor_argparse(run_python):
     )
     proc = run_python("-c", script)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_only_parts_forks_pipes_or_pickles():
+    """The fork machinery, and the pickle a forked part is sent back in,
+    stay in ``parts``: no other module names ``os.fork``, ``os.pipe`` or
+    ``pickle``, and ``parts`` names all three, so the search finds them."""
+    named = {
+        path.name: set(re.findall(r"\b(?:os\.fork|os\.pipe|pickle)\b", path.read_text()))
+        for path in Path(sparsemetrics.__file__).parent.glob("*.py")
+    }
+    assert named.pop("parts.py") == {"os.fork", "os.pipe", "pickle"}
+    assert {name: found for name, found in named.items() if found} == {}

@@ -184,6 +184,26 @@ class TestBabies:
             babies(vec(1, 2), 0)
 
 
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda c: scale(c, 10.0), "scaling leaves the float64 range, got alpha=10.0"),
+        (lambda c: rising_tide(c, 1e308), "rising tide leaves the float64 range, got alpha=1e+308"),
+        (
+            lambda c: bill_gates(c, 0, 1.0, 1e308),
+            "bill gates leaves the float64 range, got i=0, beta=1.0, alpha=1e+308",
+        ),
+    ],
+    ids=["scale", "rising-tide", "bill-gates"],
+)
+def test_an_after_vector_past_the_float64_range_is_rejected(make, message):
+    # finite input, an overflowing after vector: neither numpy's overflow
+    # warning (an error under -W error) nor an InvalidParams about its values
+    with pytest.raises(InvalidTransform) as info:
+        make(vec(1e308, 2.0))
+    assert str(info.value) == message
+
+
 class TestRoundTripAndConservation:
     @pytest.mark.parametrize("criterion, pair", [(Criterion.D1, "CE1"), (Criterion.P1, "CE5")])
     def test_reapply_on_a_catalog_pair_names_it(self, criterion, pair):
@@ -337,7 +357,7 @@ class TestProbes:
     def test_bill_gates_groups_share_before_and_sweep_beta(self):
         for seed in range(20):
             first = _drawn(Criterion.P1, seed)
-            ((_, later),) = first.later(np.array([0]))  # one draw's groups are one part
+            ((_, later),) = first.later(np.array([0])).parts(Criterion.P1)  # one part
             groups = [[first.trial(Criterion.P1, 0, k) for k in range(3)]] + [
                 [later.trial(Criterion.P1, g, k) for k in range(3)] for g in range(len(later))
             ]
@@ -477,7 +497,8 @@ class TestStreams:
 def _draw_keys(block):
     """Each draw of a ``TrialRows`` and its later groups as comparable bytes and params."""
     later = {}  # each later group's part and its index there
-    for at, part in block.later(np.arange(len(block))) if block.later else ():
+    sweep = block.later(np.arange(len(block))).parts(Criterion.P1) if block.later else ()
+    for at, part in sweep:
         later.update((g, (part, r)) for r, g in enumerate(at.tolist()))
     groups = len(later) // len(block)
 
