@@ -33,7 +33,7 @@ from .measures import (
     evaluate,
     evaluate_block,
 )
-from .parts import _cuts, _map_parts
+from .parts import _map_parts
 from .transforms import (
     CRITERIA,
     CRITERION_ORDER,
@@ -411,8 +411,8 @@ def _decide(
     (a later skip counts as failing), else the first group's first failure
     is the witness, its values taken by ``evaluate`` as the catalog's are.
     The first witness or error (a draw that is not ``ok`` is one) ends the
-    search, so the block sizes change no verdict, and an error surfaces
-    only if no earlier draw is a witness."""
+    search before the next block is drawn, so the block sizes change no
+    verdict, and an error surfaces only if no earlier draw is a witness."""
     trials = skipped = 0
     for block in blocks:
         state, k, raised = _outcomes(spec, criterion, block)
@@ -432,10 +432,10 @@ def _decide(
 
 
 def _seeded(criterion: Criterion, ticks: range, key: tuple, trials: int):
-    """``check_cell``'s source: ``trials`` draws from ``ticks``, one
-    ``draw_trial`` block of ``BLOCK_TRIALS`` at a time."""
-    for start in range(0, trials, BLOCK_TRIALS):
-        yield draw_trial(criterion, ticks, key, start, min(BLOCK_TRIALS, trials - start))
+    """``check_cell``'s source: ``trials`` draws from ``ticks`` in ``draw_trial`` blocks,
+    draw 0 alone (a first-draw witness is all a cell builds), then BLOCK_TRIALS at a time."""
+    for start, end in itertools.pairwise([0, *range(1, trials, BLOCK_TRIALS), trials]):
+        yield draw_trial(criterion, ticks, key, start, end - start)
 
 
 def check_cell(
@@ -546,20 +546,13 @@ class TableResult:
         }
 
 
-#: A search cell's cost per trial in tenths, 10 unless given, by which
-#: ``full_table`` cuts its search cells into parts: at 1000 trials a D4 cell
-#: took 10-12 ms, a P1 cell 6-10 ms and the others 4-9 ms (2-core Xeon VM).
-SEARCH_COST = {Criterion.D4: 20, Criterion.P1: 14}
-
-
 def full_table(trials: int = 1000, seed: int = 0) -> TableResult:
     """Resolve all 90 cells: catalog first, randomized search otherwise.
 
-    The cells left to search, in table order, are cut into runs of about
-    equal ``SEARCH_COST``, one per part of ``_map_parts`` (their draws are
-    its work), and joined in table order.  Each searches its own stream, so
-    no verdict depends on the part count, and the first error in table
-    order is the one raised."""
+    The cells left to search are one run each of ``_map_parts`` (their
+    draws are its work), in table order, each taken by whichever worker is
+    free.  Each searches its own stream, so no verdict depends on which
+    worker searched it, and the first error in table order is raised."""
     cells = {}  # each cell's violated catalog verdict, or None to search
     for measure in MEASURE_ORDER:
         spec = MeasureSpec(measure)
@@ -567,13 +560,9 @@ def full_table(trials: int = 1000, seed: int = 0) -> TableResult:
             mapped = (measure, criterion) in TABLE4_WITNESSES
             verdict = catalog_verdict(spec, criterion) if mapped else None
             cells[measure, criterion] = verdict if verdict and verdict.violated else None
-    search = [cell for cell, verdict in cells.items() if verdict is None]
-    cuts = _cuts([trials * SEARCH_COST.get(c, 10) for _, c in search], trials * len(search))
-
-    def run(lo: int, hi: int) -> list[CellVerdict]:
-        return [check_cell(MeasureSpec(m), c, trials, seed) for m, c in search[lo:hi]]
-
-    found = itertools.chain.from_iterable(_map_parts(run, cuts))
+    search = [(MeasureSpec(m), c) for (m, c), verdict in cells.items() if verdict is None]
+    found = iter(_map_parts(lambda k, _: check_cell(*search[k], trials, seed),
+                            range(len(search) + 1), trials * len(search)))
     return TableResult(trials, seed, {cell: v or next(found) for cell, v in cells.items()})
 
 

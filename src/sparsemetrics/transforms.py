@@ -36,7 +36,7 @@ import math
 import operator
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from functools import partial, reduce
+from functools import cache, partial, reduce
 from typing import Callable, Iterator
 
 import numpy as np
@@ -292,17 +292,23 @@ def _babies(v, lengths, k):
     return {"k >= 1": k >= 1, "nonzero total mass": v.any(1)}, _pair(v, v, lengths)
 
 
+def _checked(d: CriterionDef, n: int, params: dict) -> str:
+    """``params`` as ``d``'s messages show them, once they pass its type and index checks."""
+    got = ", ".join(f"{name}={value}" for name, value in params.items())
+    for name, value in params.items():
+        if name in _INTEGER_PARAMS and not isinstance(value, (int, np.integer)):
+            raise InvalidTransform(f"{d.name} requires an integer {name}, got {got}")
+        if name in ("i", "j") and not 0 <= value < n:
+            raise InvalidTransform(f"{d.name} requires 0 <= {name} < N = {n}, got {got}")
+    return got
+
+
 def _transform(criterion: Criterion, c: CoefficientVector, **params) -> CriterionTrial:
     """``criterion``'s program on the one row ``c``: its trial, or the
     ``InvalidTransform`` of its first False precondition or of a built row
     past the float64 range."""
     d = CRITERIA[criterion]
-    got = ", ".join(f"{name}={value}" for name, value in params.items())
-    for name, value in params.items():
-        if name in _INTEGER_PARAMS and not isinstance(value, (int, np.integer)):
-            raise InvalidTransform(f"{d.name} requires an integer {name}, got {got}")
-        if name in ("i", "j") and not 0 <= value < len(c):
-            raise InvalidTransform(f"{d.name} requires 0 <= {name} < N = {len(c)}, got {got}")
+    got = _checked(d, len(c), params)
     arrays = {
         name: np.array([value], dtype=np.int64 if name in _INTEGER_PARAMS else np.float64)
         for name, value in params.items()
@@ -353,8 +359,12 @@ def reapply(trial: CriterionTrial) -> CoefficientVector:
         raise InvalidTransform(f"catalog pair {trial.params['catalog']} records no parameters")
     if trial.criterion is Criterion.P1:
         # before already carries +beta; re-adding alpha reproduces after
-        av = trial.before.values.copy()
-        av[trial.params["i"]] += trial.params["alpha"]
+        d, av = CRITERIA[Criterion.P1], trial.before.values.copy()
+        got = _checked(d, len(av), trial.params)
+        with np.errstate(over="ignore", invalid="ignore"):
+            av[trial.params["i"]] += trial.params["alpha"]
+        if not np.isfinite(av).all():
+            raise InvalidTransform(f"{d.name} leaves the float64 range, got {got}")
         return CoefficientVector(av)
     return _transform(trial.criterion, trial.before, **trial.params).after
 
@@ -392,6 +402,18 @@ def _philox_state(key, block: int = 0) -> dict:
     }
 
 
+@cache
+def _unhashed():
+    """Zero words, so ``Philox(_unhashed())`` skips ``Philox(0)``'s hash (~10 us);
+    made on first use, so importing the package loads no ``numpy.random``."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class Unhashed(ISeedSequence):
+        def generate_state(self, n_words, dtype=np.uint32):
+            return np.zeros(n_words, dtype)
+    return Unhashed()
+
+
 def stream(key) -> np.random.Generator:
     """The random stream for ``key``, a seed in [0, 2**128) or a tuple of a
     seed and up to three ints in [0, 2**64).  A key and a counter name a
@@ -399,7 +421,7 @@ def stream(key) -> np.random.Generator:
     Numbers: As Easy as 1, 2, 3", SC'11): ``stream((seed, a, b, c))`` is
     ``Generator(Philox(counter=(0, a, b, c), key=seed))``, and trailing zeros
     name the same stream.  ``raw_words`` reads the same streams' words."""
-    rng = np.random.Generator(np.random.Philox(0))
+    rng = np.random.Generator(np.random.Philox(_unhashed()))
     rng.bit_generator.state = _philox_state(key)
     return rng
 
@@ -410,7 +432,7 @@ def raw_words(keys, block: int, count: int) -> np.ndarray:
     ``Philox`` set to each key's state in turn.  A bad key raises before any
     word is read."""
     states = [_philox_state(key, block) for key in keys]
-    bits, words = np.random.Philox(0), np.empty((len(states), count), np.uint64)
+    bits, words = np.random.Philox(_unhashed()), np.empty((len(states), count), np.uint64)
     for row, state in zip(words, states):
         bits.state = state
         row[:] = bits.random_raw(count)

@@ -2,11 +2,14 @@
 
 import json
 import os
+from collections import Counter
 import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sparsemetrics import (
     CATALOG_PAIRS,
@@ -32,7 +35,9 @@ from sparsemetrics import (
 )
 from sparsemetrics import compliance, transforms
 from sparsemetrics.compliance import FAIL, HOLD, SKIP, _decide, _outcomes, _seeded
-from sparsemetrics.errors import CatalogMiss, DegenerateInput, GenerationFailure, InvalidParams
+from sparsemetrics.errors import (
+    CatalogMiss, DegenerateInput, GenerationFailure, InvalidParams, SparsemetricsError,
+)
 from sparsemetrics.transforms import (
     CRITERIA, MAX_RETRIES, TICK, VALUE_TICKS, CriterionTrial, TrialRows, draw_trial, trial_ticks,
     trial_words,
@@ -150,9 +155,10 @@ class TestCheckCell:
         assert a.witness.before == b.witness.before
 
     def test_one_streams_call_per_block(self, monkeypatch):
-        # one word block per block attempt, read WORD_TRIALS draws at a time;
-        # a D4 draw is never redrawn, so every word block is read from
-        # attempt 0's stream (0, 14, 3, 0)
+        # one word block per block attempt, read WORD_TRIALS draws at a time:
+        # draw 0's block of one, then the block of draws 1 to 999; a D4 draw
+        # is never redrawn, so every word block is read from attempt 0's
+        # stream (0, 14, 3, 0)
         calls = []
         real = transforms.trial_words
         monkeypatch.setattr(transforms, "trial_words", lambda *a: calls.append(a) or real(*a))
@@ -160,8 +166,10 @@ class TestCheckCell:
         assert not v.violated and v.trials == 1000
         W = transforms.WORD_TRIALS
         assert compliance.BLOCK_TRIALS % W == 0  # so no block ends a word block early
-        assert len(calls) == 8 == -(-1000 // W)
-        assert calls == [((0, 14, 3, 0), t, min(W, 1000 - t)) for t in range(0, 1000, W)]
+        assert len(calls) == 9 == 1 + -(-999 // W)
+        assert calls == [
+            ((0, 14, 3, 0), 0, 1), *(((0, 14, 3, 0), t, min(W, 1000 - t)) for t in range(1, 1000, W))
+        ]
 
     @pytest.mark.parametrize("criterion", CRITERION_ORDER)
     def test_a_range_of_only_zero_is_invalid(self, monkeypatch, criterion):
@@ -343,7 +351,7 @@ class TestGroupRule:
     )
     def test_draw_verdict(self, monkeypatch, groups, violated, skipped):
         draw = _draw(*groups)
-        monkeypatch.setattr(compliance, "draw_trial", lambda *args: _packed([draw] * 2))
+        monkeypatch.setattr(compliance, "_seeded", lambda *args: [_packed([draw] * 2)])
         v = check_cell(self.GINI, C.D2, trials=2, seed=0)
         assert (v.violated, v.skipped) == (violated, skipped)
         if violated:
@@ -711,7 +719,7 @@ class TestBlockBoundaries:
         bad = _group([1, 2], [1, np.inf])
         second = _draw(FAILS, FAILS if erring else HOLDS, bad)
         draws = _packed([_draw(FAILS, HOLDS, HOLDS), second])
-        monkeypatch.setattr(compliance, "draw_trial", lambda *args: draws)
+        monkeypatch.setattr(compliance, "_seeded", lambda *args: [draws])  # one block
         if erring:
             with pytest.raises(InvalidParams, match="coefficient magnitudes must be finite"):
                 check_cell(MeasureSpec(M.GINI), C.D2, trials=2, seed=0)
@@ -743,7 +751,7 @@ class TestBlockBoundaries:
         calls = []
         spy = lambda ticks, words: calls.append(words) or draw(ticks, words)  # noqa: E731
         monkeypatch.setitem(CRITERIA, C.D1, replace(CRITERIA[C.D1], draw=spy))
-        (got,) = _seeded(C.D1, ticks, key, 64)
+        got = draw_trial(C.D1, ticks, key, 0, 64)
         assert [w.tolist() for w in calls] == [
             trial_words((*key, 0), 0, 64).tolist(),
             trial_words((*key, 1), 0, 64)[redrawn].tolist(),
@@ -757,8 +765,8 @@ class TestBlockBoundaries:
 
     def test_one_draw_trial_call_per_block_and_draw_vector_call_per_attempt(self, monkeypatch):
         # the search's draws go through these two names, per block and per
-        # block attempt; on ticks 0..3 four draws of the first block of 64
-        # are redrawn (above)
+        # block attempt; on ticks 0..3 draw 0, alone in its block, and draws
+        # 48, 54 and 57 of the next block of 64 are redrawn (above)
         monkeypatch.setattr(compliance, "BLOCK_TRIALS", 64)
         blocks, attempts = [], []
         real_trial, real_vector = compliance.draw_trial, transforms.draw_vector
@@ -769,17 +777,18 @@ class TestBlockBoundaries:
             transforms, "draw_vector", lambda *a: attempts.append(len(a[-1])) or real_vector(*a)
         )
         assert sum(map(len, _seeded(C.D1, range(0, 4), (0, 0, 0), 100))) == 100
-        assert [len(b) for b in blocks] == [64, 36]
-        assert attempts == [64, 4, 36, 1]
+        assert [len(b) for b in blocks] == [1, 64, 35]
+        assert attempts == [1, 1, 64, 3, 35, 1]
 
     def test_no_eligible_draw_fails_at_its_trial_after_max_retries(self, monkeypatch):
         # every entry of ticks 5..5 is 5, so no D1 draw has a receiver
         calls = []
         real = transforms.trial_words
         monkeypatch.setattr(transforms, "trial_words", lambda *a: calls.append(a) or real(*a))
-        (block,) = _seeded(C.D1, range(5, 6), (0, 0, 0), 10)
-        assert len(block) == 10 and not block.eligible.any()
-        assert calls == [((0, 0, 0, a), 0, 10) for a in range(MAX_RETRIES)]
+        first, rest = _seeded(C.D1, range(5, 6), (0, 0, 0), 10)
+        assert [len(first), len(rest)] == [1, 9]
+        assert not first.eligible.any() and not rest.eligible.any()
+        assert calls == [((0, 0, 0, a), t, n) for t, n in [(0, 1), (1, 9)] for a in range(MAX_RETRIES)]
         error = f"^could not draw an eligible D1 trial in {MAX_RETRIES} attempts$"
         with pytest.raises(GenerationFailure, match=error):
             _decide(self.GINI, C.D1, _seeded(C.D1, range(5, 6), (0, 0, 0), 10))
@@ -874,16 +883,20 @@ class TestKernelCalls:
     ``full_table(1000)`` made 12,639 kernel calls in blocks of 192 draws,
     3,443 in blocks of 1024 cut into parts of 2048 before entries (833
     parts, D4's padding to 4n setting every criterion's part size), and
-    makes 3,254 in 314 parts of PART_ENTRIES trial-row entries: one call per
+    3,254 in 314 parts of PART_ENTRIES trial-row entries: one call per
     length for D1-D3 and P1, about 236 for D4 (lengths n, 2n, 3n and 4n)
     and 126 for P2 (n to n + 3).  P1's later groups are a block of their
     own, built a part at a time at length boundaries where they fit: 15
     more parts, against 10 builds when each part's were built whole, and
-    their kernel calls counted among the 3,254.  The table runs in one
-    part here, so no child's calls go uncounted."""
+    their kernel calls counted among the others.  Draw 0 is now a block
+    of its own, so the four cells whose witness is trial 1 (l0-eps/D1,
+    u-theta/D3, hg/D4, hs-prime/D4) build no other draw, and every other
+    cell builds one more part: 2,703 calls in 298 parts, plus the 15 of
+    P1's later groups.  The table runs in one worker here, so no child's
+    calls go uncounted."""
 
-    CALLS = 3254
-    PARTS = 314 + 15
+    CALLS = 2703
+    PARTS = 298 + 15
 
     def test_full_table_kernel_calls(self, monkeypatch, force_parts):
         real, calls = compliance.evaluate_block, [0]
@@ -904,6 +917,52 @@ class TestKernelCalls:
         assert full_table(trials=1000, seed=0).mismatches == [(Measure.HS, Criterion.D2)]
         assert calls[0] <= self.CALLS
         assert parts[0] <= self.PARTS
+
+
+class TestFirstDrawAlone:
+    """``_seeded`` draws draw 0 as a block of its own, then blocks of
+    BLOCK_TRIALS from draw 1: a cell whose witness is trial 1 builds and
+    evaluates that draw only, and no verdict depends on the schedule."""
+
+    def test_a_trial_1_witness_builds_and_evaluates_one_draw(self, monkeypatch):
+        rows, evaluated = [], []
+        real_trial, real_block = compliance.draw_trial, compliance.evaluate_block
+        monkeypatch.setattr(
+            compliance, "draw_trial", lambda *a: rows.append(a[-1]) or real_trial(*a)
+        )
+        monkeypatch.setattr(
+            compliance, "evaluate_block", lambda s, b: evaluated.append(len(b)) or real_block(s, b)
+        )
+        v = check_cell(MeasureSpec(M.HG), C.D4, trials=1000, seed=0)
+        assert (v.violated, v.trials, v.skipped) == (True, 1, 0)
+        assert rows == [1]
+        assert evaluated == [1, 1]  # its before and its after row, at their two lengths
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        measure=st.sampled_from(MEASURE_ORDER),
+        criterion=st.sampled_from(CRITERION_ORDER),
+        seed=st.integers(0, 2**64),
+        trials=st.integers(1, 1500),
+    )
+    def test_same_verdict_as_plain_blocks(self, measure, criterion, seed, trials):
+        spec, B = MeasureSpec(measure), compliance.BLOCK_TRIALS
+        ticks = trial_ticks(spec)
+        key = (seed, MEASURE_ORDER.index(measure), CRITERION_ORDER.index(criterion))
+        plain = (
+            draw_trial(criterion, ticks, key, start, min(B, trials - start))
+            for start in range(0, trials, B)
+        )
+        seeded = _seeded(criterion, ticks, key, trials)
+        assert _outcome(spec, criterion, seeded) == _outcome(spec, criterion, plain)
+
+
+def _outcome(spec, criterion, blocks):
+    """``_decide``'s verdict on ``blocks``, or the error it raises."""
+    try:
+        return _decide(spec, criterion, blocks)
+    except SparsemetricsError as error:
+        return type(error), str(error)
 
 
 @pytest.fixture(scope="module")
@@ -962,8 +1021,9 @@ class TestTableParts:
         self, monkeypatch, tmp_path, small_table, cpus, earlier, force_parts
     ):
         # the last search cell fails, and with ``earlier`` the middle one
-        # too; at 3 parts each is in a child's run, the first failed part is
-        # searched again here, and the first error in table order is raised
+        # too; at 3 CPUs the worker that pulls a failing cell meets it once,
+        # any worker may pull it, the first failing cell is searched again
+        # here, and the first error in table order is raised
         search = [cell for cell, v in small_table.cells.items() if v.source == "search"]
         failing = [search[len(search) // 2], search[-1]][not earlier :]
         log, real = tmp_path / "pids", compliance.check_cell
@@ -981,12 +1041,13 @@ class TestTableParts:
         with pytest.raises(InvalidParams, match=rf"^\({m.value}, {c.value}\) failed$"):
             full_table(trials=20, seed=0)
         here = f"{m.value},{c.value},{os.getpid()}"
-        met = sorted(log.read_text().splitlines())
+        met = log.read_text().splitlines()
         if cpus == 1:
             assert met == [here]
-        else:  # a child met each failing cell, and this process only the first
-            children = sorted(tuple(line.split(",")[:2]) for line in met if line != here)
-            assert here in met and children == sorted((a.value, b.value) for a, b in failing)
+        else:  # each failing cell met by its worker, and the first here too
+            cells = Counter(tuple(line.split(",")[:2]) for line in met)
+            assert here in met
+            assert cells == Counter([(m.value, c.value), *((a.value, b.value) for a, b in failing)])
 
 
 class TestTheoremConsistency:

@@ -41,6 +41,7 @@ from sparsemetrics.transforms import (
     VALUE_TICKS,
     WORD_TRIALS,
     ZERO_PROB,
+    CriterionTrial,
     _below,
     _min_gap,
     _trials,
@@ -202,6 +203,29 @@ def test_an_after_vector_past_the_float64_range_is_rejected(make, message):
     with pytest.raises(InvalidTransform) as info:
         make(vec(1e308, 2.0))
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "params, message",
+    [
+        ({"i": 0, "beta": 1.0, "alpha": 1e308}, "leaves the float64 range, got i=0, beta=1.0, alpha=1e+308"),
+        ({"i": 5, "beta": 1.0, "alpha": 1.0}, "requires 0 <= i < N = 2, got i=5, beta=1.0, alpha=1.0"),
+        ({"i": -1, "beta": 1.0, "alpha": 1.0}, "requires 0 <= i < N = 2, got i=-1, beta=1.0, alpha=1.0"),
+        ({"i": 0.0, "beta": 1.0, "alpha": 1.0}, "requires an integer i, got i=0.0, beta=1.0, alpha=1.0"),
+    ],
+    ids=["past-float64", "index-past-n", "negative-index", "float-index"],
+)
+def test_reapply_checks_a_bill_gates_trial_as_bill_gates_does(params, message):
+    # a P1 trial's after vector is rebuilt by adding alpha to its before
+    # vector, which already carries beta: the same checks and messages as
+    # ``bill_gates``, not numpy's overflow warning or an IndexError
+    before = vec(1e308, 2.0)
+    with pytest.raises(InvalidTransform) as info:
+        reapply(CriterionTrial(Criterion.P1, before, before, params))
+    assert str(info.value) == f"bill gates {message}"
+    with pytest.raises(InvalidTransform) as info:
+        bill_gates(before, **params)
+    assert str(info.value) == f"bill gates {message}"
 
 
 class TestRoundTripAndConservation:
@@ -473,6 +497,30 @@ class TestStreams:
             raw_words([0, key], 0, 4)
         with pytest.raises(ValueError):
             trial_words(key, 0, 1)
+
+    @pytest.mark.parametrize(
+        "key, block_3, first",
+        [
+            (0, (0x928C664EB6C6719E, 0x4147C3EB85B567D7), 0x02F4BA6408E4D89B),
+            ((7, 14, 5, 999), (0xF13E890BF75853C5, 0x138928B53C49BD90), 0x001D399047730FCE),
+            (2**63, (0x147B9D8A855E807E, 0xFA0BB76EA0948912), 0xF0F36415F37C24E2),
+            ((2**63 + 5, 3, 2, 1), (0xC0B7C8EC2180848C, 0xDD7C3938480CF731), 0x69D522ED23F4549C),
+            ((2**64 + 3, 1), (0x873C82D29791A4F9, 0x6CF69177258C808C), 0xD3D85DE249DB4632),
+            (
+                (2**128 - 1, 2**64 - 1, 2**64 - 1, 2**64 - 1),
+                (0xF42934672D2A2C23, 0xAEEAD193A960E4DE),
+                0xE253DF8964E26D9C,
+            ),
+        ],
+        ids=["seed-0", "tuple", "seed-2**63", "tuple-seed-2**63+5", "seed-2**64+3", "widest"],
+    )
+    def test_pinned_words(self, key, block_3, first):
+        # the words of a handful of keys, seeds of 2**63 and more among them,
+        # as read when each generator was first built from Philox(0)
+        assert raw_words([key], 3, 2)[0].tolist() == list(block_3)
+        bits = stream(key).bit_generator
+        assert bits.random_raw() == first
+        assert not isinstance(bits.seed_seq, np.random.SeedSequence)  # no hash on the way
 
     # seeds in [2**63, 2**64) and about half of those above were once read
     # as another key; a draw of the bit width first reaches every range
