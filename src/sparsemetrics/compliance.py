@@ -33,7 +33,7 @@ from .measures import (
     evaluate,
     evaluate_block,
 )
-from .parts import _map_parts
+from .parts import _cuts, _map_parts
 from .transforms import (
     CRITERIA,
     CRITERION_ORDER,
@@ -549,10 +549,11 @@ class TableResult:
 def full_table(trials: int = 1000, seed: int = 0) -> TableResult:
     """Resolve all 90 cells: catalog first, randomized search otherwise.
 
-    The cells left to search are one run each of ``_map_parts`` (their
-    draws are its work), in table order, each taken by whichever worker is
-    free.  Each searches its own stream, so no verdict depends on which
-    worker searched it, and the first error in table order is raised."""
+    The cells left to search, in table order, are cut into runs of about
+    equal count, one per part of ``_map_parts`` (their draws are its work),
+    and joined in table order.  Each searches its own stream, so no verdict
+    depends on the part count, and the first error in table order is the
+    one raised."""
     cells = {}  # each cell's violated catalog verdict, or None to search
     for measure in MEASURE_ORDER:
         spec = MeasureSpec(measure)
@@ -560,9 +561,13 @@ def full_table(trials: int = 1000, seed: int = 0) -> TableResult:
             mapped = (measure, criterion) in TABLE4_WITNESSES
             verdict = catalog_verdict(spec, criterion) if mapped else None
             cells[measure, criterion] = verdict if verdict and verdict.violated else None
-    search = [(MeasureSpec(m), c) for (m, c), verdict in cells.items() if verdict is None]
-    found = iter(_map_parts(lambda k, _: check_cell(*search[k], trials, seed),
-                            range(len(search) + 1), trials * len(search)))
+    search = [cell for cell, verdict in cells.items() if verdict is None]
+    cuts = _cuts([1] * len(search), trials * len(search))
+
+    def run(lo: int, hi: int) -> list[CellVerdict]:
+        return [check_cell(MeasureSpec(m), c, trials, seed) for m, c in search[lo:hi]]
+
+    found = itertools.chain.from_iterable(_map_parts(run, cuts))
     return TableResult(trials, seed, {cell: v or next(found) for cell, v in cells.items()})
 
 

@@ -1,8 +1,8 @@
-"""Work cut into runs, shared by a worker per usable CPU (this process and
-forked children) and joined in run order, so no result depends on who ran
-what.  The CLI's parse and render, ``experiments``' studies and the verdict
-table share it; it imports neither the CLI nor ``argparse``.  The forks,
-pipes and the pickle a child's results are sent back in are all here."""
+"""Work cut into parts, one per usable CPU, the later ones run in forked
+children and all joined in order, so no result depends on the part count.
+The CLI's parse and render, ``experiments``' studies and ``compliance``'s
+verdict table share it; it imports neither the CLI nor ``argparse``.  The
+forks, pipes and the pickle a child's result is sent back in are all here."""
 
 from __future__ import annotations
 
@@ -12,7 +12,7 @@ import os
 import pickle
 import threading
 
-#: Fewest numbers (parsed, rendered or drawn) worth a worker of their own in
+#: Fewest numbers (parsed, rendered or drawn) worth a part of their own in
 #: ``_map_parts``.  A fork and join costs 1.3-1.4 ms on a 2-core Xeon VM at
 #: 27 to 208 MB resident, against 3 ms to parse 1e4 numbers, 0.75 ms to draw
 #: 1e4 study values (75 ns each for all 15 measures; the CLI defaults draw
@@ -29,8 +29,8 @@ def _usable_cpus() -> int:
 
 
 def _part_count(work: int) -> int:
-    """How many workers share ``work`` numbers: one per usable CPU, none
-    under PART_MIN_NUMBERS, and one alone where forking is unavailable
+    """How many parts ``work`` numbers are split into: one per usable CPU,
+    none under PART_MIN_NUMBERS, and one alone where forking is unavailable
     (no ``os.fork``) or unsafe (another thread is alive)."""
     if not hasattr(os, "fork") or threading.active_count() > 1:
         return 1
@@ -47,48 +47,42 @@ def _cuts(costs: list[int], work: int) -> list[int]:
     return [*sorted({0, *starts}), len(ends)]
 
 
-def _map_parts(fn, cuts: list[int], work: int | None = None) -> list:
+def _map_parts(fn, cuts: list[int]) -> list:
     """``[fn(cuts[0], cuts[1]), fn(cuts[1], cuts[2]), ...]``, in order.
 
-    ``_part_count(work)`` workers (one per run without ``work``) share them:
-    worker w, this process (w = 0) or a forked child, runs run w, then pulls
-    4-byte run indices from one pipe, filled with the rest and closed before
-    forking, until it is empty or a run raises.  A child pickles ``{index:
-    result}`` down its own pipe and leaves by ``os._exit`` (no stdio flush,
-    atexit handler or return).  The children are read in order, ignoring one
-    that exits nonzero or is killed; then every run left without a result is
-    run here, in order, so the first exception ``fn`` raises in run order is
-    raised here.  One worker means no fork.  Every child is reaped on every
-    path; on an exception the read ends close first (a blocked child: EPIPE).
+    The first part runs here, each later one in a child forked for it.  A
+    child writes its result, pickled, to its own pipe and leaves through
+    ``os._exit``: it never flushes stdio, runs atexit handlers or returns
+    into the caller.  The parent reads the children in order and unpickles
+    their results; a child that exits nonzero or is killed has its part
+    recomputed here, so an exception ``fn`` raises in a child is raised
+    here too.  With one part there is no fork, and the same ``fn`` is the
+    whole computation.  Every child is reaped on every path; on an
+    exception the read ends close first, so a child blocked on a full pipe
+    gets EPIPE rather than waiting for a reader.
     """
-    runs, done = len(cuts) - 1, {}
-    workers = runs if work is None else min(runs, _part_count(work))
-    reads, pids = [], []  # the queue then each child's pipe; the children not yet reaped
+    reads: list[int] = []  # the pipe of each later part, in order
+    pids: list[int] = []  # the children not yet reaped, in order
     try:
-        if workers > 1:
-            queue, write = os.pipe()
-            reads.append(queue)
-            with open(write, "wb") as pipe:  # 4 bytes a run: far under a pipe's buffer
-                pipe.write(b"".join(k.to_bytes(4, "little") for k in range(workers, runs)))
-            for w in range(1, workers):
-                read, write = os.pipe()
-                reads.append(read)
-                try:
-                    pid = os.fork()
-                    if pid == 0:
-                        _serve(fn, cuts, w, write, reads)
-                finally:
-                    # closed before the next fork, so no later child holds it open
-                    os.close(write)
-                pids.append(pid)
-            done = _pull(fn, cuts, queue, 0)
-            for read in reads[1:]:
-                with open(read, "rb", buffering=0, closefd=False) as pipe:
-                    data = pipe.readall()
-                _, status = os.waitpid(pids[0], 0)
-                del pids[0]
-                done.update(pickle.loads(data) if status == 0 else {})
-        return [done[k] if k in done else fn(cuts[k], cuts[k + 1]) for k in range(runs)]
+        for k in range(1, len(cuts) - 1):
+            read, write = os.pipe()
+            reads.append(read)
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _serve_part(lambda: fn(cuts[k], cuts[k + 1]), write, reads)
+            finally:
+                # closed before the next fork, so no later child holds it open
+                os.close(write)
+            pids.append(pid)
+        results = [fn(cuts[0], cuts[1])]
+        for k, read in enumerate(reads, start=1):
+            with open(read, "rb", buffering=0, closefd=False) as pipe:
+                data = pipe.readall()
+            _, status = os.waitpid(pids[0], 0)
+            del pids[0]
+            results.append(pickle.loads(data) if status == 0 else fn(cuts[k], cuts[k + 1]))
+        return results
     finally:
         for read in reads:
             os.close(read)
@@ -96,28 +90,15 @@ def _map_parts(fn, cuts: list[int], work: int | None = None) -> list:
             os.waitpid(pid, 0)
 
 
-def _pull(fn, cuts: list[int], queue: int, k: int) -> dict:
-    """``{k: fn(cuts[k], cuts[k + 1])}`` for run ``k``, then for each k pulled
-    from ``queue``, until it is empty or a run raises."""
-    done = {}
-    while k is not None:
-        try:
-            done[k] = fn(cuts[k], cuts[k + 1])
-        except Exception:  # raised again, in run order, by ``_map_parts``
-            break
-        k = int.from_bytes(index, "little") if len(index := os.read(queue, 4)) == 4 else None
-    return done
-
-
-def _serve(fn, cuts: list[int], k: int, write: int, reads: list[int]) -> None:
-    """A forked child's whole life: ``_pull`` from run ``k`` and the queue
-    ``reads[0]``, write the results, pickled, to the pipe ``write`` and exit
-    0, or exit 1 on any exception, having closed its other inherited reads."""
+def _serve_part(part, write: int, reads: list[int]) -> None:
+    """A forked child's whole life: write ``part()``, pickled, to the pipe
+    ``write`` and exit 0, or exit 1 on any exception.  It closes the read
+    ends it inherited first, so only the parent can read its pipe."""
     code = 1
     try:
-        for read in reads[1:]:
+        for read in reads:
             os.close(read)
-        view = memoryview(pickle.dumps(_pull(fn, cuts, reads[0], k), pickle.HIGHEST_PROTOCOL))
+        view = memoryview(pickle.dumps(part(), pickle.HIGHEST_PROTOCOL))
         while view:
             view = view[os.write(write, view) :]
         code = 0

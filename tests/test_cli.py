@@ -7,7 +7,6 @@ import re
 import signal
 import sys
 import threading
-import time
 
 import numpy as np
 import pytest
@@ -265,48 +264,6 @@ class TestParts:
 
         results = parts._map_parts(part, [0, 3, 3, 7, 12])
         assert np.concatenate(results).tolist() == list(range(12))
-
-    CUTS = [0, 1, 3, 3, 4, 7, 8, 9, 10, 10, 11, 12, 12]  # 12 runs, some empty
-
-    @staticmethod
-    def _runs(noted, kill):
-        """A run of CUTS for ``_map_parts`` on 3 workers, where worker w runs
-        run w first and pulls the rest: a child notes in ``noted`` each run it
-        runs or, with ``kill``, the first it pulls, and is killed there; this
-        process waits in its first run until a child has noted one."""
-        parent = os.getpid()
-
-        def run(lo, hi):
-            if os.getpid() == parent:
-                deadline = time.monotonic() + 30
-                while not noted.exists() and time.monotonic() < deadline:
-                    time.sleep(0.01)
-            elif hi > 3 or not kill:  # runs 3 on are pulled
-                with open(noted, "a") as fh:
-                    fh.write(f"{lo}\n")
-                if kill:
-                    os.kill(os.getpid(), signal.SIGKILL)
-            return np.arange(lo, hi, dtype=np.float64)
-
-        return run
-
-    def test_pulled_runs_come_back_in_run_order(self, monkeypatch, tmp_path, force_parts):
-        # 12 runs shared by 3 workers: this process and two forked children
-        force_parts(monkeypatch, 3)
-        forks, fork = [], os.fork
-        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
-        results = parts._map_parts(self._runs(tmp_path / "noted", False), self.CUTS, 12)
-        assert [r.tolist() for r in results] == [
-            list(range(lo, hi)) for lo, hi in zip(self.CUTS, self.CUTS[1:])
-        ]
-        assert len(forks) == 2 and (tmp_path / "noted").read_text()  # a child ran a run
-
-    def test_a_child_killed_after_pulling_a_run(self, monkeypatch, tmp_path, force_parts):
-        # the runs a killed child pulled are run here, in order
-        force_parts(monkeypatch, 3)
-        results = parts._map_parts(self._runs(tmp_path / "noted", True), self.CUTS, 12)
-        assert np.concatenate(results).tolist() == list(range(12))
-        assert (tmp_path / "noted").read_text()  # a child pulled a run and was killed
 
     def test_parent_part_raises(self):
         # each child writes more than a pipe holds, so it blocks until the

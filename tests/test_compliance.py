@@ -2,7 +2,6 @@
 
 import json
 import os
-from collections import Counter
 import tracemalloc
 from dataclasses import replace
 
@@ -892,7 +891,7 @@ class TestKernelCalls:
     of its own, so the four cells whose witness is trial 1 (l0-eps/D1,
     u-theta/D3, hg/D4, hs-prime/D4) build no other draw, and every other
     cell builds one more part: 2,703 calls in 298 parts, plus the 15 of
-    P1's later groups.  The table runs in one worker here, so no child's
+    P1's later groups.  The table runs in one part here, so no child's
     calls go uncounted."""
 
     CALLS = 2703
@@ -1015,15 +1014,34 @@ class TestTableParts:
         assert table.cells == small_table.cells
         assert json.dumps(table.to_dict()) == json.dumps(small_table.to_dict())
 
+    def test_this_process_searches_the_same_cells_every_time(
+        self, monkeypatch, small_table, force_parts
+    ):
+        # the cut is fixed by the cell count: at 2 parts this process
+        # searches the first half of the search cells in table order on every
+        # call, so counts taken in this process repeat from call to call
+        search = [cell for cell, v in small_table.cells.items() if v.source == "search"]
+        here, parent, real = [], os.getpid(), compliance.check_cell
+
+        def check_cell(spec, criterion, trials, seed):
+            if os.getpid() == parent:
+                here.append((spec.id, criterion))
+            return real(spec, criterion, trials, seed)
+
+        monkeypatch.setattr(compliance, "check_cell", check_cell)
+        force_parts(monkeypatch, 2)
+        for _ in range(3):
+            assert full_table(trials=120, seed=0).cells == small_table.cells
+        assert here == search[: len(search) // 2] * 3
+
     @pytest.mark.parametrize("cpus", [1, 3])
     @pytest.mark.parametrize("earlier", [False, True])
     def test_first_error_in_table_order_is_raised(
         self, monkeypatch, tmp_path, small_table, cpus, earlier, force_parts
     ):
         # the last search cell fails, and with ``earlier`` the middle one
-        # too; at 3 CPUs the worker that pulls a failing cell meets it once,
-        # any worker may pull it, the first failing cell is searched again
-        # here, and the first error in table order is raised
+        # too; at 3 parts each is in a child's run, the first failed part is
+        # searched again here, and the first error in table order is raised
         search = [cell for cell, v in small_table.cells.items() if v.source == "search"]
         failing = [search[len(search) // 2], search[-1]][not earlier :]
         log, real = tmp_path / "pids", compliance.check_cell
@@ -1041,13 +1059,12 @@ class TestTableParts:
         with pytest.raises(InvalidParams, match=rf"^\({m.value}, {c.value}\) failed$"):
             full_table(trials=20, seed=0)
         here = f"{m.value},{c.value},{os.getpid()}"
-        met = log.read_text().splitlines()
+        met = sorted(log.read_text().splitlines())
         if cpus == 1:
             assert met == [here]
-        else:  # each failing cell met by its worker, and the first here too
-            cells = Counter(tuple(line.split(",")[:2]) for line in met)
-            assert here in met
-            assert cells == Counter([(m.value, c.value), *((a.value, b.value) for a, b in failing)])
+        else:  # a child met each failing cell, and this process only the first
+            children = sorted(tuple(line.split(",")[:2]) for line in met if line != here)
+            assert here in met and children == sorted((a.value, b.value) for a, b in failing)
 
 
 class TestTheoremConsistency:
