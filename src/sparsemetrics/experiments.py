@@ -74,10 +74,18 @@ class DistributionSpec:
         """The inverse CDF at each ``u`` in [0, 1).
 
         Poisson inverts the cumulative pmf, so a draw does not depend on any
-        library's Poisson sampler.
+        library's Poisson sampler: ``searchsorted(cdf, u, side="right")``, bit
+        for bit, read off its guide table for an array of ``u`` in [0, 1).
         """
         if self.kind == "poisson":
-            return np.searchsorted(_poisson_cdf(self.lam), u, side="right").astype(float)
+            cdf, guide, u = _poisson_cdf(self.lam), _poisson_guide(self.lam), np.asarray(u)
+            if not (u.ndim and u.size and u.min() >= 0.0 and u.max() < 1.0):  # NaN fails both
+                return np.searchsorted(cdf, u, side="right").astype(float)
+            bucket = np.multiply(u, len(guide), out=np.empty(u.shape, np.intp), casting="unsafe")
+            x = guide.take(bucket)
+            split = x < 0
+            x[split] = np.searchsorted(cdf, u[split], side="right")
+            return x
         if self.kind == "bernoulli01":
             return np.where(u < self.p, 0.0, 1.0)
         if self.kind == "uniform":
@@ -115,6 +123,21 @@ def _poisson_cdf(lam: float) -> np.ndarray:
     table = np.asarray(cdf)
     table.setflags(write=False)
     return table
+
+
+@functools.lru_cache
+def _poisson_guide(lam: float) -> np.ndarray:
+    """``_poisson_cdf(lam)``'s guide table (Chen & Asau 1974): entry b is the
+    search's answer for every u in [b / m, (b + 1) / m), the same at both
+    ends since it never falls as u grows, or -1 where they differ.  m, a
+    power of two and 64 or more per cdf entry, makes ``u * m`` exact."""
+    cdf = _poisson_cdf(lam)
+    m = 1 << (len(cdf) - 1).bit_length() + 6
+    edges = np.arange(m + 1) / m
+    low, high = np.searchsorted(cdf, [edges[:-1], np.nextafter(edges[1:], 0.0)], side="right")
+    guide = np.where(low == high, low, -1).astype(float)
+    guide.setflags(write=False)
+    return guide
 
 
 def sample_vector(
@@ -207,15 +230,15 @@ BLOCK_VALUES = 1 << 16
 def _draws(specs: dict[Measure, MeasureSpec], dist, n: int, keys: list) -> np.ndarray:
     """Every measure in ``specs``, a row each, on the draws from the streams
     of (seed, i, r, attempt) keys, read in one ``raw_words`` call: one
-    block, checked as ``CoefficientVector`` checks and sorted, then one
+    block, sorted and checked as ``CoefficientVector`` checks, then one
     ``evaluate_block`` call per measure.  A draw degenerate for any measure
     is redrawn from its next attempt's stream, as a block of one."""
     rows = raw_words(keys, 0, n)  # one name, in place: each block-sized array shows in RSS
     rows = dist.quantile(_uniform(rows, rows))
     np.abs(rows, out=rows)
-    if not np.isfinite(rows).all():
-        raise InvalidParams("coefficient magnitudes must be finite")
     rows.sort(axis=1)
+    if not np.isfinite(rows[:, -1]).all():  # NaN and inf sort last
+        raise InvalidParams("coefficient magnitudes must be finite")
     values = np.array([evaluate_block(spec, rows) for spec in specs.values()])
     if values.dtype == object:  # some draw is degenerate for some measure
         degenerate = {k for v in values for k, x in enumerate(v) if isinstance(x, DegenerateInput)}

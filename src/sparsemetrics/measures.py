@@ -450,10 +450,12 @@ def evaluate_block(spec: MeasureSpec, rows: np.ndarray) -> list:
 
     A row that is not finite gets ``CoefficientVector``'s ``InvalidParams``,
     a row outside the domain its ``DegenerateInput``, and the rest go to
-    ``_checked`` together: ``rows`` itself where that is every row.
+    ``_checked`` together: ``rows`` itself where that is every row.  The
+    rows must be in ``np.sort``'s order: only their ends are checked for
+    finiteness, since -inf sorts first and +inf and NaN last.
     """
     domain = MEASURES[spec.id].domain
-    finite = np.isfinite(rows).all(axis=1)
+    finite = np.isfinite(rows[:, 0]) & np.isfinite(rows[:, -1])
     inside = finite if domain is None else finite & domain.inside(spec, rows)
     go = inside.tolist()
     if False not in go:

@@ -77,6 +77,9 @@ VALUE_MAX = 10.0
 #: The default trial ticks: 0 through VALUE_MAX.
 VALUE_TICKS = range(round(VALUE_MAX * _TICKS_PER_UNIT) + 1)
 ZERO_PROB = 0.2
+#: Exactly the words w with ``_uniform(w) < ZERO_PROB``: w's top 53 bits, an
+#: integer, are below ZERO_PROB * 2**53 (exact) when below its ceiling.
+_ZERO_WORDS = np.uint64(math.ceil(ZERO_PROB * 2**53) << 11)
 POSITIVE_FLOOR = 0.01
 #: Smallest Robin Hood pair gap, and smallest rising-tide spread, as a
 #: fraction of the largest coefficient; draws below it are not informative
@@ -448,11 +451,14 @@ def trial_words(key, start: int, rows: int) -> np.ndarray:
 
 
 def _below(words: np.ndarray, size) -> np.ndarray:
-    """``floor(w * size / 2**64)`` for each word w, exactly, in uint64
-    arithmetic: an int64 in [0, size) for each size in [1, 2**32]."""
-    size = np.asarray(size, dtype=np.uint64)
-    low = ((words & np.uint64(0xFFFFFFFF)) * size) >> np.uint64(32)
-    return (((words >> np.uint64(32)) * size + low) >> np.uint64(32)).astype(np.int64)
+    """``floor(w * size / 2**64)`` for each word w, exactly, in uint64 arithmetic
+    in place: an int64 view, in [0, size) for each size in [1, 2**32]."""
+    size, shift = np.asarray(size, dtype=np.uint64), np.uint64(32)
+    low, high = words & np.uint64(0xFFFFFFFF), words >> shift
+    low *= size
+    high *= size
+    high += np.right_shift(low, shift, out=low)
+    return np.right_shift(high, shift, out=high).view(np.int64)
 
 
 def _uniform(words: np.ndarray, shifted: np.ndarray | None = None) -> np.ndarray:
@@ -472,7 +478,7 @@ def draw_vector(ticks: range, words: np.ndarray) -> tuple[np.ndarray, np.ndarray
     entry = np.arange(N_MAX) < n[:, None]
     zero = ~entry
     if 0 in ticks:
-        zero |= _uniform(words[:, 1 + N_MAX : _OWN]) < ZERO_PROB
+        zero |= words[:, 1 + N_MAX : _OWN] < _ZERO_WORDS
     v[zero] = 0
     return v, n, entry
 
@@ -485,7 +491,7 @@ def _pick(mask: np.ndarray, words: np.ndarray) -> np.ndarray:
     """Each row's column of a True entry of ``mask``, the k-th for k below the
     row's count of them (column 0 in a row without one)."""
     k = _below(words, np.maximum(mask.sum(1), 1))
-    return np.argmax(mask & (np.cumsum(mask, 1) == k[:, None] + 1), axis=1)
+    return np.argmax(np.cumsum(mask, 1) > k[:, None], axis=1)
 
 
 def _draw_robin_hood(ticks: range, words: np.ndarray) -> TrialBlock:

@@ -52,6 +52,53 @@ class TestDistributionSpec:
         with pytest.raises(InvalidParams, match="too large"):
             DistributionSpec.poisson(lam)
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        lam=st.floats(0.0, 700.0, exclude_min=True),
+        words=st.lists(st.integers(0, 2**53 - 1), max_size=40),
+        doubles=st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=40),
+    )
+    def test_poisson_guide_table_is_searchsorted_bit_for_bit(self, lam, words, doubles):
+        cdf = experiments._poisson_cdf(lam)
+        u = np.concatenate([
+            np.array(words) * 2.0**-53,
+            doubles,
+            [0.0, 1.0 - 2.0**-53],
+            cdf,
+            np.nextafter(cdf, 0.0),
+            np.nextafter(cdf, 2.0),
+        ])
+        u = u[u < 1.0]  # the top cdf entries may round to 1
+        want = np.searchsorted(cdf, u, side="right").astype(float)
+        got = DistributionSpec.poisson(lam).quantile(u)
+        assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+        assert DistributionSpec.poisson(lam).quantile(u[None]).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("bad", [1.0, -0.5, -1e300, math.nan, math.inf, -math.inf])
+    def test_poisson_quantile_outside_the_unit_interval(self, bad):
+        cdf = experiments._poisson_cdf(5.0)
+        for u in (np.array([0.25, bad, 0.75]), np.array([bad]), np.array([[bad, 0.5]])):
+            want = np.searchsorted(cdf, u, side="right").astype(float)
+            assert DistributionSpec.poisson(5.0).quantile(u).tobytes() == want.tobytes()
+        assert DistributionSpec.poisson(5.0).quantile(np.empty(0)).shape == (0,)
+        for u in (0.5, bad, [0.25, 0.75]):  # scalars and lists, as searchsorted takes them
+            want = np.searchsorted(cdf, u, side="right").astype(float)
+            assert repr(DistributionSpec.poisson(5.0).quantile(u)) == repr(want)
+
+    def test_poisson_guide_buckets_at_their_ends(self, monkeypatch):
+        # cdf entries one ulp under a bucket's end and at a bucket's start: 4
+        # entries make m = 256 buckets, and only bucket 4 is split
+        table = np.array([np.nextafter(5 / 256, 0.0), 10 / 256, 0.5, 1.0])
+        monkeypatch.setattr(experiments, "_poisson_cdf", lambda lam: table)
+        guide = experiments._poisson_guide.__wrapped__(1.0)
+        want = [0] * 4 + [-1] + [1] * 5 + [2] * 118 + [3] * 128
+        assert guide.tolist() == want
+        monkeypatch.setattr(experiments, "_poisson_guide", lambda lam: guide)
+        u = np.concatenate([table, np.nextafter(table, 0.0), np.nextafter(table, 2.0)])
+        u = u[u < 1.0]
+        want = np.searchsorted(table, u, side="right").astype(float)
+        assert DistributionSpec.poisson(1.0).quantile(u).tobytes() == want.tobytes()
+
     def test_large_poisson_lam_in_range(self):
         v = sample_vector(DistributionSpec.poisson(700.0), 10_000, seed=0).values
         assert v.mean() == pytest.approx(700.0, abs=2.0)

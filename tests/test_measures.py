@@ -483,7 +483,7 @@ def _alone(spec, row):
     """``evaluate`` on one row: the value's hex, or the error message."""
     try:
         return evaluate(spec, CoefficientVector(row)).hex()
-    except DegenerateInput as exc:
+    except (DegenerateInput, InvalidParams) as exc:
         return str(exc)
 
 
@@ -541,18 +541,31 @@ class TestBlockKernels:
 
     @pytest.mark.parametrize("m", MEASURE_ORDER)
     def test_degenerate_row_in_a_block(self, m):
-        # among good rows, a row outside the domain is masked out and gets the
-        # message it raises alone; one inside that the kernel cannot take
-        # makes the call raise, and evaluate words it as out of range
+        # among good rows, a row outside the domain, or not finite at either
+        # end of its ascending order, is masked out and gets the message it
+        # raises alone; one inside that the kernel cannot take makes the call
+        # raise, and evaluate words it as out of range
         spec = MeasureSpec(m)
         domain = MEASURES[m].domain
         good = np.array([0.5, 1.0, 2.0, 3.0])
-        for bad in (np.zeros(4), np.full(4, 2.0), np.array([1e-200, 2e-200, 3e-200, 4e-200])):
+        for bad in (
+            np.zeros(4),
+            np.full(4, 2.0),
+            np.array([1e-200, 2e-200, 3e-200, 4e-200]),
+            np.array([0.5, 1.0, 2.0, math.inf]),
+            np.array([0.5, 1.0, 2.0, math.nan]),  # np.sort puts NaN last
+            np.array([-math.inf, 0.5, 1.0, 2.0]),
+        ):
             message = _alone(spec, bad)
             if message.startswith("0x") or message.startswith("-0x"):
                 continue
             block = np.array([good, bad, good])
-            assert str(evaluate_block(spec, block)[1]) == message
+            got = evaluate_block(spec, block)
+            assert str(got[1]) == message
+            if not np.isfinite(bad).all():
+                assert message == "coefficient magnitudes must be finite"
+                assert [value.hex() for value in got[::2]] == [_alone(spec, good)] * 2
+                continue
             if domain is not None and not domain.inside(spec, block)[1]:
                 assert domain.inside(spec, block).tolist() == [True, False, True]
                 continue

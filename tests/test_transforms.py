@@ -642,16 +642,28 @@ class TestCounterLayout:
             v, n, _ = draw_vector(VALUE_TICKS, words)
             assert (v[0, : n[0]] * TICK).tobytes() == before.tobytes()
 
-    @pytest.mark.parametrize("size", [1, 3, 63, 2**20, 10485761, 2**31 + 5, 2**32])
+    @pytest.mark.parametrize("size", [1, 3, 63, 2**20, len(VALUE_TICKS), 2**31 + 5, 2**32])
     def test_below_is_exact(self, size):
         rng = np.random.Generator(np.random.Philox(key=size))
         words = np.concatenate([
             rng.bit_generator.random_raw(4096),
             np.array([0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 2, 2**64 - 1], dtype=np.uint64),
         ])
+        before = words.copy()
         got = _below(words, size)
+        assert got.dtype == np.int64 and words.tobytes() == before.tobytes()
         assert got.tolist() == [w * size >> 64 for w in words.tolist()]
         assert got.min() >= 0 and got.max() < size
+        # a strided column of a draw's words, as draw_vector reads them
+        block = np.stack([words, words[::-1]], axis=1)
+        assert _below(block[:, 1], size).tolist() == got[::-1].tolist()
+
+    def test_zero_words_are_the_uniforms_below_zero_prob(self):
+        edge = int(transforms._ZERO_WORDS)
+        near = np.array([edge - 1, edge, edge + 1, 0, 2**64 - 1], dtype=np.uint64)
+        assert (near < transforms._ZERO_WORDS).tolist() == [True, False, False, True, False]
+        words = np.concatenate([near, np.random.Philox(7).random_raw(10**5)])
+        assert ((words < transforms._ZERO_WORDS) == (_uniform(words) < ZERO_PROB)).all()
 
 
 class TestDrawDistribution:
