@@ -124,51 +124,42 @@ def read_vector(path: str, complex_pairs: bool = False) -> CoefficientVector:
     Numbers may be separated by commas, whitespace, or newlines; scientific
     notation is accepted.  In complex mode every non-empty line holds one
     're,im' pair and contributes the magnitude.  Magnitudes are taken
-    either way.  A large real-mode input is parsed in parts across the
-    usable CPUs (``_split_values``); the values never depend on how many.
+    either way.  A large input of either mode is parsed in parts across
+    the usable CPUs (``_parse_values``); the values never depend on how many.
     """
-    text = _read_text(path)
-    values = None if complex_pairs else _split_values(text)
-    if values is None:
-        values = _line_values(text, complex_pairs)
+    values = _parse_values(_read_text(path), complex_pairs)
     if len(values) == 0:
         raise InputError("input contains no values")
-    return CoefficientVector(np.asarray(values))
+    return CoefficientVector(values)
 
 
-_SPACE = re.compile(r"\s")
-
-
-def _split_values(text: str) -> np.ndarray | None:
-    """Every number in ``text``, or None if a token is malformed
-    (``_line_values`` then names it).  Same values as ``_line_values``:
-    each token is converted with Python's ``float``, and ``str.split``
-    splits on the whitespace its regex ``\\s`` matches.
-
-    The comma-replaced text is cut into one run per part, each cut at a
-    ``\\s`` character so no token is split, and the runs are parsed by
-    ``_map_parts``.  Their values join in order, so the result does not
-    depend on the part count.
+def _parse_values(text: str, complex_pairs: bool) -> np.ndarray:
+    """Every number in ``text``, or in complex mode every line's 're,im'
+    pair, as ``_line_values`` gives them.  The text is cut into one run per
+    part, real text at a ``\\s`` character or a comma and complex text at a
+    ``\\r`` or ``\\n``, so no token or line is split: ``str.split`` splits
+    where ``\\s`` matches, and ``str.splitlines`` at either.  ``_map_parts``
+    parses the runs, a real one with ``float`` and a complex one by
+    ``_line_values``, and joins their values in order, so the result does
+    not depend on the part count.  Only if a run raises is the whole text
+    read, by ``_line_values``, to raise the first fault by line and column.
     """
-    text = text.replace(",", " ")
-    # an upper bound on the numbers: each takes a character, as does the
-    # separator after it
-    parts = _part_count(len(text) // 2)
-    cuts = [0]
-    for k in range(1, parts):
-        space = _SPACE.search(text, max(cuts[-1], k * len(text) // parts))
-        cuts.append(space.start() if space else len(text))
-    cuts.append(len(text))
+    parts = _part_count(len(text) // 2)  # a number takes a character, as does its separator
+    end = re.compile(r"[\r\n]|\Z" if complex_pairs else r"[\s,]|\Z")
+    starts = (end.search(text, k * len(text) // parts).start() for k in range(1, parts))
+    cuts = [0, *starts, len(text)]
 
     def parse(lo: int, hi: int) -> np.ndarray:
-        tokens = text[lo:hi].split()
+        if complex_pairs:
+            return np.array(_line_values(text[lo:hi], True), dtype=np.complex128)
+        tokens = text[lo:hi].replace(",", " ").split()
         return np.fromiter(map(float, tokens), dtype=np.float64, count=len(tokens))
 
     try:
-        values = _map_parts(parse, cuts)
-    except ValueError:
-        return None
-    return np.concatenate(values)
+        return np.concatenate(_map_parts(parse, cuts))
+    except (ValueError, InputError):
+        _line_values(text, complex_pairs)
+        raise
 
 
 def _line_values(text: str, complex_pairs: bool) -> list[complex]:
@@ -176,9 +167,8 @@ def _line_values(text: str, complex_pairs: bool) -> list[complex]:
     InputError naming its line and column."""
     values: list[complex] = []
     for lineno, line in enumerate(text.splitlines(), start=1):
-        tokens = list(re.finditer(r"[^\s,]+", line))
         parsed = []
-        for tok in tokens:
+        for tok in re.finditer(r"[^\s,]+", line):
             try:
                 parsed.append(float(tok.group()))
             except ValueError as exc:
@@ -186,17 +176,14 @@ def _line_values(text: str, complex_pairs: bool) -> list[complex]:
                     f"line {lineno}, column {tok.start() + 1}: "
                     f"malformed number {tok.group()!r}"
                 ) from exc
-        if not parsed:
-            continue
-        if complex_pairs:
+        if complex_pairs and parsed:
             if len(parsed) != 2:
                 raise InputError(
                     f"line {lineno}, column 1: complex mode expects 're,im' "
                     f"pairs, got {len(parsed)} value(s)"
                 )
-            values.append(complex(parsed[0], parsed[1]))
-        else:
-            values.extend(parsed)
+            parsed = [complex(*parsed)]
+        values.extend(parsed)
     return values
 
 

@@ -562,7 +562,7 @@ def full_table(trials: int = 1000, seed: int = 0) -> TableResult:
             verdict = catalog_verdict(spec, criterion) if mapped else None
             cells[measure, criterion] = verdict if verdict and verdict.violated else None
     search = [cell for cell, verdict in cells.items() if verdict is None]
-    cuts = _cuts([1] * len(search), trials * len(search))
+    cuts = _cuts([trials] * len(search))
 
     def run(lo: int, hi: int) -> list[CellVerdict]:
         return [check_cell(MeasureSpec(m), c, trials, seed) for m, c in search[lo:hi]]

@@ -147,7 +147,8 @@ def sample_vector(
     if n < 1:
         raise InvalidParams("n must be >= 1")
     rng = seed if isinstance(seed, np.random.Generator) else stream(seed)
-    return CoefficientVector(dist.quantile(rng.random(n)))
+    with np.errstate(over="ignore"):  # an infinite draw is rejected as non-finite
+        return CoefficientVector(dist.quantile(rng.random(n)))
 
 
 def minmax_normalize(series) -> np.ndarray:
@@ -282,7 +283,7 @@ def _study(name, sweep_name, sweep_values, points, specs, repeats: int, seed: in
             for i, start, stop in blocks[lo:hi]
         ], axis=1)
 
-    columns = np.concatenate(_map_parts(draws, _cuts(values, sum(values))), axis=1)
+    columns = np.concatenate(_map_parts(draws, _cuts(values)), axis=1)
     raw = {m: row.reshape(len(points), repeats) for m, row in zip(specs, columns)}
     params = {m.value: vars(s) for m, s in specs.items()}
     metadata = {**extra, "repeats": repeats, "seed": seed, "measure_params": params}

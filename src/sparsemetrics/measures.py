@@ -93,17 +93,20 @@ class CoefficientVector:
     """An immutable vector of non-negative coefficient magnitudes.
 
     Construction takes absolute values, so signed or complex input reduces
-    to magnitudes.  Empty or non-finite input is rejected.
+    to magnitudes.  Empty, non-finite or non-numeric input is rejected.
     """
 
     __slots__ = ("_values", "_sorted")
 
     def __init__(self, values) -> None:
-        arr = np.asarray(values)
+        try:
+            arr = np.asarray(values)
+            # np.abs allocates, so the caller's array is never aliased
+            mags = np.abs(arr).astype(np.float64, copy=False)
+        except (TypeError, ValueError, OverflowError) as exc:  # None, "1", 10**400
+            raise InvalidParams(f"coefficients must be real or complex numbers ({exc})") from exc
         if arr.ndim != 1 or arr.size == 0:
             raise InvalidParams("coefficient vector must be one-dimensional and non-empty")
-        # np.abs allocates, so the caller's array is never aliased
-        mags = np.abs(arr).astype(np.float64, copy=False)
         if not np.all(np.isfinite(mags)):
             raise InvalidParams("coefficient magnitudes must be finite")
         mags.setflags(write=False)

@@ -37,12 +37,12 @@ def _part_count(work: int) -> int:
     return max(1, min(_usable_cpus(), work // PART_MIN_NUMBERS))
 
 
-def _cuts(costs: list[int], work: int) -> list[int]:
-    """The ``_map_parts`` cuts of items with these positive ``costs`` into
-    ``_part_count(work)`` contiguous runs of about equal cost: part k starts
-    at the item that crosses k / parts of the total cost."""
+def _cuts(costs: list[int]) -> list[int]:
+    """The ``_map_parts`` cuts of items with these positive ``costs`` (their
+    numbers drawn or searched) into ``_part_count(sum(costs))`` contiguous
+    runs of about equal cost: part k starts where k / parts of it is crossed."""
     ends = list(itertools.accumulate(costs))
-    parts = _part_count(work)
+    parts = _part_count(sum(costs))
     starts = (bisect.bisect_right(ends, k * ends[-1] // parts) for k in range(1, parts))
     return [*sorted({0, *starts}), len(ends)]
 

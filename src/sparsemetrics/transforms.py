@@ -32,6 +32,7 @@ never shared, so independent seeds are safe to use concurrently.
 
 from __future__ import annotations
 
+import inspect
 import math
 import operator
 from dataclasses import dataclass, field, replace
@@ -296,11 +297,17 @@ def _babies(v, lengths, k):
 
 
 def _checked(d: CriterionDef, n: int, params: dict) -> str:
-    """``params`` as ``d``'s messages show them, once they pass its type and index checks."""
+    """``params`` as ``d``'s messages show them, once they are the parameters
+    of its ``apply`` and pass its type, int64 and index checks."""
     got = ", ".join(f"{name}={value}" for name, value in params.items())
+    names = list(inspect.signature(d.apply).parameters)[2:]  # after v and lengths
+    if set(params) != set(names):
+        raise InvalidTransform(f"{d.name} takes {', '.join(names)}, got {got or 'no parameters'}")
     for name, value in params.items():
         if name in _INTEGER_PARAMS and not isinstance(value, (int, np.integer)):
             raise InvalidTransform(f"{d.name} requires an integer {name}, got {got}")
+        if name in _INTEGER_PARAMS and not -(2**63) <= value < 2**63:
+            raise InvalidTransform(f"{d.name} requires an int64 {name}, got {got}")
         if name in ("i", "j") and not 0 <= value < n:
             raise InvalidTransform(f"{d.name} requires 0 <= {name} < N = {n}, got {got}")
     return got

@@ -120,22 +120,46 @@ def vector_text(draw):
     return text + "".join(t + s for t, s in zip(tokens, seps[1:]))
 
 
+LINE_ENDS = st.sampled_from(["\n", "\r\n", "\r", "\n\n", "\r\n \r\n"])
+PAIR_SEPARATORS = st.sampled_from([",", " , ", "\t", " "])
+BAD_LINES = st.one_of(
+    st.tuples(TOKENS, BAD_TOKENS).map(",".join),  # a malformed token
+    st.tuples(BAD_TOKENS, TOKENS).map(" ".join),
+    TOKENS,  # one value
+    st.tuples(TOKENS, TOKENS, TOKENS).map(",".join),  # three values
+)
+
+
+@st.composite
+def complex_text(draw, bad=False):
+    """'re,im' lines, with one BAD_LINES line anywhere if ``bad``."""
+    lines = [
+        draw(TOKENS) + draw(PAIR_SEPARATORS) + draw(TOKENS)
+        for _ in range(draw(st.integers(0, 20)))
+    ]
+    if bad:
+        lines.insert(draw(st.integers(0, len(lines))), draw(BAD_LINES))
+    ends = draw(st.lists(LINE_ENDS, min_size=len(lines), max_size=len(lines)))
+    text = "".join(line + end for line, end in zip(lines, ends))
+    return text if draw(st.booleans()) else text.rstrip("\r\n")
+
+
 @pytest.fixture(scope="module")
 def scratch_file(tmp_path_factory):
     return tmp_path_factory.mktemp("parse") / "v.txt"
 
 
 class TestFastParse:
-    """The one-pass real-mode parse gives exactly what the line loop gives,
-    and a malformed token keeps the loop's line and column message, with
-    the text parsed whole or cut into 2, 3 or 4 forked parts."""
+    """The forked parse gives exactly what the line loop gives, in real and
+    complex mode, and a fault keeps the loop's line and column message,
+    with the text parsed whole or cut into 2, 3 or 4 forked parts."""
 
     @settings(max_examples=300, deadline=None)
     @given(vector_text(), st.sampled_from([1, 2, 3, 4]))
     def test_same_values_as_line_loop(self, force_parts, text, cpus):
         with pytest.MonkeyPatch.context() as mp:
             force_parts(mp, cpus)
-            fast = cli._split_values(text).tolist()
+            fast = cli._parse_values(text, False).tolist()
         loop = cli._line_values(text, complex_pairs=False)
         # float.hex tells -0.0 from 0.0 and shows every bit
         assert [v.hex() for v in fast] == [float(v).hex() for v in loop]
@@ -152,6 +176,29 @@ class TestFastParse:
             read_vector(str(scratch_file))
         assert str(info.value) == f"line {line}, column {column}: malformed number {bad!r}"
 
+    @settings(max_examples=300, deadline=None)
+    @given(complex_text(), st.sampled_from([1, 2, 3, 4]))
+    def test_complex_same_values_as_line_loop(self, force_parts, text, cpus):
+        with pytest.MonkeyPatch.context() as mp:
+            force_parts(mp, cpus)
+            fast = cli._parse_values(text, True).tolist()
+        loop = cli._line_values(text, complex_pairs=True)
+        assert [(z.real.hex(), z.imag.hex()) for z in fast] == [
+            (z.real.hex(), z.imag.hex()) for z in loop
+        ]
+
+    @settings(max_examples=200, deadline=None)
+    @given(complex_text(bad=True), st.sampled_from([1, 2, 3, 4]))
+    def test_complex_fault_named(self, scratch_file, force_parts, text, cpus):
+        with pytest.raises(InputError) as whole:
+            cli._line_values(text, complex_pairs=True)
+        assert re.match(r"line \d+, column \d+: ", str(whole.value))
+        scratch_file.write_bytes(text.encode("utf-8"))
+        with pytest.MonkeyPatch.context() as mp, pytest.raises(SparsemetricsError) as info:
+            force_parts(mp, cpus)
+            read_vector(str(scratch_file), complex_pairs=True)
+        assert str(info.value) == str(whole.value)
+
 
 def _no_fork():
     raise AssertionError("os.fork called")
@@ -162,6 +209,8 @@ class TestParts:
     result does not depend on whether a child finished its part."""
 
     TEXT = " ".join(repr(k / 7) for k in range(1, 41)) + "\n"
+    PAIRS = "".join(f"{k / 7!r},{-k / 3!r}\n" for k in range(1, 21))
+    PAIR_VALUES = [complex(k / 7, -k / 3) for k in range(1, 21)]
     # 4,800 drawn values in 3 blocks: under PART_MIN_NUMBERS
     STUDY = ("experiment", "--name", "poisson-convergence", "--lambda", "1", "--sizes", "3,5,8",
              "--repeats", "300", "--seed", "2")  # fmt: skip
@@ -174,7 +223,7 @@ class TestParts:
         forks = []
         fork = os.fork
         monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
-        assert cli._split_values(self.TEXT).tolist() == [k / 7 for k in range(1, 41)]
+        assert cli._parse_values(self.TEXT, False).tolist() == [k / 7 for k in range(1, 41)]
         assert len(forks) == 1
         assert run_cli(*self.STUDY, "--raw") == 0
         assert len(forks) == 2
@@ -187,6 +236,32 @@ class TestParts:
         assert len(forks) == 3 and capsys.readouterr() == forked
         assert run_cli(*self.TABLE) == 1
         assert len(forks) == 3 and capsys.readouterr() == forked_table
+        force_parts(monkeypatch, 2)
+        assert cli._parse_values(self.PAIRS, True).tolist() == self.PAIR_VALUES
+        assert len(forks) == 4
+
+    @pytest.mark.parametrize(
+        "text, complex_pairs",
+        [
+            (",".join(repr(k / 7) for k in range(1, 41)), False),
+            ("".join(f"{k / 7!r},{-k / 3!r}\r" for k in range(1, 21)), True),
+        ],
+        ids=["commas-alone", "cr-line-ends"],
+    )
+    def test_one_line_forks_once_for_two_cpus(self, monkeypatch, force_parts, text, complex_pairs):
+        # text without whitespace, or without "\n", is still cut in two:
+        # real text at a comma, complex text at a "\r"
+        force_parts(monkeypatch, 2)
+        forks, seen = [], []
+        fork, map_parts = os.fork, parts._map_parts
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+        monkeypatch.setattr(
+            cli, "_map_parts", lambda fn, cuts: seen.append(cuts) or map_parts(fn, cuts)
+        )
+        values = cli._parse_values(text, complex_pairs).tolist()
+        assert values == cli._line_values(text, complex_pairs) and len(forks) == 1
+        [(start, cut, end)] = seen
+        assert start == 0 < cut < end == len(text) and text[cut] in ",\r"
 
     @pytest.mark.parametrize("case", ["one-cpu", "live-thread", "below-threshold"])
     def test_no_fork(self, monkeypatch, tmp_path, capsys, case, force_parts):
@@ -198,7 +273,8 @@ class TestParts:
         if case == "live-thread":
             thread.start()
         try:
-            assert cli._split_values(self.TEXT).tolist() == [k / 7 for k in range(1, 41)]
+            assert cli._parse_values(self.TEXT, False).tolist() == [k / 7 for k in range(1, 41)]
+            assert cli._parse_values(self.PAIRS, True).tolist() == self.PAIR_VALUES
             p = tmp_path / "v.txt"
             p.write_text(self.TEXT)
             assert run_cli("lorenz", "--input", str(p)) == 0

@@ -133,6 +133,18 @@ class TestSampleVector:
             sample_vector(DistributionSpec.poisson(5.0), 0, 0)
 
 
+@pytest.mark.parametrize(
+    "dist",
+    [DistributionSpec.exponential(5e-324), DistributionSpec.uniform(0.0, math.inf)],
+    ids=["exp-tiny-rate", "uniform-inf-hi"],
+)
+@pytest.mark.parametrize("draw", [sample_vector, sample_gini], ids=["vector", "gini"])
+def test_a_sample_past_the_float64_range_is_invalid(dist, draw):
+    # not numpy's overflow warning, an error under -W error
+    with pytest.raises(InvalidParams, match="^coefficient magnitudes must be finite$"):
+        draw(dist, 100)
+
+
 class TestMinmaxNormalize:
     def test_basic(self):
         assert minmax_normalize([2, 4, 6]).tolist() == [0.0, 0.5, 1.0]

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -84,6 +85,31 @@ class TestCoefficientVector:
         got = CoefficientVector(xs).sorted_values
         want = np.sort(np.abs(np.array(xs, dtype=np.float64)), kind="stable")
         assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize(
+    "values, want",
+    [
+        ([10**400, 1], None),
+        (["1", "2"], None),
+        ([None, 1], None),
+        ([Fraction(1, 4), -2], [0.25, 2.0]),
+        ([Decimal("1.5"), 2], [1.5, 2.0]),
+        ([3 + 4j, 1], [5.0, 1.0]),
+        ([2**64, 1], [2.0**64, 1.0]),
+    ],
+    ids=["int-past-float64", "strings", "none", "fraction", "decimal", "complex", "2**64"],
+)
+def test_input_is_magnitudes_or_invalid_params(values, want):
+    # a value or a SparsemetricsError, never a bare OverflowError or TypeError
+    hoyer = MeasureSpec(Measure.HOYER)
+    calls = [CoefficientVector, gini, lorenz_curve, lambda v: evaluate(hoyer, v)]
+    if want is not None:
+        assert CoefficientVector(values).values.tolist() == want
+        return
+    for call in calls:
+        with pytest.raises(InvalidParams, match="^coefficients must be real or complex numbers"):
+            call(values)
 
 
 class TestCountMeasures:

@@ -228,6 +228,33 @@ def test_reapply_checks_a_bill_gates_trial_as_bill_gates_does(params, message):
     assert str(info.value) == f"bill gates {message}"
 
 
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (
+            lambda c: reapply(CriterionTrial(Criterion.D2, c, c, {})),
+            "scaling takes alpha, got no parameters",
+        ),
+        (
+            lambda c: reapply(CriterionTrial(Criterion.P1, c, c, {"i": 0, "beta": 1.0})),
+            "bill gates takes i, beta, alpha, got i=0, beta=1.0",
+        ),
+        (
+            lambda c: reapply(CriterionTrial(Criterion.D3, c, c, {"alpha": 1.0, "m": 2})),
+            "rising tide takes alpha, got alpha=1.0, m=2",
+        ),
+        (lambda c: clone(c, 10**20), "cloning requires an int64 m, got m=100000000000000000000"),
+        (lambda c: babies(c, -(10**20)), "babies requires an int64 k, got k=-100000000000000000000"),
+    ],
+    ids=["d2-no-alpha", "p1-no-alpha", "unknown-name", "clone-past-int64", "babies-past-int64"],
+)
+def test_malformed_parameters_are_invalid_transforms(make, message):
+    # not a TypeError, KeyError or OverflowError from the arrays they fill
+    with pytest.raises(InvalidTransform) as info:
+        make(vec(1.0, 2.0))
+    assert str(info.value) == message
+
+
 class TestRoundTripAndConservation:
     @pytest.mark.parametrize("criterion, pair", [(Criterion.D1, "CE1"), (Criterion.P1, "CE5")])
     def test_reapply_on_a_catalog_pair_names_it(self, criterion, pair):
